@@ -1,6 +1,15 @@
 """Exact-arithmetic calculus for quaternionic Grassmannian cohomology rings,
 Grothendieck-Witt form algebra, Koszul dualities and inverse-limit towers."""
 
+
+class HgrcalcError(ValueError):
+    """Base of the errors the library raises for input it cannot accept.
+
+    Defined before the submodule imports below, whose error classes
+    subclass it; the command line maps it to exit code 2.
+    """
+
+
 from .coeffs import (GWBASE, GWElement, GW_BETA8, GW_EPS, GW_H, GW_ONE,
                      INTEGERS, RATIONALS)
 from .symfun import (Partition, complete_from_elementary,

@@ -20,7 +20,10 @@ the identification X ~ X^vv uses (-1)^k, not the identity.
 from fractions import Fraction
 from itertools import combinations
 
-from .polynomial import Poly, PolyRing
+from . import HgrcalcError
+from .polynomial import (Poly, PolyRing, bareiss_det, mat_add, mat_eq,
+                         mat_identity, mat_mul, mat_scal, mat_transpose,
+                         mat_zero)
 
 
 CONVENTIONS = {
@@ -32,64 +35,8 @@ CONVENTIONS = {
 }
 
 
-class ChainError(ValueError):
+class ChainError(HgrcalcError):
     pass
-
-
-def _zero_matrix(ring, rows, cols):
-    z = ring.zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
-def _mat_transpose(m):
-    if not m or not m[0]:
-        return [[] for _ in range(len(m[0]) if m else 0)]
-    return [list(col) for col in zip(*m)]
-
-
-def _mat_mul(ring, a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = _zero_matrix(ring, rows, cols)
-    for i in range(rows):
-        for t in range(inner):
-            x = a[i][t] if t < len(a[i]) else ring.zero()
-            if x.is_zero():
-                continue
-            for j in range(cols):
-                y = b[t][j]
-                if not y.is_zero():
-                    out[i][j] = out[i][j] + x * y
-    return out
-
-
-def _mat_scale(c, m):
-    return [[c * x for x in row] for row in m]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
-
-
-def _identity(ring, n):
-    out = _zero_matrix(ring, n, n)
-    one = ring.one()
-    for i in range(n):
-        out[i][i] = one
-    return out
 
 
 class FreeComplex:
@@ -133,13 +80,14 @@ class FreeComplex:
         rows, cols = self.rank(k - 1), self.rank(k)
         if k in self.diffs:
             return self.diffs[k]
-        return _zero_matrix(self.ring, rows, cols)
+        return mat_zero(rows, cols, self.ring.zero())
 
     def validate(self):
         lo, hi = self.support()
         for k in range(lo, hi + 2):
             if self.rank(k) and self.rank(k - 1) and self.rank(k - 2):
-                prod = _mat_mul(self.ring, self.diff(k - 1), self.diff(k))
+                prod = mat_mul(self.diff(k - 1), self.diff(k),
+                               self.ring.zero())
                 if any(not x.is_zero() for row in prod for x in row):
                     raise ChainError("d o d != 0 at degree %d" % k)
 
@@ -149,7 +97,7 @@ class FreeComplex:
         if self.ring != other.ring or self.ranks != other.ranks:
             return False
         lo, hi = self.support()
-        return all(_mat_eq(self.diff(k), other.diff(k))
+        return all(mat_eq(self.diff(k), other.diff(k))
                    for k in range(lo, hi + 2))
 
     def dual(self):
@@ -160,9 +108,9 @@ class FreeComplex:
         for k in list(ranks):
             src = self.diff(-k + 1)  # d_{-k+1}: X_{-k+1} -> X_{-k}
             if self.rank(-k + 1) and self.rank(-k):
-                m = _mat_transpose(src)
+                m = mat_transpose(src)
                 if sign(k) < 0:
-                    m = _mat_scale(self.ring.const(-1), m)
+                    m = mat_scal(self.ring.const(-1), m)
                 diffs[k] = m
         return FreeComplex(self.ring, ranks, diffs)
 
@@ -174,7 +122,7 @@ class FreeComplex:
         for k in self.diffs:
             m = self.diffs[k]
             if sgn < 0:
-                m = _mat_scale(self.ring.const(-1), m)
+                m = mat_scal(self.ring.const(-1), m)
             diffs[k + n] = m
         return FreeComplex(self.ring, ranks, diffs)
 
@@ -219,7 +167,7 @@ class SymmetricComplex:
         rows, cols = x.rank(self.degree - k), x.rank(k)
         if k in self.phi:
             return self.phi[k]
-        return _zero_matrix(x.ring, rows, cols)
+        return mat_zero(rows, cols, x.ring.zero())
 
     def chain_defect(self):
         """First degree where phi fails to be a chain map, or None.
@@ -237,14 +185,14 @@ class SymmetricComplex:
                 continue  # both sides land in the zero module
             sgn = CONVENTIONS["shift_sign"](n) * CONVENTIONS["dual_sign"](k - n)
             if x.rank(n - k):
-                lhs = _mat_mul(ring, _mat_transpose(x.diff(n - k + 1)),
-                               self.form(k))
+                lhs = mat_mul(mat_transpose(x.diff(n - k + 1)),
+                              self.form(k), ring.zero())
             else:
-                lhs = _zero_matrix(ring, x.rank(n - k + 1), x.rank(k))
+                lhs = mat_zero(x.rank(n - k + 1), x.rank(k), ring.zero())
             if sgn < 0:
-                lhs = _mat_scale(ring.const(-1), lhs)
-            rhs = _mat_mul(ring, self.form(k - 1), x.diff(k))
-            if not _mat_eq(lhs, rhs):
+                lhs = mat_scal(ring.const(-1), lhs)
+            rhs = mat_mul(self.form(k - 1), x.diff(k), ring.zero())
+            if not mat_eq(lhs, rhs):
                 return k
         return None
 
@@ -254,11 +202,11 @@ class SymmetricComplex:
         out = {}
         for k in list(x.ranks):
             if not x.rank(n - k):
-                out[k] = _zero_matrix(x.ring, 0, x.rank(k))
+                out[k] = mat_zero(0, x.rank(k), x.ring.zero())
                 continue
-            m = _mat_transpose(self.form(n - k))
+            m = mat_transpose(self.form(n - k))
             if CONVENTIONS["transpose_sign"](k, n) < 0:
-                m = _mat_scale(x.ring.const(-1), m)
+                m = mat_scal(x.ring.const(-1), m)
             out[k] = m
         return out
 
@@ -266,13 +214,12 @@ class SymmetricComplex:
         t = self.transpose()
         x, n = self.complex, self.degree
         for k in x.ranks:
-            if not _mat_eq(self.form(k), t.get(k, self.form(k))):
+            if not mat_eq(self.form(k), t.get(k, self.form(k))):
                 return False
         return True
 
     def is_nondegenerate(self):
         """Each phi_k must be square and have nonzero determinant."""
-        from .polynomial import bareiss_det
         x, n = self.complex, self.degree
         for k in x.ranks:
             m = self.form(k)
@@ -343,7 +290,7 @@ def koszul(n):
         index[k] = {s: i for i, s in enumerate(basis)}
     diffs = {}
     for k in range(1, n + 1):
-        m = _zero_matrix(ring, ranks[k - 1], ranks[k])
+        m = mat_zero(ranks[k - 1], ranks[k], ring.zero())
         for col, subset in enumerate(labels[k]):
             for j in sorted(subset):
                 row = index[k - 1][subset - {j}]
@@ -355,7 +302,7 @@ def koszul(n):
     ksign = CONVENTIONS["koszul_sign"]
     phi = {}
     for k in range(n + 1):
-        m = _zero_matrix(ring, ranks[n - k], ranks[k])
+        m = mat_zero(ranks[n - k], ranks[k], ring.zero())
         for col, subset in enumerate(labels[k]):
             comp = frozenset(range(1, n + 1)) - subset
             row = index[n - k][comp]
@@ -382,7 +329,7 @@ def contracting_homotopy(ksym, invert):
         basis_k = labels[k]
         basis_k1 = labels[k + 1]
         idx = {s: i for i, s in enumerate(basis_k1)}
-        m = _zero_matrix(ring, len(basis_k1), len(basis_k))
+        m = mat_zero(len(basis_k1), len(basis_k), ring.zero())
         for col, subset in enumerate(basis_k):
             if invert in subset:
                 continue
@@ -394,12 +341,14 @@ def contracting_homotopy(ksym, invert):
     # verify ds + sd = id in every degree
     for k in range(0, n + 1):
         rk = cx.rank(k)
-        acc = _zero_matrix(ring, rk, rk)
+        acc = mat_zero(rk, rk, ring.zero())
         if k < n:
-            acc = _mat_add(acc, _mat_mul(ring, cx.diff(k + 1), homotopy[k]))
+            acc = mat_add(acc, mat_mul(cx.diff(k + 1), homotopy[k],
+                                       ring.zero()))
         if k > 0:
-            acc = _mat_add(acc, _mat_mul(ring, homotopy[k - 1], cx.diff(k)))
-        if not _mat_eq(acc, _identity(ring, rk)):
+            acc = mat_add(acc, mat_mul(homotopy[k - 1], cx.diff(k),
+                                       ring.zero()))
+        if not mat_eq(acc, mat_identity(rk, ring.one(), ring.zero())):
             raise ChainError("homotopy identity fails at degree %d" % k)
     return homotopy
 
@@ -497,7 +446,7 @@ def tensor_pair(msym, nsym):
         rows, cols = ranks.get(k - 1, 0), ranks.get(k, 0)
         if not rows or not cols:
             continue
-        m = _zero_matrix(ring, rows, cols)
+        m = mat_zero(rows, cols, ring.zero())
         for (p, q) in tb.blocks(k):
             dm = mx.diff(p)
             dn = nx.diff(q)
@@ -529,7 +478,7 @@ def tensor_pair(msym, nsym):
         rows, cols = tb.rank(n - k), tb.rank(k)
         if not rows or not cols:
             continue
-        m = _zero_matrix(ring, rows, cols)
+        m = mat_zero(rows, cols, ring.zero())
         for (p, q) in tb.blocks(k):
             fm = msym.form(p)   # rows: M_{r-p}
             fn = nsym.form(q)   # rows: N_{s-q}
@@ -567,9 +516,11 @@ class ChainIso:
         for k in range(lo, hi + 1):
             if not self.source.rank(k) or not self.source.rank(k - 1):
                 continue
-            lhs = _mat_mul(ring, self.components[k - 1], self.source.diff(k))
-            rhs = _mat_mul(ring, self.target.diff(k), self.components[k])
-            if not _mat_eq(lhs, rhs):
+            lhs = mat_mul(self.components[k - 1], self.source.diff(k),
+                          ring.zero())
+            rhs = mat_mul(self.target.diff(k), self.components[k],
+                          ring.zero())
+            if not mat_eq(lhs, rhs):
                 return False
         return True
 
@@ -578,8 +529,9 @@ class ChainIso:
         ring = self.target.ring
         out = {}
         for k in self.source.ranks:
-            m = _mat_mul(ring, sym.form(k), self.components[k])
-            m = _mat_mul(ring, _mat_transpose(self.components[degree - k]), m)
+            m = mat_mul(sym.form(k), self.components[k], ring.zero())
+            m = mat_mul(mat_transpose(self.components[degree - k]), m,
+                        ring.zero())
             out[k] = m
         return out
 
@@ -611,7 +563,7 @@ def koszul_tensor_isometry(a, b):
     for k, lab in t.complex.labels.items():
         tgt_labels = merged_cx.labels[k]
         tgt_index = {s: i for i, s in enumerate(tgt_labels)}
-        m = _zero_matrix(ring, len(tgt_labels), t.complex.rank(k))
+        m = mat_zero(len(tgt_labels), t.complex.rank(k), ring.zero())
         for col, (p, i, q, j) in enumerate(lab):
             left = ka.complex.labels[p][i]
             right = kb.complex.labels[q][j]
@@ -623,7 +575,7 @@ def koszul_tensor_isometry(a, b):
         raise ChainError("koszul merge failed to be a chain map")
     pulled = iso.pullback_form(merged, a + b)
     for k in t.complex.ranks:
-        if not _mat_eq(pulled[k], t.form(k)):
+        if not mat_eq(pulled[k], t.form(k)):
             raise ChainError("koszul merge failed to be an isometry at %d" % k)
     return t, merged, iso
 
@@ -669,7 +621,7 @@ def swap_sign_check(msym, nsym):
     for k, lab in t1.complex.labels.items():
         tgt_lab = t2.complex.labels.get(k, [])
         tgt_index = {t: i for i, t in enumerate(tgt_lab)}
-        m = _zero_matrix(ring2, len(tgt_lab), len(lab))
+        m = mat_zero(len(tgt_lab), len(lab), ring2.zero())
         for col, (p, i, q, j) in enumerate(lab):
             sign = -1 if (p * q) % 2 else 1
             m[tgt_index[(q, j, p, i)]][col] = ring2.const(sign)
@@ -678,18 +630,20 @@ def swap_sign_check(msym, nsym):
     # sigma is a chain map from the lifted t1 to t2
     lo, hi = t1.complex.support()
     for k in range(lo + 1, hi + 1):
-        lhs = _mat_mul(ring2, components[k - 1],
-                       [[lift(x) for x in row] for row in t1.complex.diff(k)])
-        rhs = _mat_mul(ring2, t2.complex.diff(k), components[k])
-        if not _mat_eq(lhs, rhs):
+        lhs = mat_mul(components[k - 1],
+                      [[lift(x) for x in row] for row in t1.complex.diff(k)],
+                      ring2.zero())
+        rhs = mat_mul(t2.complex.diff(k), components[k], ring2.zero())
+        if not mat_eq(lhs, rhs):
             raise ChainError("factor swap failed to be a chain map at %d" % k)
 
     n = r + s
     observed = None
     ok = True
     for k in t1.complex.ranks:
-        pulled = _mat_mul(ring2, t2.form(k), components[k])
-        pulled = _mat_mul(ring2, _mat_transpose(components[n - k]), pulled)
+        pulled = mat_mul(t2.form(k), components[k], ring2.zero())
+        pulled = mat_mul(mat_transpose(components[n - k]), pulled,
+                         ring2.zero())
         reference = [[lift(x) for x in row] for row in t1.form(k)]
         for row_p, row_r in zip(pulled, reference):
             for x, y in zip(row_p, row_r):

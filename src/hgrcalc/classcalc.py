@@ -8,8 +8,10 @@ rank at every step, and it retains a full trace of each verification.
 
 from dataclasses import dataclass
 
+from . import HgrcalcError
 
-class ClassCalcError(ValueError):
+
+class ClassCalcError(HgrcalcError):
     pass
 
 

@@ -10,13 +10,14 @@ import json
 import sys
 from fractions import Fraction
 
+from . import HgrcalcError
 from . import chainduality, classcalc, forms, geomverify, grassring
 from . import pontryagin, suite, symfun, towers
 from .coeffs import GWBASE, INTEGERS, RATIONALS
 from .polynomial import PolyRing
 
 
-class UsageError(Exception):
+class UsageError(HgrcalcError):
     pass
 
 
@@ -65,10 +66,7 @@ def cmd_schur(args):
 def cmd_hgr_ring(args):
     if args.r > args.n:
         raise UsageError("r exceeds n")
-    try:
-        ring = grassring.present(args.r, args.n, COEFFS[args.coeff])
-    except grassring.ParameterError as err:
-        raise UsageError(str(err))
+    ring = grassring.present(args.r, args.n, COEFFS[args.coeff])
     payload = ring.to_json()
     human = ["A(HGr(%d, %d)) over %s" % (args.r, args.n, args.coeff),
              "  rank %d" % ring.rank(),
@@ -80,12 +78,9 @@ def cmd_hgr_ring(args):
 
 
 def cmd_restriction(args):
-    try:
-        src = grassring.present(args.source_r, args.source_n)
-        tgt = grassring.present(args.target_r, args.target_n)
-        rho = grassring.restriction(src, tgt, args.kind)
-    except grassring.ParameterError as err:
-        raise UsageError(str(err))
+    src = grassring.present(args.source_r, args.source_n)
+    tgt = grassring.present(args.target_r, args.target_n)
+    rho = grassring.restriction(src, tgt, args.kind)
     payload = rho.to_json()
     payload["kernel"] = [l.to_json() for l in rho.kernel_basis()]
     human = ["restriction %s: (r=%d, n=%d) -> (r=%d, n=%d)"
@@ -168,6 +163,8 @@ def cmd_classcheck(args):
 
 
 def _parse_gram(text):
+    if text is None:
+        raise UsageError("--matrix is required")
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as err:
@@ -386,6 +383,13 @@ def cmd_suite(args):
     return 0 if payload["all_pass"] else 1
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hgrcalc",
@@ -401,7 +405,7 @@ def build_parser():
 
     p = sub.add_parser("schur", help="Schur polynomial in the e-generators")
     p.add_argument("--partition", default="", metavar="P1,P2,..")
-    p.add_argument("--gens", type=int, required=True, metavar="R")
+    p.add_argument("--gens", type=_nonnegative_int, required=True, metavar="R")
     common(p)
     p.set_defaults(func=cmd_schur)
 
@@ -482,11 +486,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        sys.stderr.write("usage error: %s\n" % err)
-        return 2
-    except (classcalc.ClassCalcError, grassring.ParameterError,
-            chainduality.ChainError, towers.TowerError) as err:
+    except HgrcalcError as err:
         sys.stderr.write("usage error: %s\n" % err)
         return 2
 

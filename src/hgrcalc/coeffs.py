@@ -110,10 +110,6 @@ class GWElement:
                 return GWElement(res)
         return None
 
-    def augmentation(self):
-        """Rank homomorphism eps -> 1, b8 -> 1."""
-        return sum(a + b for a, b in self.terms.values())
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -10,11 +10,14 @@ fundamental-sequence bookkeeping.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .polynomial import Poly, PolyRing, mat_eq, mat_mul, mat_transpose
+from . import HgrcalcError
+from .polynomial import (Poly, PolyRing, mat_apply, mat_eq, mat_identity,
+                         mat_mul, mat_scal, mat_shape, mat_sub,
+                         mat_transpose)
 from .towers import FGAbelian
 
 
-class FormsError(ValueError):
+class FormsError(HgrcalcError):
     pass
 
 
@@ -311,12 +314,11 @@ class BilinearForm:
         if any(len(row) != n for row in self.gram):
             raise FormsError("Gram matrix must be square")
         self.kind = kind
+        transpose = mat_transpose(self.gram)
         if kind == "symmetric":
-            ok = all(self.gram[i][j] == self.gram[j][i]
-                     for i in range(n) for j in range(n))
+            ok = mat_eq(self.gram, transpose)
         elif kind == "skew":
-            ok = all(self.gram[i][j] == -self.gram[j][i]
-                     for i in range(n) for j in range(n)) and \
+            ok = mat_eq(self.gram, mat_scal(-1, transpose)) and \
                 all(not self.gram[i][i] for i in range(n))
         else:
             raise FormsError("kind must be 'symmetric' or 'skew'")
@@ -325,11 +327,9 @@ class BilinearForm:
         self.n = n
 
     def value(self, v, w):
-        acc = self.field.zero()
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = acc + v[i] * self.gram[i][j] * w[j]
-        return acc
+        """v^T G w, as the row v times the column G w."""
+        zero = self.field.zero()
+        return mat_apply([v], mat_apply(self.gram, w, zero), zero)[0]
 
 
 class Diagonalization:
@@ -354,27 +354,20 @@ def diagonalize(form):
         raise FormsError("diagonalize expects a symmetric form")
     F = form.field
     n = form.n
-    basis = [[F.one() if i == j else F.zero() for j in range(n)]
-             for i in range(n)]  # basis vectors as rows
-
-    def gval(v, w):
-        return form.value(v, w)
-
+    vecs = mat_identity(n, F.one(), F.zero())  # basis vectors as rows
     out = []
-    idx = 0
-    vecs = list(basis)
     while vecs:
         # find a vector of nonzero length, mixing if needed
         pivot = None
         for i, v in enumerate(vecs):
-            if gval(v, v):
+            if form.value(v, v):
                 pivot = i
                 break
         if pivot is None:
             mixed = False
             for i in range(len(vecs)):
                 for j in range(i + 1, len(vecs)):
-                    if gval(vecs[i], vecs[j]):
+                    if form.value(vecs[i], vecs[j]):
                         # char != 2: v_i + v_j has length 2*g(v_i, v_j)
                         vecs[i] = [a + b for a, b in zip(vecs[i], vecs[j])]
                         pivot = i
@@ -387,12 +380,13 @@ def diagonalize(form):
                     "form is degenerate; radical has dimension %d" % len(vecs),
                     radical_dimension=len(vecs))
         v = vecs.pop(pivot)
-        length = gval(v, v)
-        inv_len = F.inv(length)
-        vecs = [[a - (gval(v, w) * inv_len) * b for a, b in zip(w, v)]
-                for w in vecs]
+        inv_len = F.inv(form.value(v, v))
+        reduced = []
+        for w in vecs:
+            c = form.value(v, w) * inv_len
+            reduced.append([a - c * b for a, b in zip(w, v)])
+        vecs = reduced
         out.append(v)
-        idx += 1
     # normalize over Q-like fields: clear denominators columnwise
     cleaned = []
     for v in out:
@@ -413,12 +407,12 @@ def diagonalize(form):
     entries = [form.value(v, v) for v in cleaned]
     classes = [F.square_class(e) for e in entries]
     # exactness guarantee
-    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram), p_matrix)
-    for i in range(n):
-        for j in range(n):
-            want = entries[i] if i == j else F.zero()
-            if check[i][j] != want:
-                raise FormsError("internal error: P^T G P mismatch")
+    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, F.zero()),
+                    p_matrix, F.zero())
+    diagonal = [[entries[i] if i == j else F.zero() for j in range(n)]
+                for i in range(n)]
+    if not mat_eq(check, diagonal):
+        raise FormsError("internal error: P^T G P mismatch")
     return Diagonalization(entries, p_matrix, classes)
 
 
@@ -432,8 +426,7 @@ def symplectic_basis(form):
     if n % 2:
         raise DegenerateFormError("degenerate skew form (odd rank)",
                                   radical_dimension=1)
-    vecs = [[F.one() if i == j else F.zero() for j in range(n)]
-            for i in range(n)]
+    vecs = mat_identity(n, F.one(), F.zero())
     pairs = []
     while vecs:
         v = vecs.pop(0)
@@ -460,16 +453,16 @@ def symplectic_basis(form):
         pairs.extend([v, w])
     p_matrix = mat_transpose(pairs)
     # verify P^T G P = standard J
-    j_std = standard_symplectic_gram(n, F)
-    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram), p_matrix)
-    for i in range(n):
-        for j in range(n):
-            if check[i][j] != j_std[i][j]:
-                raise FormsError("internal error: symplectic reduction mismatch")
+    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, F.zero()),
+                    p_matrix, F.zero())
+    if not mat_eq(check, standard_symplectic_gram(n, F)):
+        raise FormsError("internal error: symplectic reduction mismatch")
     return p_matrix
 
 
 def standard_symplectic_gram(n, field=None):
+    """The block-diagonal J with blocks [[0,1],[-1,0]]; `field` is any
+    descriptor with zero() and one()."""
     F = field or RationalsField()
     g = [[F.zero() for _ in range(n)] for _ in range(n)]
     for i in range(0, n, 2):
@@ -662,34 +655,18 @@ class SympFactor:
         self.ring = ring
         self.u = list(u)
         self.lam = lam
-        zero, one = ring.zero(), ring.one()
-        j = _j_matrix(n2, zero, one)
+        zero = ring.zero()
+        j = standard_symplectic_gram(n2, ring)
         uut = [[a * b for b in self.u] for a in self.u]
-        uutj = mat_mul(uut, j)
-        self.matrix = [[(one if i == k else zero) - lam * uutj[i][k]
-                        for k in range(n2)] for i in range(n2)]
-        check = mat_mul(mat_mul(mat_transpose(self.matrix), j), self.matrix)
+        self.matrix = mat_sub(mat_identity(n2, ring.one(), zero),
+                              mat_scal(lam, mat_mul(uut, j, zero)))
+        check = mat_mul(mat_mul(mat_transpose(self.matrix), j, zero),
+                        self.matrix, zero)
         if not mat_eq(check, j):
             raise FormsError("internal error: transvection broke the form")
 
     def apply(self, v):
-        return [_dot(row, v) for row in self.matrix]
-
-
-def _dot(row, v):
-    acc = None
-    for a, b in zip(row, v):
-        p = a * b
-        acc = p if acc is None else acc + p
-    return acc
-
-
-def _j_matrix(n2, zero, one):
-    j = [[zero for _ in range(n2)] for _ in range(n2)]
-    for i in range(0, n2, 2):
-        j[i][i + 1] = one
-        j[i + 1][i] = -one
-    return j
+        return mat_apply(self.matrix, v, self.ring.zero())
 
 
 def sp_reduce_unimodular(v, ring=ZZ):
@@ -977,8 +954,7 @@ def karoubi_check(table, expected_ko1=None):
     # squaring composite on K_1 is doubling for the trivial involution
     if table.trivial_involution:
         n = table.k1.ngens
-        doubling = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        if table.squaring != doubling:
+        if table.squaring != mat_identity(n, 2):
             return KaroubiReport(False, "squaring composite", derived)
 
     # derive KO_1 from 1 -> R^x/R^x2 -> KO_1 -> Z/2 -> 0 (split)
@@ -1000,8 +976,7 @@ def karoubi_check(table, expected_ko1=None):
 
 def _kernel_rank(matrix):
     """Rank of the integer kernel of a matrix (columns = domain)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    rows, cols = mat_shape(matrix)
     if cols == 0:
         return 0
     from .towers import smith_normal_form

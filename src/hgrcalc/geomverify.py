@@ -8,11 +8,15 @@ polynomial identity; there is no numerical tolerance anywhere.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from .polynomial import (Poly, PolyRing, bareiss_det, mat_mul, mat_transpose)
+from . import HgrcalcError
+from .polynomial import (Poly, PolyRing, bareiss_det, mat_add, mat_eq,
+                         mat_identity, mat_mul, mat_scal, mat_sub,
+                         mat_transpose, mat_zero)
 
 
-class GeomError(ValueError):
+class GeomError(HgrcalcError):
     pass
 
 
@@ -86,22 +90,18 @@ def solve_invariant_forms(m):
     the symmetric and skew subspaces.
     """
     n = len(m)
-    sym_basis = []
-    for i in range(n):
-        for j in range(i, n):
-            e = [[Fraction(0)] * n for _ in range(n)]
-            e[i][j] += 1
-            e[j][i] += 1 if i != j else 0
-            if i == j:
-                e[i][j] = Fraction(1)
-            sym_basis.append(e)
-    skew_basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [[Fraction(0)] * n for _ in range(n)]
-            e[i][j] = Fraction(1)
-            e[j][i] = Fraction(-1)
-            skew_basis.append(e)
+    zero = T_RING.zero()
+
+    def unit_form(i, j, sign):
+        # 1 at (i, j) and sign at (j, i); on the diagonal just 1
+        e = mat_zero(n, n, Fraction(0))
+        e[j][i] = Fraction(sign)
+        e[i][j] = Fraction(1)
+        return e
+
+    sym_basis = [unit_form(i, j, 1) for i in range(n) for j in range(i, n)]
+    skew_basis = [unit_form(i, j, -1)
+                  for i in range(n) for j in range(i + 1, n)]
 
     def invariant_space(basis):
         # rows: one linear constraint per (entry, power of t); cols: basis
@@ -110,7 +110,8 @@ def solve_invariant_forms(m):
         residuals = []
         for b in basis:
             bm = [[T_RING.const(x) for x in row] for row in b]
-            res = mat_sub_poly(mat_mul(mat_mul(mat_transpose(m), bm), m), bm)
+            mtbm = mat_mul(mat_mul(mat_transpose(m), bm, zero), m, zero)
+            res = mat_sub(mtbm, bm)
             residuals.append(res)
             for i in range(n):
                 for j in range(n):
@@ -125,20 +126,14 @@ def solve_invariant_forms(m):
         null = rational_nullspace(columns)
         out = []
         for coeffs in null:
-            bm = [[Fraction(0)] * n for _ in range(n)]
+            bm = mat_zero(n, n, Fraction(0))
             for c, b in zip(coeffs, basis):
-                for i in range(n):
-                    for j in range(n):
-                        bm[i][j] += c * b[i][j]
+                bm = mat_add(bm, mat_scal(c, b))
             out.append(_integer_scale(bm))
         return out
 
     return {"symmetric": invariant_space(sym_basis),
             "skew": invariant_space(skew_basis)}
-
-
-def mat_sub_poly(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def rational_nullspace(columns):
@@ -188,12 +183,12 @@ def _integer_scale(bm):
     den = 1
     for row in bm:
         for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // gcd(den, x.denominator)
     ints = [[int(x * den) for x in row] for row in bm]
     g = 0
     for row in ints:
         for x in row:
-            g = _gcd(g, abs(x))
+            g = gcd(g, abs(x))
     if g:
         ints = [[x // g for x in row] for row in ints]
     # normalize the sign on the first nonzero entry
@@ -204,12 +199,6 @@ def _integer_scale(bm):
                     ints = [[-y for y in r] for r in ints]
                 return [[Fraction(v) for v in r] for r in ints]
     return [[Fraction(v) for v in r] for r in ints]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class PathReport:
@@ -231,8 +220,9 @@ class PathReport:
 def verify_M_path():
     """M(0) = I, M(1) = M_1, det M(t) = 1, and invariance of the solved forms."""
     m = interpolating_path()
+    zero = T_RING.zero()
     checks = {}
-    ident = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    ident = mat_identity(4, Fraction(1), Fraction(0))
     checks["M(0) = I"] = evaluate_at(m, 0) == ident
     m1 = evaluate_at(m, 1)
     checks["M(1) = M1"] = m1 == evaluate_at(endpoint_matrix(), 0)
@@ -244,9 +234,8 @@ def verify_M_path():
     for kind in ("symmetric", "skew"):
         for idx, b in enumerate(forms[kind]):
             bm = [[T_RING.const(x) for x in row] for row in b]
-            lhs = mat_mul(mat_mul(mat_transpose(m), bm), m)
-            ok = all(lhs[i][j] == bm[i][j] for i in range(4) for j in range(4))
-            checks["M(t) preserves %s form %d" % (kind, idx)] = ok
+            lhs = mat_mul(mat_mul(mat_transpose(m), bm, zero), m, zero)
+            checks["M(t) preserves %s form %d" % (kind, idx)] = mat_eq(lhs, bm)
     report = PathReport(checks)
     report.invariant_forms = forms
     return report
@@ -257,12 +246,12 @@ def verify_M1_factorization():
     elementary (determinant one) and preserves the solved invariant forms."""
     factors = factorization_matrices()
     m1 = endpoint_matrix()
+    zero = T_RING.zero()
     checks = {}
     prod = factors[0]
     for f in factors[1:]:
-        prod = mat_mul(prod, f)
-    checks["factor product = M1"] = all(
-        prod[i][j] == m1[i][j] for i in range(4) for j in range(4))
+        prod = mat_mul(prod, f, zero)
+    checks["factor product = M1"] = mat_eq(prod, m1)
     forms = solve_invariant_forms(interpolating_path())
     for fi, f in enumerate(factors):
         det = bareiss_det(f, zero=T_RING.zero(), one=T_RING.one())
@@ -270,10 +259,9 @@ def verify_M1_factorization():
         for kind in ("symmetric", "skew"):
             for bi, b in enumerate(forms[kind]):
                 bm = [[T_RING.const(x) for x in row] for row in b]
-                lhs = mat_mul(mat_mul(mat_transpose(f), bm), f)
-                ok = all(lhs[i][j] == bm[i][j]
-                         for i in range(4) for j in range(4))
-                checks["factor %d preserves %s form %d" % (fi, kind, bi)] = ok
+                lhs = mat_mul(mat_mul(mat_transpose(f), bm, zero), f, zero)
+                checks["factor %d preserves %s form %d" % (fi, kind, bi)] = \
+                    mat_eq(lhs, bm)
     return PathReport(checks)
 
 
@@ -320,11 +308,8 @@ def quadratic_section_identity(r):
 
 def wedge_of_covectors(u, v, size):
     """u ^ v as a skew matrix: (u v^T - v u^T), coordinates on Lambda^2."""
-    out = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            out[i][j] = u[i] * v[j] - v[i] * u[j]
-    return out
+    return [[u[i] * v[j] - v[i] * u[j] for j in range(size)]
+            for i in range(size)]
 
 
 def verify_symplectic_lift(phi, g, u, v, w, modulus_power=None):
@@ -361,19 +346,19 @@ def verify_symplectic_lift(phi, g, u, v, w, modulus_power=None):
         return out
 
     gp = g if isinstance(g, Poly) else ring.const(Fraction(g))
-    total = [[ring.zero() for _ in range(size)] for _ in range(size)]
+    total = mat_zero(size, size, ring.zero())
     for i in range(0, len(u), 2):
         lift1 = [a + gp * b for a, b in zip(coerce_vec(u[i]), coerce_vec(v[i]))]
         lift2 = [a + gp * b for a, b in zip(coerce_vec(u[i + 1]),
                                             coerce_vec(v[i + 1]))]
-        total = _mat_add_poly(total, wedge_of_covectors(lift1, lift2, size))
+        total = mat_add(total, wedge_of_covectors(lift1, lift2, size))
     for j in range(0, len(w), 2):
         w1 = [gp * a for a in coerce_vec(w[j])]
         w2 = [gp * a for a in coerce_vec(w[j + 1])]
-        total = _mat_add_poly(total, wedge_of_covectors(w1, w2, size))
+        total = mat_add(total, wedge_of_covectors(w1, w2, size))
     phi_m = [[x if isinstance(x, Poly) else ring.const(Fraction(x))
               for x in row] for row in phi]
-    diff = mat_sub_poly(total, phi_m)
+    diff = mat_sub(total, phi_m)
     if modulus_power is None:
         return all(x.is_zero() for row in diff for x in row)
     modulus = gp ** modulus_power
@@ -384,7 +369,3 @@ def verify_symplectic_lift(phi, g, u, v, w, modulus_power=None):
             if x.divides_exactly(modulus) is None:
                 return False
     return True
-
-
-def _mat_add_poly(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

@@ -10,12 +10,13 @@ eps-commutative bigraded algebra used as a sign-rule harness.
 
 from math import comb
 
+from . import HgrcalcError
 from .coeffs import GWElement, GW_EPS, GW_ONE, INTEGERS
 from . import symfun
 from .symfun import Partition, EMPTY, enumerate_box_partitions, sort_key
 
 
-class ParameterError(ValueError):
+class ParameterError(HgrcalcError):
     pass
 
 

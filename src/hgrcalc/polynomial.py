@@ -92,16 +92,9 @@ class Poly:
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
-    def copy_terms(self):
-        return dict(self.terms)
-
     def constant_term(self):
         zero_exp = (0,) * len(self.ring.gens)
         return self.terms.get(zero_exp, 0)
-
-    def is_constant(self):
-        zero_exp = (0,) * len(self.ring.gens)
-        return not self.terms or set(self.terms) == {zero_exp}
 
     def weight(self):
         """Largest graded weight among terms; -1 for the zero polynomial."""
@@ -338,9 +331,11 @@ def _exact_coeff_div(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Matrix helpers.  Matrices are plain lists of lists whose entries belong to
-# any commutative ring (ints, Fractions, Poly, field elements).  `zero` and
-# `one` default to the integers and must be passed for other entry rings.
+# Matrix helpers, the library's only matrix code.  Matrices are plain lists
+# of lists whose entries belong to any commutative ring (ints, Fractions,
+# Poly, field elements).  Products skip zero entries of both factors, so an
+# entry that no product reaches is the `zero` argument.  `zero` and `one`
+# default to the integers and must be passed for other entry rings.
 # ---------------------------------------------------------------------------
 
 
@@ -364,53 +359,51 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
 def mat_scal(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def mat_mul(a, b):
+def mat_mul(a, b, zero=0):
+    """a * b; a left factor with no rows gives []."""
+    if not a:
+        return []
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ValueError("matrix shapes %sx%s and %sx%s do not compose"
                          % (ra, ca, rb, cb))
     out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = None
-            for k in range(ca):
-                p = a[i][k] * b[k][j]
-                acc = p if acc is None else acc + p
-            row.append(acc)
+    for row_a in a:
+        row = [zero] * cb
+        for x, row_b in zip(row_a, b):
+            if not x:
+                continue
+            for j, y in enumerate(row_b):
+                if y:
+                    row[j] = row[j] + x * y
         out.append(row)
     return out
 
 
+def mat_apply(a, v, zero=0):
+    """The matrix-vector product a * v."""
+    out = []
+    for row in a:
+        acc = zero
+        for x, y in zip(row, v):
+            if x and y:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
 def mat_transpose(a):
-    rows, cols = mat_shape(a)
-    return [[a[i][j] for i in range(rows)] for j in range(cols)]
+    return [list(col) for col in zip(*a)]
 
 
 def mat_eq(a, b):
-    if mat_shape(a) != mat_shape(b):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_apply(a, v):
-    return [sum_ring(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def sum_ring(it):
-    acc = None
-    for x in it:
-        acc = x if acc is None else acc + x
-    return 0 if acc is None else acc
+    """Entrywise equality; matrices of different shapes are unequal."""
+    return a == b
 
 
 def bareiss_det(m, zero=0, one=1):

@@ -16,12 +16,6 @@ from .polynomial import PolyRing
 from .classcalc import FormalClass
 from .symfun import EMPTY, Partition
 
-# The class of a rank-2 bundle is minus the zero-section restriction of its
-# Thom class; recorded as metadata only (chain-level Euler classes are not
-# computed here).  The sign makes p_i match (-1)^i c_{2i} for oriented
-# theories with an additive formal group law.
-EULER_RESTRICTION_SIGN = -1
-
 
 @lru_cache(maxsize=None)
 def pontryagin_ring(n):

@@ -8,8 +8,12 @@ Full lim^1 of an arbitrary tower is never computed as a group (it can be
 uncountable); vanishing certificates are the deliverable.
 """
 
+from . import HgrcalcError
+from .polynomial import (mat_apply, mat_identity, mat_mul, mat_shape,
+                         mat_transpose)
 
-class TowerError(ValueError):
+
+class TowerError(HgrcalcError):
     pass
 
 
@@ -20,11 +24,10 @@ class TowerError(ValueError):
 
 def smith_normal_form(a):
     """(U, D, V) with U*a*V = D diagonal, d_i | d_{i+1}, U, V unimodular."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    rows, cols = mat_shape(a)
     d = [list(r) for r in a]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    u = mat_identity(rows)
+    v = mat_identity(cols)
 
     def row_op(i, j, c):  # row_i += c * row_j
         for k in range(cols):
@@ -102,7 +105,7 @@ def invariant_factors(a):
     """Nontrivial diagonal entries of the Smith form (excluding 1s kept)."""
     _, d, _ = smith_normal_form(a)
     out = []
-    for t in range(min(len(d), len(d[0]) if d else 0)):
+    for t in range(min(mat_shape(d))):
         if d[t][t]:
             out.append(abs(d[t][t]))
     return out
@@ -110,8 +113,7 @@ def invariant_factors(a):
 
 def hermite_column_form(a):
     """Canonical column Hermite normal form; equal spans give equal forms."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    rows, cols = mat_shape(a)
     m = [list(r) for r in a]
     # work column by column with integer column reduction
     cur = 0
@@ -153,19 +155,13 @@ def hermite_column_form(a):
     return [[m[k][j] for j in keep] for k in range(rows)]
 
 
-def mat_mul_int(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
 def solve_integer(a, b):
     """An integer solution x of a x = b (vectors as columns), or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    rows, cols = mat_shape(a)
+    if len(b) != rows:
+        raise TowerError("right-hand side length does not match the matrix")
     u, d, v = smith_normal_form(a)
-    ub = [sum(u[i][k] * b[k] for k in range(rows)) for i in range(rows)]
+    ub = mat_apply(u, b)
     y = [0] * cols
     for i in range(rows):
         di = d[i][i] if i < cols else 0
@@ -175,7 +171,7 @@ def solve_integer(a, b):
             y[i] = ub[i] // di
         elif ub[i]:
             return None
-    return [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+    return mat_apply(v, y)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +217,7 @@ class FGAbelian:
         """Generators x relations matrix (relations as columns)."""
         if not self.relations:
             return [[0] for _ in range(self.ngens)] if self.ngens else []
-        return [[col[i] for col in self.relations] for i in range(self.ngens)]
+        return mat_transpose(self.relations)
 
     def invariant_factors(self):
         """(free_rank, [torsion invariant factors > 1])."""
@@ -288,7 +284,7 @@ class Tower:
         for k, m in enumerate(self.maps):
             tgt = self.levels[min(k, len(self.levels) - 1)]
             src = self.levels[min(k + 1, len(self.levels) - 1)]
-            if len(m) != tgt.ngens or (m and len(m[0]) != src.ngens):
+            if len(m) != tgt.ngens or any(len(r) != src.ngens for r in m):
                 raise TowerError("map %d has the wrong shape" % k)
             if not _map_well_defined(m, src, tgt):
                 raise TowerError("map %d does not send relations into relations" % k)
@@ -307,44 +303,35 @@ class Tower:
         if self.tail == "finite-prefix-only":
             raise TowerError("map %d beyond supplied data" % k)
         if self.tail == "eventually-constant":
-            n = self.levels[-1].ngens
-            return [[int(i == j) for j in range(n)] for i in range(n)]
+            return mat_identity(self.levels[-1].ngens)
         return self.maps[-1]
 
     def composite(self, k, j):
         """Matrix of level_{k+j} -> level_k."""
-        n = self.level(k).ngens
-        acc = [[int(i == jj) for jj in range(n)] for i in range(n)]
+        acc = mat_identity(self.level(k).ngens)
         for step in range(j):
-            acc = mat_mul_int(acc, self.map(k + step))
+            acc = mat_mul(acc, self.map(k + step))
         return acc
 
 
 def _map_well_defined(matrix, src, tgt):
     for col in src.relations:
-        image = [sum(matrix[i][j] * col[j] for j in range(src.ngens))
-                 for i in range(tgt.ngens)]
-        if not tgt.contains(image):
+        if not tgt.contains(mat_apply(matrix, col)):
             return False
     return True
 
 
 def _image_subgroup_form(matrix, tgt):
     """Canonical form of span(matrix columns + target relations)."""
-    cols = [[matrix[i][j] for i in range(len(matrix))]
-            for j in range(len(matrix[0]) if matrix else 0)]
-    cols += [list(c) for c in tgt.relations]
+    cols = mat_transpose(matrix) + [list(c) for c in tgt.relations]
     if not cols:
         return []
-    a = [[c[i] for c in cols] for i in range(tgt.ngens)]
-    return hermite_column_form(a)
+    return hermite_column_form(mat_transpose(cols))
 
 
 def _image_index(matrix, tgt):
     """Index of the image subgroup in tgt; None when infinite."""
-    cols = [[matrix[i][j] for i in range(len(matrix))]
-            for j in range(len(matrix[0]) if matrix else 0)]
-    cols += [list(c) for c in tgt.relations]
+    cols = mat_transpose(matrix) + [list(c) for c in tgt.relations]
     g = FGAbelian(tgt.ngens, cols)
     return g.order()
 
@@ -506,9 +493,10 @@ def milnor_assemble(tower, certificate, elements, depth=None):
     for k in range(len(elements) - 1):
         m = tower.map(k)
         src, tgt = tower.level(k + 1), tower.level(k)
-        image = [sum(m[i][j] * elements[k + 1][j] for j in range(src.ngens))
-                 for i in range(tgt.ngens)]
-        diff = [image[i] - elements[k][i] for i in range(tgt.ngens)]
+        if len(elements[k + 1]) != src.ngens or len(elements[k]) != tgt.ngens:
+            raise TowerError("element length does not match level %d" % k)
+        image = mat_apply(m, elements[k + 1])
+        diff = [a - b for a, b in zip(image, elements[k])]
         if not tgt.contains(diff):
             raise TowerError("family is incompatible at level %d" % k)
     return list(elements[depth])

@@ -5,9 +5,8 @@ import pytest
 from hgrcalc.chainduality import (ChainError, ChainIso, FreeComplex,
                                   SymmetricComplex, contracting_homotopy,
                                   koszul, koszul_tensor_isometry, swap_sign_check,
-                                  tensor_pair, unit_complex, _mat_eq,
-                                  _zero_matrix)
-from hgrcalc.polynomial import PolyRing
+                                  tensor_pair, unit_complex)
+from hgrcalc.polynomial import PolyRing, mat_eq, mat_zero
 
 
 def two_term_x():
@@ -129,7 +128,7 @@ class TestTensor:
         assert t.degree == 2
         assert t.complex.ranks == k.complex.ranks
         for deg in k.complex.ranks:
-            assert _mat_eq(t.form(deg), k.form(deg))
+            assert mat_eq(t.form(deg), k.form(deg))
 
     def test_koszul_merge_one_one(self):
         t, merged, iso = koszul_tensor_isometry(1, 1)
@@ -159,7 +158,7 @@ class TestTensor:
         for deg, lab in left.complex.labels.items():
             right_lab = right.complex.labels[deg]
             index = {t: i for i, t in enumerate(right_lab)}
-            m = _zero_matrix(ring, len(right_lab), len(lab))
+            m = mat_zero(len(right_lab), len(lab), ring.zero())
             for col, (pq, ij, r_, k_) in enumerate(lab):
                 # decode: left factor of `left` is itself a tensor
                 p, i, q, j = tensor_pair(k, k).complex.labels[pq][ij]
@@ -173,7 +172,7 @@ class TestTensor:
         assert iso.verify_chain_map()
         pulled = iso.pullback_form(right, 3)
         for deg in left.complex.ranks:
-            assert _mat_eq(pulled[deg], left.form(deg)), deg
+            assert mat_eq(pulled[deg], left.form(deg)), deg
 
 
 class TestSwapSign:

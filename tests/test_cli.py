@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import hgrcalc
 from hgrcalc.cli import main
 
 
@@ -25,6 +31,12 @@ class TestSchur:
                                "--gens", "2")
         assert code == 2
         assert "partition" in err
+
+    def test_negative_gens_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "--gens", "-1"])
+        assert exc.value.code == 2
+        assert "--gens" in capsys.readouterr().err
 
 
 class TestHgrRing:
@@ -229,3 +241,21 @@ class TestOutFile(object):
         assert out == ""
         data = json.loads(path.read_text())
         assert data["r"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw", "diagonalize"],
+    ["gw", "ko1", "--ring", "F6"],
+    ["verify", "quadratic-section", "--r", "0"],
+    ["gw", "symplectic-basis", "--matrix", "[[0,1],[1,0]]"],
+], ids=["diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
+        "symplectic-basis-symmetric"])
+def test_library_errors_exit_two(argv):
+    src = os.path.dirname(os.path.dirname(hgrcalc.__file__))
+    proc = subprocess.run([sys.executable, "-m", "hgrcalc.cli"] + argv,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("usage error: ")
+    assert "Traceback" not in proc.stderr

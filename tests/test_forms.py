@@ -207,9 +207,8 @@ class TestSpReduce:
         assert err.value.witness == 2
 
     def test_factors_preserve_j(self):
-        from hgrcalc.forms import _j_matrix
         factors = sp_reduce_unimodular([3, 5, 7, 2])
-        j = _j_matrix(4, 0, 1)
+        j = standard_symplectic_gram(4, ZZ)
         for f in factors:
             assert mat_eq(mat_mul(mat_mul(mat_transpose(f.matrix), j), f.matrix), j)
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE
-from hgrcalc.polynomial import (Poly, PolyRing, bareiss_det, mat_mul,
-                                mat_transpose)
+from hgrcalc.forms import FiniteField
+from hgrcalc.polynomial import Poly, PolyRing, bareiss_det, mat_mul
 
 
 R2 = PolyRing(("x", "y"))
@@ -170,3 +172,54 @@ class TestOrderingAndOutput:
 
     def test_repr_of_zero(self):
         assert repr(R2.zero()) == "0"
+
+
+F9 = FiniteField(9)
+QX = PolyRing(("x",))
+
+# entry ring -> (its zero, a nonzero element for each nonzero int k)
+ENTRY_RINGS = {
+    "int": (0, lambda k: k),
+    "fraction": (Fraction(0), lambda k: Fraction(k, 3)),
+    "poly": (QX.zero(), lambda k: QX.gen(0, abs(k) % 2, Fraction(k, 2))),
+    "ff9": (F9.zero(), lambda k: F9.elements()[k % 9]),
+}
+
+
+@st.composite
+def sparse_products(draw):
+    """(a, b, zero) with mostly zero entries, empty shapes included."""
+    kind = draw(st.sampled_from(sorted(ENTRY_RINGS)))
+    zero, make = ENTRY_RINGS[kind]
+    rows, inner, cols = (draw(st.integers(0, 3)), draw(st.integers(0, 3)),
+                         draw(st.integers(1, 3)))
+    ints = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, 3])
+
+    def matrix(r, c):
+        return [[make(k) if k else zero for k in draw(st.lists(
+            ints, min_size=c, max_size=c))] for _ in range(r)]
+
+    return matrix(rows, inner), matrix(inner, cols), zero
+
+
+class TestMatMul:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_products())
+    def test_matches_naive_oracle(self, case):
+        a, b, zero = case
+        got = mat_mul(a, b, zero)
+        if not a:
+            assert got == []
+            return
+        if not b:  # zero inner dimension: no row of b gives a width
+            assert got == [[] for _ in a]
+            return
+        assert got == oracles._mat_mul(a, b)
+        for i, row in enumerate(got):
+            for j, entry in enumerate(row):
+                if not any(x and b[k][j] for k, x in enumerate(a[i])):
+                    assert entry == zero and type(entry) is type(zero)
+
+    def test_shapes_must_compose(self):
+        with pytest.raises(ValueError):
+            mat_mul([[1, 2]], [[1, 2]])

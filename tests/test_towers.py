@@ -7,13 +7,13 @@ from hgrcalc.symfun import Partition
 from hgrcalc.towers import (FGAbelian, MLResult, Tower, TowerError,
                             check_mittag_leffler, hermite_column_form,
                             invariant_factors, lim_of_surjective,
-                            milnor_assemble, smith_normal_form, mat_mul_int,
-                            solve_integer)
+                            milnor_assemble, smith_normal_form, solve_integer)
+from hgrcalc.polynomial import mat_mul
 
 
 def snf_check(a):
     u, d, v = smith_normal_form(a)
-    prod = mat_mul_int(mat_mul_int(u, a), v)
+    prod = mat_mul(mat_mul(u, a), v)
     assert prod == d
     # diagonal with divisibility
     rows, cols = len(d), len(d[0]) if d else 0
