@@ -167,46 +167,44 @@ def _parse_gram(text):
         raise UsageError("--matrix is required")
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also integers over the int-to-str digit limit
         raise UsageError("--matrix is not valid JSON: %s" % err)
     if not isinstance(rows, list) or not rows:
         raise UsageError("--matrix: expected a nonempty array of rows")
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != len(rows):
-            raise UsageError("--matrix: must be square")
-        out.append([Fraction(str(x)) for x in row])
-    return out
+    if any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
+        raise UsageError("--matrix: must be square")
+    try:
+        return [[Fraction(str(x)) for x in row] for row in rows]
+    except ValueError as err:  # inf, nan and entries that are not numbers
+        raise UsageError("--matrix: %s" % err)
+
+
+FIELDS = {"Q": forms.RationalsField(), "RealClosed": forms.RealClosedField()}
+RINGS = {"Z": forms.ZZ, "Z[1/2]": forms.ZHALF, "Z1/2": forms.ZHALF,
+         "Zhalf": forms.ZHALF, "Q[x]": forms.QX}
+
+
+def _descriptor(kind, table, name):
+    """The entry `name` of `table`, or GF(q) for a name F<q>."""
+    if name in table:
+        return table[name]
+    if name[:1] == "F" and name[1:].isdecimal():
+        return forms.FiniteField(int(name[1:]))
+    raise UsageError("unknown %s %r" % (kind, name))
 
 
 def _field_for(name):
-    if name == "Q":
-        return forms.RationalsField()
-    if name == "RealClosed":
-        return forms.RealClosedField()
-    if name.startswith("F"):
-        return forms.FiniteField(int(name[1:]))
-    raise UsageError("unknown field %r" % name)
+    return _descriptor("field", FIELDS, name)
 
 
 def _ring_for(name):
-    if name == "Z":
-        return forms.ZZ
-    if name in ("Z[1/2]", "Z1/2", "Zhalf"):
-        return forms.ZHALF
-    if name.startswith("F"):
-        return forms.FiniteFieldRing(int(name[1:]))
-    if name == "Q[x]":
-        return forms.QX
-    raise UsageError("unknown ring %r" % name)
+    return _descriptor("ring", RINGS, name)
 
 
 def cmd_gw(args):
     if args.verb == "diagonalize":
         field = _field_for(args.field)
         gram = _parse_gram(args.matrix)
-        if args.field.startswith("F"):
-            gram = [[field.coerce(x) for x in row] for row in gram]
         try:
             form = forms.BilinearForm(gram, "symmetric", field=field)
             res = forms.diagonalize(form)
@@ -248,16 +246,15 @@ def cmd_gw(args):
                               % (ring.name, res.structure(), res.order)])
         return 0
     if args.verb == "karoubi":
-        if args.ring in ("Z[1/2]", "Z1/2", "Zhalf"):
+        ring = _ring_for(args.ring)
+        if ring is forms.ZHALF:
             table = forms.zhalf_karoubi_table()
-            expected = forms.ko1_euclidean(forms.ZHALF)
-        elif args.ring.startswith("F"):
-            q = int(args.ring[1:])
-            table = forms.fq_karoubi_table(q)
-            expected = forms.ko1_euclidean(forms.FiniteFieldRing(q))
+        elif isinstance(ring, forms.FiniteField):
+            table = forms.fq_karoubi_table(ring.q)
         else:
             raise UsageError("karoubi tables exist for Z[1/2] and F<q>")
-        report = forms.karoubi_check(table, expected_ko1=expected)
+        report = forms.karoubi_check(table,
+                                     expected_ko1=forms.ko1_euclidean(ring))
         payload = report.to_json()
         human = ["karoubi(%s): %s" % (table.name,
                                       "pass" if report.ok else

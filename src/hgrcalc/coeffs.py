@@ -1,12 +1,15 @@
-"""Coefficient rings for the Grassmannian calculus.
+"""Ring descriptors and the coefficient rings of the Grassmannian calculus.
 
-Three descriptors are supported: the integers, the rationals, and GWBase,
-the model Grothendieck-Witt coefficient ring Z[eps]/(eps^2 - 1) extended by
-a formal invertible periodicity generator b8 of bidegree (8,4).  Pontryagin
-weight w corresponds to bidegree (4w, 2w) throughout.
+A presentation takes one of three descriptors: the integers, the rationals,
+or GWBase, the model Grothendieck-Witt coefficient ring Z[eps]/(eps^2 - 1)
+extended by a formal invertible periodicity generator b8 of bidegree (8,4).
+Pontryagin weight w corresponds to bidegree (4w, 2w) throughout.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+
+from . import HgrcalcError
 
 
 class GWElement:
@@ -144,10 +147,21 @@ GW_H = GW_ONE + GW_EPS          # hyperbolic class <1> + <-1>
 GW_BETA8 = GWElement.scalar(1, 0, beta_power=1)
 
 
-class CoeffRing:
-    """Descriptor for the coefficient ring of a Grassmannian presentation."""
+class CoeffError(HgrcalcError):
+    """A value a ring cannot hold, or a square class it cannot compute."""
 
-    __slots__ = ("name",)
+
+# Every ring descriptor has `name`; one that carries elements also has
+# zero(), one() and coerce(x).  Beyond that a descriptor defines only what
+# its callers use: inv, square_class and is_square for fields; quo, gcd_all,
+# is_unit and unit_inverse for Euclidean rings; has_half and
+# unit_square_class_data for the rings KO_1 is computed over.
+
+
+class IntegerRing:
+    """The integers, as Grassmannian coefficients and as a Euclidean ring."""
+
+    has_half = False
 
     def __init__(self, name):
         self.name = name
@@ -155,42 +169,122 @@ class CoeffRing:
     def __repr__(self):
         return self.name
 
-    def __eq__(self, other):
-        return isinstance(other, CoeffRing) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
     def zero(self):
-        if self.name == "GWBase":
-            return GWElement()
-        if self.name == "Rationals":
-            return Fraction(0)
         return 0
 
     def one(self):
-        if self.name == "GWBase":
-            return GWElement.from_int(1)
-        if self.name == "Rationals":
-            return Fraction(1)
         return 1
 
     def coerce(self, x):
-        if self.name == "GWBase":
-            g = _as_gw(x)
-            if g is None:
-                raise TypeError("cannot coerce %r into GWBase" % (x,))
-            return g
-        if self.name == "Rationals":
-            return Fraction(x)
         if isinstance(x, int):
             return x
-        raise TypeError("cannot coerce %r into the integers" % (x,))
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return x.numerator
+        raise CoeffError("cannot coerce %r into the integers" % (x,))
 
-    def coeff_str(self, c):
-        return str(c)
+    def quo(self, a, b):
+        return a // b
+
+    def gcd_all(self, xs):
+        return gcd(*xs)
+
+    def is_unit(self, x):
+        return x in (1, -1)
+
+    def unit_inverse(self, x):
+        return x  # +-1 are self-inverse
+
+    def unit_square_class_data(self):
+        return {"order": 2, "representatives": [1, -1],
+                "generators": [(-1, 2)]}
 
 
-INTEGERS = CoeffRing("Integers")
-RATIONALS = CoeffRing("Rationals")
-GWBASE = CoeffRing("GWBase")
+# Squarefree parts are found by trial division up to the cube root, so
+# |numerator * denominator| is capped to keep that loop short.
+SQUARE_CLASS_BOUND = 10 ** 21
+
+
+class RationalsField:
+    """The rationals, as Grassmannian coefficients and as a field."""
+
+    name = "Rationals"
+
+    def __repr__(self):
+        return self.name
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def coerce(self, x):
+        return Fraction(x)
+
+    def inv(self, x):
+        return 1 / Fraction(x)
+
+    def square_class(self, x):
+        """Canonical representative: the squarefree integer a*b of x = a/b."""
+        x = Fraction(x)
+        if x == 0:
+            raise CoeffError("zero has no square class")
+        n = x.numerator * x.denominator
+        sign = -1 if n < 0 else 1
+        n = abs(n)
+        if n >= SQUARE_CLASS_BOUND:
+            raise CoeffError("square class: |numerator * denominator| is "
+                             "not below %d" % SQUARE_CLASS_BOUND)
+        out = 1
+        d = 2
+        while d * d * d <= n:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                out *= d
+            d += 1 if d == 2 else 2
+        # n has no prime factor below d and n < d^3, so n is 1, p, p^2 or
+        # p*q: squarefree unless it is a square
+        if isqrt(n) ** 2 == n:
+            n = 1
+        return Fraction(sign * out * n)
+
+    def is_square(self, x):
+        return self.square_class(x) == 1
+
+
+def primitive_integers(xs):
+    """The coprime integers c*x for the least positive rational c that
+    clears the denominators of the rationals xs (zeros stay zero)."""
+    den = lcm(*(x.denominator for x in xs))
+    ints = [int(x * den) for x in xs]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
+
+
+class GWBase:
+    """The coefficients GW(S)[b8^{+-1}], modelled by GWElement."""
+
+    name = "GWBase"
+
+    def __repr__(self):
+        return self.name
+
+    def zero(self):
+        return GWElement()
+
+    def one(self):
+        return GWElement.from_int(1)
+
+    def coerce(self, x):
+        g = _as_gw(x)
+        if g is None:
+            raise CoeffError("cannot coerce %r into GWBase" % (x,))
+        return g
+
+
+INTEGERS = IntegerRing("Integers")
+RATIONALS = RationalsField()
+GWBASE = GWBase()

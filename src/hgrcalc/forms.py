@@ -8,9 +8,10 @@ fundamental-sequence bookkeeping.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from . import HgrcalcError
+from .coeffs import IntegerRing, RationalsField, primitive_integers
 from .polynomial import (Poly, PolyRing, mat_apply, mat_eq, mat_identity,
                          mat_mul, mat_scal, mat_shape, mat_sub,
                          mat_transpose)
@@ -28,46 +29,8 @@ class DegenerateFormError(FormsError):
 
 
 # ---------------------------------------------------------------------------
-# Fields of characteristic != 2.
+# Fields of characteristic != 2 (the rationals are coeffs.RationalsField).
 # ---------------------------------------------------------------------------
-
-
-class RationalsField:
-    name = "Q"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, x):
-        return Fraction(x)
-
-    def inv(self, x):
-        return 1 / Fraction(x)
-
-    def square_class(self, x):
-        """Canonical representative: the squarefree integer a*b of x = a/b."""
-        x = Fraction(x)
-        if x == 0:
-            raise FormsError("zero has no square class")
-        n = x.numerator * x.denominator
-        sign = -1 if n < 0 else 1
-        n = abs(n)
-        out = 1
-        d = 2
-        while d * d <= n:
-            while n % (d * d) == 0:
-                n //= d * d
-            if n % d == 0:
-                out *= d
-                n //= d
-            d += 1
-        return Fraction(sign * out * n)
-
-    def is_square(self, x):
-        return self.square_class(x) == 1
 
 
 class RealClosedField(RationalsField):
@@ -157,6 +120,8 @@ class FFElement:
 class FiniteField:
     """GF(q) for odd prime powers q = p^k."""
 
+    has_half = True
+
     def __init__(self, q):
         p, k = _factor_prime_power(q)
         if p == 2:
@@ -211,35 +176,26 @@ class FiniteField:
             out.append(FFElement(self, coeffs))
         return out
 
+    def _pow(self, x, e):
+        out = self.one()
+        while e:
+            if e & 1:
+                out = out * x
+            x = x * x
+            e >>= 1
+        return out
+
     def inv(self, x):
         x = self.coerce(x)
         if not x:
             raise ZeroDivisionError("inverting zero in %s" % self.name)
-        # x^(q-2)
-        out = self.one()
-        base = x
-        e = self.q - 2
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return self._pow(x, self.q - 2)
 
     def is_square(self, x):
         x = self.coerce(x)
         if not x:
             raise FormsError("zero has no square class")
-        # x^((q-1)/2) == 1
-        out = self.one()
-        base = x
-        e = (self.q - 1) // 2
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out == self.one()
+        return self._pow(x, (self.q - 1) // 2) == self.one()
 
     def nonsquare(self):
         for el in self.elements():
@@ -249,6 +205,11 @@ class FiniteField:
 
     def square_class(self, x):
         return self.one() if self.is_square(x) else self.nonsquare()
+
+    def unit_square_class_data(self):
+        return {"order": 2,
+                "representatives": [self.one(), self.nonsquare()],
+                "generators": [("g", self.q - 1)]}
 
 
 def _factor_prime_power(q):
@@ -388,21 +349,8 @@ def diagonalize(form):
         vecs = reduced
         out.append(v)
     # normalize over Q-like fields: clear denominators columnwise
-    cleaned = []
-    for v in out:
-        if isinstance(v[0], Fraction):
-            den = 1
-            for x in v:
-                den = den * x.denominator // gcd(den, x.denominator)
-            ints = [int(x * den) for x in v]
-            g = 0
-            for x in ints:
-                g = gcd(g, abs(x))
-            if g:
-                ints = [x // g for x in ints]
-            cleaned.append([Fraction(x) for x in ints])
-        else:
-            cleaned.append(v)
+    cleaned = [[Fraction(x) for x in primitive_integers(v)]
+               if isinstance(v[0], Fraction) else v for v in out]
     p_matrix = mat_transpose(cleaned)  # columns are the new basis vectors
     entries = [form.value(v, v) for v in cleaned]
     classes = [F.square_class(e) for e in entries]
@@ -476,87 +424,24 @@ def standard_symplectic_gram(n, field=None):
 # ---------------------------------------------------------------------------
 
 
-class EuclideanRing:
-    """Descriptor with the element operations the reductions need."""
-
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-class IntegerRing(EuclideanRing):
-    has_half = False
-
-    def __init__(self):
-        super().__init__("Z")
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def coerce(self, x):
-        return int(x)
-
-    def quo(self, a, b):
-        return a // b
-
-    def gcd_all(self, xs):
-        g = 0
-        for x in xs:
-            g = gcd(g, abs(x))
-        return g
-
-    def is_unit(self, x):
-        return x in (1, -1)
-
-    def unit_inverse(self, x):
-        return x  # +-1 are self-inverse
-
-    def unit_square_class_data(self):
-        return {"order": 2, "representatives": [1, -1],
-                "generators": [(-1, 2)]}
-
-
-class IntegersWithTwoInverted(EuclideanRing):
+class IntegersWithTwoInverted:
     """Z[1/2]: unit-group bookkeeping only (generators -1 and 2)."""
 
+    name = "Z[1/2]"
     has_half = True
-
-    def __init__(self):
-        super().__init__("Z[1/2]")
 
     def unit_square_class_data(self):
         return {"order": 4, "representatives": [1, -1, 2, -2],
                 "generators": [(-1, 2), (2, 0)]}  # order 0 = infinite
 
 
-class FiniteFieldRing(EuclideanRing):
-    """GF(q) viewed as a (trivially) Euclidean domain, q odd."""
-
-    has_half = True
-
-    def __init__(self, q):
-        super().__init__("F%d" % q)
-        self.field = FiniteField(q)
-        self.q = q
-
-    def unit_square_class_data(self):
-        return {"order": 2,
-                "representatives": [self.field.one(), self.field.nonsquare()],
-                "generators": [("g", self.q - 1)]}
-
-
-class RationalPolynomialRing(EuclideanRing):
+class RationalPolynomialRing:
     """Q[x]: full Euclidean element arithmetic, infinite unit square classes."""
 
+    name = "Q[x]"
     has_half = True
 
     def __init__(self):
-        super().__init__("Q[x]")
         self.ring = PolyRing(("x",))
 
     def zero(self):
@@ -631,7 +516,7 @@ class RationalPolynomialRing(EuclideanRing):
         raise FormsError("Q[x] has infinitely many unit square classes")
 
 
-ZZ = IntegerRing()
+ZZ = IntegerRing("Z")
 ZHALF = IntegersWithTwoInverted()
 QX = RationalPolynomialRing()
 
@@ -838,7 +723,7 @@ class KO1Result:
 
 def ko1_euclidean(ring):
     """KO_1 of a Euclidean domain containing 1/2."""
-    if not getattr(ring, "has_half", False):
+    if not ring.has_half:
         raise FormsError("2 not invertible in %s" % ring.name)
     usc = unit_square_classes(ring)
     return KO1Result(ring, usc)

@@ -8,9 +8,9 @@ polynomial identity; there is no numerical tolerance anywhere.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from . import HgrcalcError
+from .coeffs import primitive_integers
 from .polynomial import (Poly, PolyRing, bareiss_det, mat_add, mat_eq,
                          mat_identity, mat_mul, mat_scal, mat_sub,
                          mat_transpose, mat_zero)
@@ -180,25 +180,13 @@ def rational_nullspace(columns):
 
 def _integer_scale(bm):
     """Scale a rational matrix to a primitive integer matrix (sign-fixed)."""
-    den = 1
-    for row in bm:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in bm]
-    g = 0
-    for row in ints:
-        for x in row:
-            g = gcd(g, abs(x))
-    if g:
-        ints = [[x // g for x in row] for row in ints]
+    cols = len(bm[0])
+    flat = primitive_integers([x for row in bm for x in row])
     # normalize the sign on the first nonzero entry
-    for row in ints:
-        for x in row:
-            if x:
-                if x < 0:
-                    ints = [[-y for y in r] for r in ints]
-                return [[Fraction(v) for v in r] for r in ints]
-    return [[Fraction(v) for v in r] for r in ints]
+    if next((x for x in flat if x), 0) < 0:
+        flat = [-x for x in flat]
+    return [[Fraction(x) for x in flat[i:i + cols]]
+            for i in range(0, len(flat), cols)]
 
 
 class PathReport:

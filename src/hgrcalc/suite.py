@@ -207,7 +207,7 @@ def criterion_ko1():
     if res.order != 8 or res.structure() != "(Z/2)^3":
         return _result(8, "ko1-euclidean", False, "Z[1/2] gave %r" % res)
     for q in (3, 5, 7, 9):
-        r = forms.ko1_euclidean(forms.FiniteFieldRing(q))
+        r = forms.ko1_euclidean(forms.FiniteField(q))
         if r.order != 4:
             return _result(8, "ko1-euclidean", False, "F%d gave order %d" % (q, r.order))
     return _result(8, "ko1-euclidean", True,

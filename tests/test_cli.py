@@ -248,8 +248,17 @@ class TestOutFile(object):
     ["gw", "ko1", "--ring", "F6"],
     ["verify", "quadratic-section", "--r", "0"],
     ["gw", "symplectic-basis", "--matrix", "[[0,1],[1,0]]"],
+    ["gw", "diagonalize", "--field", "Fx", "--matrix", "[[1]]"],
+    ["gw", "ko1", "--ring", "Fx"],
+    ["gw", "karoubi", "--ring", "Fx"],
+    ["gw", "diagonalize", "--matrix", "[[1e400]]"],
+    ["gw", "diagonalize", "--matrix", "[[1000000000000000000000,0],[0,1]]"],
+    ["gw", "diagonalize", "--matrix", '[["1e5000"]]'],
+    ["gw", "diagonalize", "--matrix", "[[%s]]" % ("1" * 5000)],
 ], ids=["diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
-        "symplectic-basis-symmetric"])
+        "symplectic-basis-symmetric", "diagonalize-Fx", "ko1-Fx", "karoubi-Fx",
+        "diagonalize-inf", "diagonalize-square-class-bound",
+        "diagonalize-5001-digits", "diagonalize-json-digit-limit"])
 def test_library_errors_exit_two(argv):
     src = os.path.dirname(os.path.dirname(hgrcalc.__file__))
     proc = subprocess.run([sys.executable, "-m", "hgrcalc.cli"] + argv,

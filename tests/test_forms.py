@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from hgrcalc.forms import (BilinearForm, DegenerateFormError, FiniteField,
-                           FiniteFieldRing, FormsError, QX,
+                           FormsError, QX,
                            RealClosedField, SpReductionError, ZHALF, ZZ,
                            diagonalize, fq_karoubi_table, karoubi_check,
                            ko1_euclidean, sp_reduce_unimodular,
                            standard_symplectic_gram, symplectic_basis,
                            unit_square_classes, zhalf_karoubi_table)
+from hgrcalc.coeffs import (GWBASE, INTEGERS, RATIONALS, SQUARE_CLASS_BOUND,
+                           CoeffError)
 from hgrcalc.polynomial import mat_eq, mat_mul, mat_transpose
 from hgrcalc.towers import FGAbelian
 
@@ -260,6 +262,11 @@ class TestSpReduce:
         with pytest.raises(SpReductionError):
             sp_reduce_unimodular([x, x * x, QX.zero(), QX.zero()], ring=QX)
 
+    def test_integer_entries_are_not_truncated(self):
+        with pytest.raises(CoeffError):
+            sp_reduce_unimodular([Fraction(3, 2), 1, 0, 0])
+        assert sp_reduce_unimodular([Fraction(1), 0, 0, 0]) == []
+
 
 class TestUnitSquareClasses:
     def test_integers(self):
@@ -273,7 +280,7 @@ class TestUnitSquareClasses:
         assert set(usc.representatives) == {1, -1, 2, -2}
 
     def test_f9(self):
-        ring = FiniteFieldRing(9)
+        ring = FiniteField(9)
         usc = unit_square_classes(ring)
         assert usc.order == 2
 
@@ -293,7 +300,7 @@ class TestKO1:
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9])
     def test_finite_fields_order_four(self, q):
-        res = ko1_euclidean(FiniteFieldRing(q))
+        res = ko1_euclidean(FiniteField(q))
         assert res.order == 4
 
     def test_integers_rejected(self):
@@ -302,7 +309,7 @@ class TestKO1:
         assert "2 not invertible" in str(err.value)
 
     def test_order_relation(self):
-        for ring in (ZHALF, FiniteFieldRing(3), FiniteFieldRing(9)):
+        for ring in (ZHALF, FiniteField(3), FiniteField(9)):
             usc = unit_square_classes(ring)
             assert ko1_euclidean(ring).order == 2 * usc.order
 
@@ -319,7 +326,7 @@ class TestKaroubi:
         for q in (3, 5, 7, 9):
             table = fq_karoubi_table(q)
             report = karoubi_check(table,
-                                   expected_ko1=ko1_euclidean(FiniteFieldRing(q)))
+                                   expected_ko1=ko1_euclidean(FiniteField(q)))
             assert report.ok, (q, report.violated)
             assert report.derived["KO1_order"] == 4
 
@@ -364,3 +371,42 @@ class TestFiniteFieldArithmetic:
     def test_not_prime_power(self):
         with pytest.raises(FormsError):
             FiniteField(15)
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, ZZ, RATIONALS, RealClosedField(),
+                                  GWBASE, FiniteField(9), QX],
+                         ids=lambda ring: ring.name)
+def test_descriptor_protocol(ring):
+    assert ring.coerce(0) == ring.zero()
+    assert ring.coerce(1) == ring.one()
+    assert ring.coerce(ring.zero()) == ring.zero()
+
+
+class TestRationalSquareClass:
+    def test_twenty_digit_prime_is_its_own_class(self):
+        res = diagonalize(BilinearForm([[100000000000000000039, 0], [0, 1]],
+                                       "symmetric"))
+        assert res.classes == [Fraction(100000000000000000039), Fraction(1)]
+
+    def test_over_the_bound_is_refused(self):
+        with pytest.raises(CoeffError):
+            RATIONALS.square_class(Fraction(SQUARE_CLASS_BOUND + 1, 1))
+        with pytest.raises(CoeffError):
+            RATIONALS.square_class(Fraction(-1, SQUARE_CLASS_BOUND))
+
+    def test_matches_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        values = [Fraction(rng.randrange(1, 10 ** 7) * rng.choice((1, -1)),
+                           rng.randrange(1, 10 ** 4)) for _ in range(2000)]
+        # prime squares and products of two large primes near the cube root
+        primes = [sympy.prime(k) for k in (1000, 5000, 20000, 100000)]
+        values += [Fraction(p * p * q) for p in primes for q in primes]
+        values += [Fraction(p * q * 12) for p in primes for q in primes]
+        for x in values:
+            n = x.numerator * x.denominator
+            want = -1 if n < 0 else 1
+            for p, e in sympy.factorint(abs(n)).items():
+                if e % 2:
+                    want *= p
+            assert RATIONALS.square_class(x) == want, x
