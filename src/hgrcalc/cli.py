@@ -95,7 +95,7 @@ def cmd_restriction(args):
 def _parse_bundle(text):
     try:
         desc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also integers over the int-to-str digit limit
         raise UsageError("--bundle is not valid JSON: %s" % err)
     if "split" in desc:
         roots = desc["split"]
@@ -173,6 +173,9 @@ def _parse_gram(text):
         raise UsageError("--matrix: expected a nonempty array of rows")
     if any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise UsageError("--matrix: must be square")
+    # a string such as "1e3000000" would make Fraction build a huge integer
+    if any(isinstance(x, str) for row in rows for x in row):
+        raise UsageError("--matrix: entries must be JSON numbers, not strings")
     try:
         return [[Fraction(str(x)) for x in row] for row in rows]
     except ValueError as err:  # inf, nan and entries that are not numbers
@@ -189,7 +192,11 @@ def _descriptor(kind, table, name):
     if name in table:
         return table[name]
     if name[:1] == "F" and name[1:].isdecimal():
-        return forms.FiniteField(int(name[1:]))
+        try:
+            q = int(name[1:])
+        except ValueError:  # over the int-to-str digit limit
+            raise UsageError("%s F<q>: q has too many digits" % kind)
+        return forms.FiniteField(q)
     raise UsageError("unknown %s %r" % (kind, name))
 
 
@@ -292,7 +299,7 @@ def cmd_koszul(args):
 def cmd_tower(args):
     try:
         spec = json.loads(args.spec)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also integers over the int-to-str digit limit
         raise UsageError("--spec is not valid JSON: %s" % err)
     for key in ("levels", "maps"):
         if key not in spec:

@@ -82,16 +82,9 @@ class GrassRing:
 
     def normal_form(self, poly):
         """Normal form of a polynomial in e_1..e_r over the box Schur basis."""
-        coords = symfun.poly_to_schur_coords(poly, self.r)
-        cols = self.n - self.r
-        out = {}
-        for lam, c in coords.items():
-            if lam.parts and lam.parts[0] > cols:
-                continue  # s_lambda dies in the quotient outside the box
-            c = self.coeff.coerce(c)
-            if c:
-                out[lam] = c
-        return GrassElement(self, out)
+        coords = symfun.poly_to_schur_coords(poly, self.r, self.n - self.r)
+        return GrassElement(self, {lam: self.coeff.coerce(c)
+                                   for lam, c in coords.items()})
 
     def to_json(self):
         return {
@@ -163,7 +156,7 @@ class GrassElement:
         return self.scale(other)
 
     def to_poly(self):
-        """Lift back to Z[e_1..e_r] via dual Jacobi-Trudi on each basis class."""
+        """Lift back to Z[e_1..e_r] through the Schur polynomial of each class."""
         ring = self.ring.poly_ring()
         acc = ring.zero()
         for lam, c in self.coords.items():

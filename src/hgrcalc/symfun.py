@@ -1,14 +1,14 @@
 """Partitions, box enumeration, and symmetric polynomials in the e-generators.
 
 Polynomials live in Z[e_1..e_r] with deg(e_i) = i (the Pontryagin weight
-grading).  Schur elements are produced by the dual Jacobi-Trudi determinant
-det(e_{lambda'_i - i + j}) evaluated by fraction-free elimination.
+grading).  The Pieri rule for e_k inside a rows x cols box expands
+e-monomials over Schur classes; Schur polynomials invert that expansion.
 """
 
 from functools import lru_cache
 from math import comb
 
-from .polynomial import PolyRing, bareiss_det
+from .polynomial import PolyRing
 
 
 class Partition:
@@ -134,66 +134,75 @@ def _complete_list(k, r):
     return hs
 
 
-def schur_in_elementary(lam, r):
-    """s_lambda via the dual Jacobi-Trudi determinant det(e_{lambda'_i - i + j}).
+_schur_memo = {}  # (mu, r) -> s_mu in Z[e_1..e_r]
 
-    Returns a polynomial in Z[e_1..e_r]; identically zero when the conjugate
-    has a part exceeding r (too many rows for r generators).
+
+def schur_in_elementary(lam, r):
+    """s_lambda as a polynomial in Z[e_1..e_r]; zero beyond r rows.
+
+    Kostka inversion: e_{lambda'} = s_lambda + sum K_{mu'lambda'} s_mu over
+    mu strictly dominated by lambda (Macdonald I.6), and that sum's mu are
+    exactly the s_mu the inversion needs.  Lex order refines dominance, so
+    each is computed from the lower ones first; all are kept per (mu, r).
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    conj = lam.conjugate()
-    m = conj.length()
-    if m == 0:
-        return elementary_ring(r).one()
-    matrix = [[elementary(conj.part(i) - i + j, r) for j in range(1, m + 1)]
-              for i in range(1, m + 1)]
-    ring = elementary_ring(r)
-    return bareiss_det(matrix, zero=ring.zero(), one=ring.one())
+    if lam.length() > r:
+        return elementary_ring(r).zero()
+    expansion = _monomial_schur(_conjugate_exponents(lam, r), r, lam.part(1))
+    for mu in sorted(expansion, key=lambda m: m.parts):
+        if (mu, r) not in _schur_memo:
+            exps = _conjugate_exponents(mu, r)
+            poly = elementary_ring(r).monomial(exps)
+            for nu, c in _monomial_schur(exps, r, mu.part(1)).items():
+                if nu != mu:
+                    poly = poly - c * _schur_memo[nu, r]
+            _schur_memo[mu, r] = poly
+    return _schur_memo[lam, r]
 
 
-def pieri_multiply(lam, k, rows):
-    """Partitions obtained from lam by adding a vertical k-strip within `rows` rows.
+def _conjugate_exponents(lam, r):
+    """e_{lambda'} = prod_j e_j^(lambda_j - lambda_{j+1}) as exponents."""
+    return tuple(lam.part(j) - lam.part(j + 1) for j in range(1, r + 1))
 
-    This is the Pieri rule for multiplication by e_k: s_lam * e_k =
-    sum of s_mu over the returned mu (all coefficients one).
+
+def pieri_multiply(lam, k, rows, cols):
+    """The mu with s_lam * e_k = sum s_mu inside the rows x cols box.
+
+    mu/lam is a vertical k-strip: it grows the top rows of each run of equal
+    parts of lam (the empty rows of the box too), none past `cols`.
     """
-    if k == 0:
-        return [lam]
+    parts = list(lam.parts) + [0] * (rows - lam.length())
+    firsts = [i for i in range(rows) if i == 0 or parts[i] < parts[i - 1]]
+    ends = firsts[1:] + [rows]
+    caps = [e - f if parts[f] < cols else 0 for f, e in zip(firsts, ends)]
+    room = [sum(caps[b:]) for b in range(len(caps) + 1)]
+    if k > room[0]:
+        return []
     out = []
-    n = max(lam.length() + k, rows)
-    padded = [lam.part(i) for i in range(1, n + 1)]
-    # choose rows to increment: mu_i in {lam_i, lam_i + 1}, result decreasing
-    def rec(i, remaining, acc):
-        if remaining == 0:
-            mu = acc + padded[i:]
-            mu = [p for p in mu if p > 0]
-            if len(mu) <= rows:
-                out.append(Partition(mu))
-            return
-        if i >= n or n - i < remaining:
-            return
-        prev = acc[i - 1] if i > 0 else None
-        # leave row i unchanged
-        if prev is None or padded[i] <= prev:
-            rec(i + 1, remaining, acc + [padded[i]])
-        # increment row i
-        if prev is None or padded[i] + 1 <= prev:
-            rec(i + 1, remaining - 1, acc + [padded[i] + 1])
-    rec(0, k, [])
+    stack = [(0, k, parts)]
+    while stack:
+        b, left, mu = stack.pop()
+        if not left:
+            out.append(Partition([p for p in mu if p]))
+            continue
+        f = firsts[b]
+        # the runs below take at most room[b + 1]; every push can finish
+        for j in range(max(0, left - room[b + 1]), min(caps[b], left) + 1):
+            grown = mu[:f] + [p + 1 for p in mu[f:f + j]] + mu[f + j:]
+            stack.append((b + 1, left - j, grown))
     return out
 
 
-def poly_to_schur_coords(poly, rows):
-    """Expand a polynomial in Z[e_1..e_r] over the Schur basis of <= `rows` rows.
+def poly_to_schur_coords(poly, rows, cols):
+    """Partition -> coefficient of poly over the rows x cols box's Schur classes.
 
-    Returns a dict Partition -> coefficient.  Exact inverse of substituting
-    the dual Jacobi-Trudi expansions; computed by iterated Pieri products.
+    The s_mu with mu_1 > cols span the ideal (h_{cols+1},..,h_{cols+rows})
+    (Fulton, Young Tableaux 9.4), so every Pieri step may drop them.
     """
     coords = {}
     for exps, coeff in poly.terms.items():
-        expansion = _monomial_schur(exps, rows)
-        for lam, c in expansion.items():
+        for lam, c in _monomial_schur(exps, rows, cols).items():
             s = coords.get(lam, 0) + coeff * c
             if s:
                 coords[lam] = s
@@ -203,26 +212,20 @@ def poly_to_schur_coords(poly, rows):
 
 
 @lru_cache(maxsize=None)
-def _monomial_schur(exps, rows):
-    """Schur expansion of the e-monomial with the given exponent vector."""
-    # peel one generator to reuse cached smaller monomials
-    for i in range(len(exps) - 1, -1, -1):
-        if exps[i]:
-            break
-    else:
+def _monomial_schur(exps, rows, cols):
+    """Box-bounded Schur expansion of the e-monomial with these exponents.
+
+    Each call peels a whole power e_k^a, so the depth is at most len(exps).
+    """
+    k = max((i + 1 for i, a in enumerate(exps) if a), default=0)
+    if not k:
         return {EMPTY: 1}
-    smaller = list(exps)
-    smaller[i] -= 1
-    base = _monomial_schur(tuple(smaller), rows)
-    out = {}
-    k = i + 1  # e_{i+1}
-    for lam, c in base.items():
-        for mu in pieri_multiply(lam, k, rows):
-            s = out.get(mu, 0) + c
-            if s:
-                out[mu] = s
-            else:
-                out.pop(mu, None)
+    out = _monomial_schur(exps[:k - 1] + (0,) * (len(exps) - k + 1), rows, cols)
+    for _ in range(exps[k - 1]):
+        base, out = out, {}
+        for lam, c in base.items():
+            for mu in pieri_multiply(lam, k, rows, cols):
+                out[mu] = out.get(mu, 0) + c
     return out
 
 

@@ -232,3 +232,51 @@ def sum_start(it):
 
 def fraction_polys_equal(p, q):
     return (p - q).is_zero()
+
+
+def vertical_strips_in_box(lam, k, rows, cols):
+    """Every mu in the rows x cols box with mu/lam a vertical k-strip, by
+    trying all 0/1 increments of the rows."""
+    padded = list(lam) + [0] * (rows - len(lam))
+    found = set()
+    for bumps in product((0, 1), repeat=rows):
+        mu = [p + b for p, b in zip(padded, bumps)]
+        if (sum(bumps) == k and all(mu[i] >= mu[i + 1] for i in range(rows - 1))
+                and (not mu or mu[0] <= cols)):
+            found.add(tuple(p for p in mu if p))
+    return found
+
+
+def lr_coefficient(lam, mu, nu):
+    """c^nu_{lam,mu}: the Littlewood-Richardson tableaux of shape nu/lam and
+    content mu, counted by filling the skew shape cell by cell in reading
+    order (rows top to bottom, each right to left)."""
+    lam = tuple(lam) + (0,) * (len(nu) - len(lam))
+    if (len(lam) > len(nu) or any(a > b for a, b in zip(lam, nu))
+            or sum(nu) != sum(lam) + sum(mu)):
+        return 0
+    cells = [(i, j) for i in range(len(nu))
+             for j in range(nu[i] - 1, lam[i] - 1, -1)]
+    filling = {}
+    used = [0] * (len(mu) + 1)
+
+    def count(pos):
+        if pos == len(cells):
+            return 1
+        i, j = cells[pos]
+        total = 0
+        for v in range(1, len(mu) + 1):
+            if (i, j + 1) in filling and v > filling[i, j + 1]:
+                continue  # rows weakly increase
+            if (i - 1, j) in filling and v <= filling[i - 1, j]:
+                continue  # columns strictly increase
+            if used[v] == mu[v - 1] or (v > 1 and used[v] == used[v - 1]):
+                continue  # content mu, and the reading word stays a lattice word
+            filling[i, j] = v
+            used[v] += 1
+            total += count(pos + 1)
+            used[v] -= 1
+            del filling[i, j]
+        return total
+
+    return count(0)

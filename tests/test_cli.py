@@ -15,6 +15,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_subprocess(argv, timeout=120):
+    src = os.path.dirname(os.path.dirname(hgrcalc.__file__))
+    return subprocess.run([sys.executable, "-m", "hgrcalc.cli"] + argv,
+                          capture_output=True, text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestSchur:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "schur", "--partition", "2", "--gens", "2",
@@ -31,6 +38,14 @@ class TestSchur:
                                "--gens", "2")
         assert code == 2
         assert "partition" in err
+
+    def test_weight_one_thousand(self):
+        # the Bareiss determinant of the 1000 x 1000 dual Jacobi-Trudi
+        # matrix did not finish here
+        proc = run_subprocess(["schur", "--partition", "1000", "--gens", "1"],
+                              timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1].strip() == "e1^1000"
 
     def test_negative_gens_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -152,6 +167,11 @@ class TestGW:
         assert data["order"] == 8
         assert data["structure"] == "(Z/2)^3"
 
+    def test_ko1_large_prime_field(self, capsys):
+        code, out, _ = run_cli(capsys, "gw", "ko1", "--ring", "F1000003", "--json")
+        assert code == 0
+        assert json.loads(out)["order"] == 4
+
     def test_ko1_integers_fails(self, capsys):
         code, out, _ = run_cli(capsys, "gw", "ko1", "--ring", "Z", "--json")
         assert code == 1
@@ -255,15 +275,20 @@ class TestOutFile(object):
     ["gw", "diagonalize", "--matrix", "[[1000000000000000000000,0],[0,1]]"],
     ["gw", "diagonalize", "--matrix", '[["1e5000"]]'],
     ["gw", "diagonalize", "--matrix", "[[%s]]" % ("1" * 5000)],
+    ["gw", "diagonalize", "--matrix", '[["1e3000000"]]'],
+    ["tower", "--spec", '{"levels":[{"gens":%s}],"maps":[]}' % ("1" * 5000)],
+    ["pontryagin", "--bundle", '{"split":[%s]}' % ("1" * 5000)],
+    ["gw", "ko1", "--ring", "F1000000007"],
+    ["gw", "ko1", "--ring", "F" + "1" * 5000],
 ], ids=["diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
         "symplectic-basis-symmetric", "diagonalize-Fx", "ko1-Fx", "karoubi-Fx",
         "diagonalize-inf", "diagonalize-square-class-bound",
-        "diagonalize-5001-digits", "diagonalize-json-digit-limit"])
+        "diagonalize-5001-digits", "diagonalize-json-digit-limit",
+        "diagonalize-string-exponent", "tower-json-digit-limit",
+        "pontryagin-json-digit-limit", "ko1-field-over-bound",
+        "ko1-field-digit-limit"])
 def test_library_errors_exit_two(argv):
-    src = os.path.dirname(os.path.dirname(hgrcalc.__file__))
-    proc = subprocess.run([sys.executable, "-m", "hgrcalc.cli"] + argv,
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_subprocess(argv)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("usage error: ")

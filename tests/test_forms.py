@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hgrcalc.forms import (BilinearForm, DegenerateFormError, FiniteField,
-                           FormsError, QX,
+                           FIELD_ORDER_BOUND, FormsError, QX,
                            RealClosedField, SpReductionError, ZHALF, ZZ,
                            diagonalize, fq_karoubi_table, karoubi_check,
                            ko1_euclidean, sp_reduce_unimodular,
@@ -262,6 +262,24 @@ class TestSpReduce:
         with pytest.raises(SpReductionError):
             sp_reduce_unimodular([x, x * x, QX.zero(), QX.zero()], ring=QX)
 
+    def test_no_factor_fixes_the_state(self):
+        # v = (1+x, 2+x^2, x, 3) used to get 15 factors, two of them no-ops
+        x = QX.ring.gen(0)
+        one = QX.one()
+        vectors = [([one + x, 2 * one + x * x, x, 3 * one], QX)]
+        rng = random.Random(7)
+        while len(vectors) < 40:
+            v = [rng.randrange(-30, 31) for _ in range(rng.choice((4, 6)))]
+            if ZZ.is_unit(ZZ.gcd_all(v)):
+                vectors.append((v, ZZ))
+        for v, ring in vectors:
+            state = [ring.coerce(a) for a in v]
+            for f in sp_reduce_unimodular(v, ring=ring):
+                moved = f.apply(state)
+                assert moved != state, v
+                state = moved
+            assert state == [ring.one()] + [ring.zero()] * (len(v) - 1)
+
     def test_integer_entries_are_not_truncated(self):
         with pytest.raises(CoeffError):
             sp_reduce_unimodular([Fraction(3, 2), 1, 0, 0])
@@ -371,6 +389,16 @@ class TestFiniteFieldArithmetic:
     def test_not_prime_power(self):
         with pytest.raises(FormsError):
             FiniteField(15)
+
+    def test_order_over_the_bound_is_refused(self):
+        with pytest.raises(FormsError):
+            FiniteField(FIELD_ORDER_BOUND + 7)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+    def test_nonsquare_is_the_first_nonsquare(self, q):
+        field = FiniteField(q)
+        first = next(a for a in field.elements() if a and not field.is_square(a))
+        assert field.nonsquare() == first
 
 
 @pytest.mark.parametrize("ring", [INTEGERS, ZZ, RATIONALS, RealClosedField(),

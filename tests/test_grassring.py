@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE, GWBASE
+import oracles
+from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE, GWBASE, INTEGERS
 from hgrcalc.grassring import (EpsAlgebra, ParameterError, eps_product,
                                limit_ring, present, restriction)
 from hgrcalc.symfun import Partition, EMPTY
@@ -11,6 +12,15 @@ from hgrcalc.symfun import Partition, EMPTY
 
 def P(*parts):
     return Partition(parts)
+
+
+_LR = {}
+
+
+def _lr(lam, mu, nu):
+    if (lam, mu, nu) not in _LR:
+        _LR[lam, mu, nu] = oracles.lr_coefficient(lam, mu, nu)
+    return _LR[lam, mu, nu]
 
 
 class TestPresent:
@@ -97,6 +107,29 @@ class TestNormalForm:
         prod = a * b
         direct = ring.normal_form(ring.poly_ring().gen(0) * ring.poly_ring().gen(1))
         assert prod == direct
+
+    def test_weight_one_thousand(self):
+        # one recursion frame per e-factor overflowed the stack here
+        ring = present(1, 1200)
+        assert ring.normal_form(ring.poly_ring().gen(0, 1000)).coords == {P(1000): 1}
+
+    @pytest.mark.parametrize("coeff, g", [
+        (INTEGERS, 2), (GWBASE, GWElement({0: (2, -1), 1: (0, 3)}))],
+        ids=["Integers", "GWBase"])
+    def test_products_match_lr_tableaux(self, coeff, g):
+        for n in range(8):
+            for r in range(n + 1):
+                ring = present(r, n, coeff)
+                box = oracles.brute_force_partitions_in_box(r, n - r)
+                for lam in ring.basis:
+                    for mu in ring.basis:
+                        want = {}
+                        for nu in box:
+                            c = _lr(lam.parts, mu.parts, nu)
+                            if c:
+                                want[Partition(nu)] = g * coeff.coerce(c)
+                        got = ring.schur(lam).scale(g) * ring.schur(mu)
+                        assert got.coords == want, (r, n, lam, mu)
 
     def test_gw_coefficients(self):
         ring = present(1, 2, GWBASE)

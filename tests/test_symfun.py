@@ -2,11 +2,14 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrcalc import symfun
+from hgrcalc.polynomial import bareiss_det
 from hgrcalc.symfun import (Partition, EMPTY, enumerate_box_partitions,
                             complete_from_elementary, schur_in_elementary,
-                            elementary_ring, poly_to_schur_coords)
+                            elementary_ring, pieri_multiply,
+                            poly_to_schur_coords)
 
 import oracles
 
@@ -134,6 +137,52 @@ class TestSchur:
                 assert got == want, (lam, m)
 
 
+def dual_jacobi_trudi(lam, r):
+    """s_lambda as det(e_{lambda'_i - i + j}) by the Bareiss determinant."""
+    conj = lam.conjugate()
+    m = conj.length()
+    ring = elementary_ring(r)
+    if m == 0:
+        return ring.one()
+    matrix = [[symfun.elementary(conj.part(i) - i + j, r) for j in range(1, m + 1)]
+              for i in range(1, m + 1)]
+    return bareiss_det(matrix, zero=ring.zero(), one=ring.one())
+
+
+class TestKostkaInversion:
+    @pytest.mark.parametrize("r", range(6))
+    def test_matches_dual_jacobi_trudi(self, r):
+        for w in range(11):
+            for lam in _all_partitions_of(w):
+                assert schur_in_elementary(lam, r) == dual_jacobi_trudi(lam, r), \
+                    (lam, r)
+
+    def test_weight_one_thousand(self):
+        # one e-factor per box would recurse 1000 deep; s_(1000) = e1^1000
+        ring = elementary_ring(1)
+        assert schur_in_elementary(nf((1000,)), 1) == ring.gen(0, 1000)
+
+
+@st.composite
+def strips(draw):
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    parts = sorted(draw(st.lists(st.integers(1, max(cols, 1)), max_size=rows)),
+                   reverse=True)
+    lam = tuple(p for p in parts if p <= cols)
+    return lam, draw(st.integers(0, rows + 1)), rows, cols
+
+
+class TestPieri:
+    @settings(max_examples=400, deadline=None)
+    @given(strips())
+    def test_matches_brute_force_strips(self, case):
+        lam, k, rows, cols = case
+        got = [mu.parts for mu in pieri_multiply(Partition(lam), k, rows, cols)]
+        assert len(got) == len(set(got))
+        assert set(got) == oracles.vertical_strips_in_box(lam, k, rows, cols)
+
+
 class TestPieriStraightening:
     def test_monomial_expansion_roundtrip(self):
         # expanding an e-monomial over Schur elements and substituting the
@@ -147,7 +196,7 @@ class TestPieriStraightening:
             (ring.gen(0) + ring.gen(2)) ** 2,
         ]
         for poly in samples:
-            coords = poly_to_schur_coords(poly, r)
+            coords = poly_to_schur_coords(poly, r, poly.weight())
             rebuilt = ring.zero()
             for lam, c in coords.items():
                 rebuilt = rebuilt + c * schur_in_elementary(lam, r)
