@@ -1,6 +1,7 @@
 """Command-line front end: batch computation and verification suites.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
+(with --json, a usage error also prints {"error": message} on stdout).
 JSON output is deterministic (sorted keys, canonical term and partition
 orders), so golden files are byte-stable.
 """
@@ -491,6 +492,9 @@ def main(argv=None):
     try:
         return args.func(args)
     except HgrcalcError as err:
+        if args.json:
+            sys.stdout.write(json.dumps({"error": str(err)}, sort_keys=True,
+                                        indent=2) + "\n")
         sys.stderr.write("usage error: %s\n" % err)
         return 2
 

@@ -150,7 +150,15 @@ class GrassElement:
         if not isinstance(other, GrassElement):
             return self.scale(other)
         self._check(other)
-        return self.ring.normal_form(self.to_poly() * other.to_poly())
+        rows, cols = self.ring.r, self.ring.n - self.ring.r
+        zero = self.ring.coeff.zero()
+        res = {}
+        for lam, a in self.coords.items():
+            for mu, b in other.coords.items():
+                ab = a * b
+                for nu, c in symfun.lr_multiply(lam, mu, rows, cols).items():
+                    res[nu] = res.get(nu, zero) + ab * c
+        return GrassElement(self.ring, res)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -476,14 +484,6 @@ class EpsAlgebra:
         if (q1 * q2) % 2:
             sign = sign * GW_EPS
         return sign
-
-    def monomial_bidegree(self, mono):
-        p = q = 0
-        for i, e in mono:
-            pi, qi = self.bidegrees[i]
-            p += pi * e
-            q += qi * e
-        return (p, q)
 
     def _mono_mul(self, m1, m2):
         """Normal-order the concatenation m1 * m2; returns (monomial, sign) or None."""

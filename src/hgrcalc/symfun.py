@@ -3,6 +3,8 @@
 Polynomials live in Z[e_1..e_r] with deg(e_i) = i (the Pontryagin weight
 grading).  The Pieri rule for e_k inside a rows x cols box expands
 e-monomials over Schur classes; Schur polynomials invert that expansion.
+Products of two Schur classes come from the Littlewood-Richardson rule on
+the partitions themselves.
 """
 
 from functools import lru_cache
@@ -23,6 +25,13 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
         self.parts = parts
+
+    @classmethod
+    def _trusted(cls, parts):
+        """A partition from a tuple of ints that is one by construction."""
+        lam = object.__new__(cls)
+        lam.parts = parts
+        return lam
 
     def weight(self):
         return sum(self.parts)
@@ -184,13 +193,79 @@ def pieri_multiply(lam, k, rows, cols):
     while stack:
         b, left, mu = stack.pop()
         if not left:
-            out.append(Partition([p for p in mu if p]))
+            out.append(Partition._trusted(tuple(p for p in mu if p)))
             continue
         f = firsts[b]
         # the runs below take at most room[b + 1]; every push can finish
         for j in range(max(0, left - room[b + 1]), min(caps[b], left) + 1):
             grown = mu[:f] + [p + 1 for p in mu[f:f + j]] + mu[f + j:]
             stack.append((b + 1, left - j, grown))
+    return out
+
+
+def lr_multiply(lam, mu, rows, cols):
+    """{nu: c^nu_{lam,mu}} over the nu in the rows x cols box.
+
+    Littlewood-Richardson rule (Remmel-Whitney; Fulton, Young Tableaux 5.2):
+    the rows of the factor with fewer rows are added to the other factor as
+    horizontal strips labelled 1, 2, ..  The reading word (rows top to
+    bottom, each right to left) is a lattice word exactly when, for every
+    row j, the label-i cells in rows <= j number at most the label-(i-1)
+    cells in rows < j; each strip keeps that bound while it grows.  Fillings
+    that reach the same shape and running label counts are merged.
+    """
+    if len(mu.parts) > len(lam.parts):
+        lam, mu = mu, lam
+    if (not lam.fits_in_box(rows, cols) or not mu.fits_in_box(rows, cols)
+            or lam.weight() + mu.weight() > rows * cols):
+        return {}
+    if not mu.parts:
+        return {lam: 1}
+    last = len(mu.parts) - 1
+
+    # grows strip i (label i + 1) from row j down; it reads the state being
+    # extended (old, above, mult) and the partial strip (shape, cum) from the
+    # loop below
+    def place(j, left, total):
+        o = old[j]
+        hi = (old[j - 1] if j else cols) - o
+        if i:
+            bound = (above[j - 1] if j <= len(above) else mu.parts[i - 1]) - total
+            if bound < hi:
+                hi = bound
+        if left < hi:
+            hi = left
+        lo = left - o + old[-1]  # the rows below j take at most o - old[-1]
+        for a in range(lo if lo > 0 else 0, hi + 1):
+            shape.append(o + a)
+            cum.append(total + a)
+            if a < left:
+                place(j + 1, left - a, total + a)
+            else:
+                key = tuple(shape) + old[j + 1:]
+                if i < last:
+                    key = (key, tuple(cum))
+                nxt[key] = nxt.get(key, 0) + mult
+            shape.pop()
+            cum.pop()
+
+    # a state is (shape, cum): cum[j] counts the cells of the latest label
+    # in rows <= j, up to the row where that label is complete; after the
+    # last strip the shape alone is the key
+    states = {(lam.parts + (0,) * (rows - len(lam.parts)), ()): 1}
+    for i, m in enumerate(mu.parts):
+        nxt = {}
+        for (old, above), mult in states.items():
+            # label i + 1 starts below the first row holding label i
+            start = next(j for j, a in enumerate(above) if a) + 1 if i else 0
+            if start < rows:
+                shape = list(old[:start])
+                cum = [0] * start
+                place(start, m, 0)
+        states = nxt
+    out = {}
+    for shape, mult in states.items():
+        out[Partition._trusted(tuple(p for p in shape if p))] = mult
     return out
 
 

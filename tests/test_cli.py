@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import hgrcalc
+from deadline import alarm
 from hgrcalc.cli import main
 
 
@@ -172,6 +173,14 @@ class TestGW:
         assert code == 0
         assert json.loads(out)["order"] == 4
 
+    def test_ko1_square_of_a_large_prime(self, capsys):
+        # GF(31607^2): the nonsquare search must skip GF(31607), all squares there
+        with alarm(2):
+            code, out, _ = run_cli(capsys, "gw", "ko1", "--ring", "F999002449",
+                                   "--json")
+        assert code == 0
+        assert json.loads(out)["order"] == 4
+
     def test_ko1_integers_fails(self, capsys):
         code, out, _ = run_cli(capsys, "gw", "ko1", "--ring", "Z", "--json")
         assert code == 1
@@ -263,7 +272,8 @@ class TestOutFile(object):
         assert data["r"] == 1
 
 
-@pytest.mark.parametrize("argv", [
+# Inputs the library refuses: each exits 2 with one stderr line.
+LIBRARY_ERRORS = [
     ["gw", "diagonalize"],
     ["gw", "ko1", "--ring", "F6"],
     ["verify", "quadratic-section", "--r", "0"],
@@ -280,16 +290,31 @@ class TestOutFile(object):
     ["pontryagin", "--bundle", '{"split":[%s]}' % ("1" * 5000)],
     ["gw", "ko1", "--ring", "F1000000007"],
     ["gw", "ko1", "--ring", "F" + "1" * 5000],
-], ids=["diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
-        "symplectic-basis-symmetric", "diagonalize-Fx", "ko1-Fx", "karoubi-Fx",
-        "diagonalize-inf", "diagonalize-square-class-bound",
-        "diagonalize-5001-digits", "diagonalize-json-digit-limit",
-        "diagonalize-string-exponent", "tower-json-digit-limit",
-        "pontryagin-json-digit-limit", "ko1-field-over-bound",
-        "ko1-field-digit-limit"])
+]
+LIBRARY_ERROR_IDS = [
+    "diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
+    "symplectic-basis-symmetric", "diagonalize-Fx", "ko1-Fx", "karoubi-Fx",
+    "diagonalize-inf", "diagonalize-square-class-bound",
+    "diagonalize-5001-digits", "diagonalize-json-digit-limit",
+    "diagonalize-string-exponent", "tower-json-digit-limit",
+    "pontryagin-json-digit-limit", "ko1-field-over-bound",
+    "ko1-field-digit-limit"]
+
+
+@pytest.mark.parametrize("argv", LIBRARY_ERRORS, ids=LIBRARY_ERROR_IDS)
 def test_library_errors_exit_two(argv):
     proc = run_subprocess(argv)
     assert proc.returncode == 2
+    assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("usage error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", LIBRARY_ERRORS, ids=LIBRARY_ERROR_IDS)
+def test_library_errors_under_json(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+    message = err[len("usage error: "):-1]
+    assert out == json.dumps({"error": message}, sort_keys=True, indent=2) + "\n"

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 import oracles
+from deadline import alarm
 from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE, GWBASE, INTEGERS
 from hgrcalc.grassring import (EpsAlgebra, ParameterError, eps_product,
                                limit_ring, present, restriction)
@@ -21,6 +22,12 @@ def _lr(lam, mu, nu):
     if (lam, mu, nu) not in _LR:
         _LR[lam, mu, nu] = oracles.lr_coefficient(lam, mu, nu)
     return _LR[lam, mu, nu]
+
+
+def _random_coeff(rng, coeff):
+    if coeff is INTEGERS:
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+    return GWElement({rng.randint(-1, 1): (rng.randint(-3, 3), rng.choice((-1, 1)))})
 
 
 class TestPresent:
@@ -130,6 +137,43 @@ class TestNormalForm:
                                 want[Partition(nu)] = g * coeff.coerce(c)
                         got = ring.schur(lam).scale(g) * ring.schur(mu)
                         assert got.coords == want, (r, n, lam, mu)
+
+    @pytest.mark.parametrize("coeff", [INTEGERS, GWBASE], ids=["Integers", "GWBase"])
+    def test_products_match_polynomial_round_trip(self, coeff):
+        # the e-polynomial route, kept as the reference for the LR engine
+        rng = random.Random(6)
+        for n in range(10):
+            for r in range(n + 1):
+                ring = present(r, n, coeff)
+
+                def element(terms):
+                    x = ring.zero()
+                    for lam in rng.sample(ring.basis, min(terms, len(ring.basis))):
+                        x = x + ring.schur(lam).scale(_random_coeff(rng, coeff))
+                    return x
+
+                for terms in (1, 1, 1, 1, 3, 3, 5):
+                    x, y = element(terms), element(terms)
+                    want = ring.normal_form(x.to_poly() * y.to_poly())
+                    assert x * y == want, (r, n, x, y)
+
+    def test_large_boxes(self):
+        # through e-polynomials these take seconds in (6, 14), minutes in (7, 16)
+        with alarm(10):
+            ring = present(6, 14)
+            x, y = ring.schur(P(7, 7, 4, 4, 2)), ring.schur(P(7, 7, 5, 2, 2, 1))
+            assert (x * y).is_zero()
+            ring = present(7, 16)
+            lam, mu = P(8, 7, 5, 4, 2, 1, 1), P(8, 8, 6, 4, 1, 1, 1)
+            got = ring.schur(lam) * ring.schur(mu)
+        want = {}
+        for nu in ring.basis:
+            if nu.weight() == lam.weight() + mu.weight():
+                c = oracles.lr_coefficient(lam.parts, mu.parts, nu.parts)
+                if c:
+                    want[nu] = c
+        assert len(want) == 6
+        assert got.coords == want
 
     def test_gw_coefficients(self):
         ring = present(1, 2, GWBASE)

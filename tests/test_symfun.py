@@ -8,7 +8,7 @@ from hgrcalc import symfun
 from hgrcalc.polynomial import bareiss_det
 from hgrcalc.symfun import (Partition, EMPTY, enumerate_box_partitions,
                             complete_from_elementary, schur_in_elementary,
-                            elementary_ring, pieri_multiply,
+                            elementary_ring, lr_multiply, pieri_multiply,
                             poly_to_schur_coords)
 
 import oracles
@@ -181,6 +181,38 @@ class TestPieri:
         got = [mu.parts for mu in pieri_multiply(Partition(lam), k, rows, cols)]
         assert len(got) == len(set(got))
         assert set(got) == oracles.vertical_strips_in_box(lam, k, rows, cols)
+
+
+@st.composite
+def lr_pairs(draw):
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 5))
+    basis = enumerate_box_partitions(rows, cols)
+    return draw(st.sampled_from(basis)), draw(st.sampled_from(basis)), rows, cols
+
+
+class TestLittlewoodRichardson:
+    @settings(max_examples=300, deadline=None)
+    @given(lr_pairs())
+    def test_matches_tableau_oracle(self, case):
+        lam, mu, rows, cols = case
+        want = {}
+        for nu in enumerate_box_partitions(rows, cols):
+            c = oracles.lr_coefficient(lam.parts, mu.parts, nu.parts)
+            if c:
+                want[nu] = c
+        assert lr_multiply(lam, mu, rows, cols) == want
+        assert lr_multiply(mu, lam, rows, cols) == want
+
+    def test_outside_the_box(self):
+        assert lr_multiply(nf((3,)), nf((1,)), 2, 2) == {}
+        assert lr_multiply(nf((2, 2)), nf((2, 1)), 2, 3) == {}
+        assert lr_multiply(nf((2, 1)), EMPTY, 2, 2) == {nf((2, 1)): 1}
+
+    def test_trusted_partitions_equal_checked_ones(self):
+        lam = Partition._trusted((3, 1))
+        assert lam == nf((3, 1)) and hash(lam) == hash(nf((3, 1)))
+        assert Partition._trusted(()) == EMPTY
 
 
 class TestPieriStraightening:
