@@ -46,7 +46,12 @@ class RealClosedField(RationalsField):
 
 
 class FFElement:
-    """Element of GF(p^k) as a polynomial of degree < k over GF(p)."""
+    """Element of GF(p^k) as a polynomial of degree < k over GF(p).
+
+    Over a prime field (k = 1) the arithmetic works on the one coefficient
+    with a single `% p` and builds its result with `_reduced`, skipping the
+    convolution, the modular reduction and the re-reduction of __init__.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -55,36 +60,52 @@ class FFElement:
         self.coeffs = tuple(c % field.p for c in coeffs)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.coeffs != self.field.zero_coeffs
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is not FFElement:
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.field.coerce(other)
-        if not isinstance(other, FFElement):
-            return NotImplemented
         return self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
     def __add__(self, other):
-        other = self._co(other)
-        return FFElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        field = self.field
+        if type(other) is not FFElement or other.field is not field:
+            other = field.coerce(other)
+        if field.k == 1:
+            return _reduced(field, ((self.coeffs[0] + other.coeffs[0]) % field.p,))
+        return FFElement(field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FFElement(self.field, [-a for a in self.coeffs])
+        field = self.field
+        if field.k == 1:
+            return _reduced(field, (-self.coeffs[0] % field.p,))
+        return FFElement(field, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._co(other))
+        field = self.field
+        if type(other) is not FFElement or other.field is not field:
+            other = field.coerce(other)
+        if field.k == 1:
+            return _reduced(field, ((self.coeffs[0] - other.coeffs[0]) % field.p,))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._co(other) - self
+        return self.field.coerce(other) - self
 
     def __mul__(self, other):
-        other = self._co(other)
-        k, p = self.field.k, self.field.p
+        field = self.field
+        if type(other) is not FFElement or other.field is not field:
+            other = field.coerce(other)
+        if field.k == 1:
+            return _reduced(field, (self.coeffs[0] * other.coeffs[0] % field.p,))
+        k, p = field.k, field.p
         prod = [0] * (2 * k - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -104,12 +125,7 @@ class FFElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self.field.inv(self._co(other))
-
-    def _co(self, other):
-        if isinstance(other, FFElement):
-            return other
-        return self.field.coerce(other)
+        return self * self.field.inv(other)
 
     def __repr__(self):
         if self.field.k == 1:
@@ -117,10 +133,18 @@ class FFElement:
         return "FF%d(%s)" % (self.field.q, ",".join(map(str, self.coeffs)))
 
 
-# Trial division of q, and for k = 2 the root test of the modulus, take
-# about sqrt(q) steps; the nonsquare search skips GF(p) when k is even.
-# `gw ko1` on GF(31607^2) takes about 0.12 s and on the prime 999999937
-# about 5 ms (Python 3.11, one Xeon core).
+def _reduced(field, coeffs):
+    """FFElement from a tuple whose entries are already reduced mod p."""
+    el = object.__new__(FFElement)
+    el.field = field
+    el.coeffs = coeffs
+    return el
+
+
+# Trial division of q takes about sqrt(q) steps; the modulus for k = 2 is
+# found by one Euler-criterion power per candidate, and the nonsquare search
+# skips GF(p) when k is even.  `gw ko1` on GF(31607^2) and on the prime
+# 999999937 each take a few milliseconds (Python 3.11, one Xeon core).
 FIELD_ORDER_BOUND = 10 ** 9
 
 
@@ -139,12 +163,12 @@ class FiniteField:
         self.p = p
         self.k = k
         self.name = "F%d" % q
+        self.zero_coeffs = (0,) * k
         self.modulus = self._find_irreducible() if k > 1 else None
 
     def _find_irreducible(self):
-        # monic degree-k polynomial over GF(p) with no roots & irreducible,
-        # found by scanning; k is tiny here so factor-checking via gcd with
-        # x^{p^i} - x is unnecessary: brute-force divisibility suffices
+        # the first monic irreducible of degree k over GF(p), scanning the
+        # tails in base-p order; see _poly_irreducible_mod_p for the test
         p, k = self.p, self.k
         for tail_int in range(p ** k):
             tail = []
@@ -239,10 +263,18 @@ def _factor_prime_power(q):
 
 
 def _poly_irreducible_mod_p(poly, p):
-    """Brute-force irreducibility of a monic poly over GF(p), degree <= 3ish."""
+    """Irreducibility of a monic poly over GF(p), p odd, of small degree.
+
+    A quadratic x^2 + bx + c is irreducible exactly when its discriminant
+    b^2 - 4c is a nonsquare mod p (Euler's criterion); higher degrees are
+    tested by brute-force division by every monic poly of degree <= k/2.
+    """
     k = len(poly) - 1
     if k == 1:
         return True
+    if k == 2:
+        c, b = poly[0], poly[1]
+        return pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1
     # check divisibility by every monic polynomial of degree 1..k//2
     for d in range(1, k // 2 + 1):
         for tail_int in range(p ** d):
@@ -419,6 +451,19 @@ def symplectic_basis(form):
     return p_matrix
 
 
+def symplectic_pairing(x, y, zero=0):
+    """omega(x, y) = x^T J y for the J of standard_symplectic_gram, in O(n):
+    the sum over the pairs (a, b) = (2i, 2i+1) of x_a*y_b - x_b*y_a."""
+    acc = zero
+    for a in range(0, len(x), 2):
+        b = a + 1
+        if x[a] and y[b]:
+            acc = acc + x[a] * y[b]
+        if x[b] and y[a]:
+            acc = acc - x[b] * y[a]
+    return acc
+
+
 def standard_symplectic_gram(n, field=None):
     """The block-diagonal J with blocks [[0,1],[-1,0]]; `field` is any
     descriptor with zero() and one()."""
@@ -539,38 +584,59 @@ class SpReductionError(FormsError):
 
 
 class SympFactor:
-    """One elementary symplectic transvection x -> x + lam*omega(x,u)*u.
+    """One elementary symplectic transvection T: x -> x + lam*omega(x,u)*u.
 
-    The matrix is I - lam*(u u^T)J; it always satisfies E^T J E = J, which
-    is re-checked exactly on construction.
+    `apply` computes T in O(n) with `symplectic_pairing`.  T preserves the
+    form exactly when omega(u,u) = 0: for all x and y,
+
+        omega(Tx, Ty) = omega(x,y) + lam*omega(x,u)*omega(u,y)
+                        + lam*omega(y,u)*omega(x,u)
+                        + lam^2*omega(x,u)*omega(y,u)*omega(u,u)
+                      = omega(x,y) + lam^2*omega(x,u)*omega(y,u)*omega(u,u),
+
+    since omega(u,y) = -omega(y,u).  So E^T J E = J for the matrix E of T
+    holds for lam != 0 and u != 0 over a domain if and only if
+    omega(u,u) = 0, and that O(n) identity is checked on construction.
+    The dense matrix I - lam*(u u^T)J is built only when `.matrix` is read.
     """
 
-    __slots__ = ("ring", "u", "lam", "matrix")
+    __slots__ = ("ring", "u", "lam", "_matrix")
 
     def __init__(self, ring, u, lam, n2):
         self.ring = ring
         self.u = list(u)
         self.lam = lam
-        zero = ring.zero()
-        j = standard_symplectic_gram(n2, ring)
-        uut = [[a * b for b in self.u] for a in self.u]
-        self.matrix = mat_sub(mat_identity(n2, ring.one(), zero),
-                              mat_scal(lam, mat_mul(uut, j, zero)))
-        check = mat_mul(mat_mul(mat_transpose(self.matrix), j, zero),
-                        self.matrix, zero)
-        if not mat_eq(check, j):
+        self._matrix = None
+        if len(self.u) != n2:
+            raise FormsError("transvection vector has length %d, not %d"
+                             % (len(self.u), n2))
+        if symplectic_pairing(self.u, self.u, ring.zero()):
             raise FormsError("internal error: transvection broke the form")
 
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            n2, zero = len(self.u), self.ring.zero()
+            j = standard_symplectic_gram(n2, self.ring)
+            uut = [[a * b for b in self.u] for a in self.u]
+            self._matrix = mat_sub(mat_identity(n2, self.ring.one(), zero),
+                                   mat_scal(self.lam, mat_mul(uut, j, zero)))
+        return self._matrix
+
     def apply(self, v):
-        return mat_apply(self.matrix, v, self.ring.zero())
+        c = self.lam * symplectic_pairing(v, self.u, self.ring.zero())
+        if not c:
+            return list(v)
+        return [x + c * a if a else x for x, a in zip(v, self.u)]
 
 
 def sp_reduce_unimodular(v, ring=ZZ):
     """Factor list of elementary symplectic transvections sending v to e_1.
 
     The standard symplectic form pairs coordinates (1,2), (3,4), ...; the
-    result is self-certifying: each factor preserves J exactly and the
-    composite is applied to v and compared with e_1 before returning.
+    result is self-certifying: each factor is checked on construction to
+    preserve J (omega(u,u) = 0, see SympFactor), and the composite is
+    applied to v and compared with e_1 before returning.
     """
     v = [ring.coerce(x) for x in v]
     n2 = len(v)

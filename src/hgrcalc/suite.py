@@ -254,7 +254,8 @@ def criterion_ksp1_witness():
                 w = f.apply(w)
             e1 = [qx.one()] + [qx.zero()] * (n2 - 1)
             if w != e1:
-                return _result(9, "ksp1-witness", False, "polynomial case")
+                return _result(9, "ksp1-witness", False,
+                               "polynomial case %r" % (v,))
     return _result(9, "ksp1-witness", True,
                    "%d reductions over Z and Q[x] in Sp4 and Sp6; every factor "
                    "preserves J exactly" % count)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hgrcalc import suite
+from hgrcalc import forms, suite
 
 
 RESULTS = {fn.__name__: fn() for fn in suite.CRITERIA}
@@ -27,6 +27,21 @@ def _report(result):
 @pytest.mark.parametrize("name", sorted(RESULTS, key=lambda n: RESULTS[n]["id"]))
 def test_criterion(name):
     _report(RESULTS[name])
+
+
+def test_ksp1_witness_failure_carries_the_vector(monkeypatch):
+    # a reduction over Q[x] that returns no factors leaves v where it was;
+    # the failing criterion names that vector
+    real = forms.sp_reduce_unimodular
+
+    def no_factors_over_qx(v, ring=forms.ZZ):
+        return [] if ring is forms.QX else real(v, ring)
+
+    monkeypatch.setattr(forms, "sp_reduce_unimodular", no_factors_over_qx)
+    result = suite.criterion_ksp1_witness()
+    assert not result["ok"]
+    assert result["detail"].startswith("polynomial case [")
+    assert "x" in result["detail"]
 
 
 def test_criterion_14_determinism_in_process():

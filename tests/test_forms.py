@@ -2,17 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrcalc.forms import (BilinearForm, DegenerateFormError, FiniteField,
                            FIELD_ORDER_BOUND, FormsError, QX,
-                           RealClosedField, SpReductionError, ZHALF, ZZ,
-                           diagonalize, fq_karoubi_table, karoubi_check,
-                           ko1_euclidean, sp_reduce_unimodular,
+                           RealClosedField, SpReductionError, SympFactor,
+                           ZHALF, ZZ, diagonalize, fq_karoubi_table,
+                           karoubi_check, ko1_euclidean, sp_reduce_unimodular,
                            standard_symplectic_gram, symplectic_basis,
                            unit_square_classes, zhalf_karoubi_table)
 from hgrcalc.coeffs import (GWBASE, INTEGERS, RATIONALS, SQUARE_CLASS_BOUND,
                            CoeffError)
-from hgrcalc.polynomial import mat_eq, mat_mul, mat_transpose
+from hgrcalc.polynomial import mat_apply, mat_eq, mat_mul, mat_transpose
 from hgrcalc.towers import FGAbelian
 
 import oracles
@@ -280,6 +281,41 @@ class TestSpReduce:
                 state = moved
             assert state == [ring.one()] + [ring.zero()] * (len(v) - 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_apply_matches_dense_matrix(self, data):
+        # the O(n) action against the dense matrix I - lam*(u u^T)J, which
+        # must itself satisfy E^T J E = J
+        ring = data.draw(st.sampled_from([ZZ, QX]), label="ring")
+        n2 = 2 * data.draw(st.integers(1, 5), label="pairs")
+        if ring is ZZ:
+            elements = st.integers(-9, 9)
+        else:
+            elements = st.lists(st.integers(-3, 3), max_size=3).map(
+                lambda c: QX.from_coeffs(c or [0]))
+        vectors = st.lists(elements, min_size=n2, max_size=n2)
+        u = data.draw(vectors, label="u")
+        v = data.draw(vectors, label="v")
+        lam = data.draw(elements, label="lam")
+        f = SympFactor(ring, u, lam, n2)
+        zero = ring.zero()
+        assert f.apply(v) == mat_apply(f.matrix, v, zero)
+        j = standard_symplectic_gram(n2, ring)
+        assert mat_mul(mat_mul(mat_transpose(f.matrix), j, zero), f.matrix,
+                       zero) == j
+
+    def test_factor_length_must_match(self):
+        with pytest.raises(FormsError):
+            SympFactor(ZZ, [1, 0, 0, 0], 1, 6)
+
+    def test_factor_checks_the_form_identity(self, monkeypatch):
+        # omega(u,u) = 0 for every u of a commutative ring, so the guard can
+        # only fire if the pairing is wrong; make it wrong
+        from hgrcalc import forms
+        monkeypatch.setattr(forms, "symplectic_pairing", lambda x, y, zero: 1)
+        with pytest.raises(FormsError, match="broke the form"):
+            SympFactor(ZZ, [1, 0, 0, 0], 1, 4)
+
     def test_integer_entries_are_not_truncated(self):
         with pytest.raises(CoeffError):
             sp_reduce_unimodular([Fraction(3, 2), 1, 0, 0])
@@ -394,11 +430,116 @@ class TestFiniteFieldArithmetic:
         with pytest.raises(FormsError):
             FiniteField(FIELD_ORDER_BOUND + 7)
 
+    @pytest.mark.parametrize("p", [p for p in range(3, 60)
+                                   if all(p % d for d in range(2, p))])
+    def test_quadratic_modulus_is_the_first_without_roots(self, p):
+        # the discriminant test picks the same modulus as scanning the
+        # monic quadratics x^2 + bx + c in the order c + b*p for one with
+        # no root in GF(p)
+        want = next([c, b, 1] for b in range(p) for c in range(p)
+                    if all((x * x + b * x + c) % p for x in range(p)))
+        assert FiniteField(p * p).modulus == want
+
+    def test_large_quadratic_extension(self):
+        p = 31607
+        field = FiniteField(p * p)
+        c, b, _ = field.modulus
+        assert (field.p, field.k) == (p, 2)
+        assert all((x * x + b * x + c) % p for x in range(p))
+        assert not field.is_square(field.nonsquare())
+
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
     def test_nonsquare_is_the_first_nonsquare(self, q):
         field = FiniteField(q)
         first = next(a for a in field.elements() if a and not field.is_square(a))
         assert field.nonsquare() == first
+
+
+PRIME_FIELDS = [FiniteField(p) for p in (3, 5, 7, 13, 31607, 999999937)]
+
+
+def _residue(p):
+    """Strategy for an int or a Fraction with denominator prime to p, with
+    its residue mod p."""
+    ints = st.integers(-3 * p, 3 * p)
+    fractions = st.tuples(ints, st.integers(1, 50).filter(lambda d: d % p))
+    return st.one_of(
+        ints.map(lambda n: (n, n % p)),
+        fractions.map(lambda t: (Fraction(*t),
+                                 t[0] * pow(t[1], -1, p) % p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prime_field_matches_int_arithmetic(data):
+    field = data.draw(st.sampled_from(PRIME_FIELDS), label="field")
+    p = field.p
+    x, rx = data.draw(_residue(p), label="x")
+    y, ry = data.draw(_residue(p), label="y")
+    a, b = field.coerce(x), field.coerce(y)
+    assert a.coeffs == (rx,)
+    for got, want in ((a + b, rx + ry), (a - b, rx - ry), (a * b, rx * ry),
+                      (-a, -rx), (a + y, rx + ry), (y + a, rx + ry),
+                      (a - y, rx - ry), (y - a, ry - rx), (a * y, rx * ry),
+                      (y * a, rx * ry)):
+        assert got.field is field
+        assert got.coeffs == (want % p,)
+        assert repr(got) == str(want % p)
+        assert hash(got) == hash((id(field), (want % p,)))
+        assert bool(got) == (want % p != 0)
+        assert got == want % p and got == field.coerce(want)
+        assert (got == want % p + 1) is False
+    if ry:
+        inv = pow(ry, -1, p)
+        assert (a / b).coeffs == (rx * inv % p,)
+        assert (a / y).coeffs == (rx * inv % p,)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
+def _poly_mod_reference(field, a, b, op):
+    """Hand-written GF(p^k) arithmetic on coefficient lists: schoolbook
+    product, then long division by the field's monic modulus."""
+    p, k, mod = field.p, field.k, field.modulus
+    if op == "+":
+        return [(x + y) % p for x, y in zip(a, b)]
+    if op == "-":
+        return [(x - y) % p for x, y in zip(a, b)]
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] += a[i] * b[j]
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        for i in range(k + 1):
+            prod[d - k + i] -= c * mod[i]
+    return [c % p for c in prod[:k]]
+
+
+@pytest.mark.parametrize("q", [9, 27])
+def test_extension_field_matches_reference(q):
+    field = FiniteField(q)
+    els = field.elements()
+    for a in els:
+        assert (-a).coeffs == tuple(-c % field.p for c in a.coeffs)
+        assert bool(a) == any(a.coeffs)
+        assert repr(a) == "FF%d(%s)" % (q, ",".join(map(str, a.coeffs)))
+        for b in els:
+            for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+                assert list(got.coeffs) == _poly_mod_reference(
+                    field, a.coeffs, b.coeffs, op)
+            if b:
+                assert (a / b) * b == a
+    assert len({a * a for a in els if a}) == (q - 1) // 2
+
+
+def test_fields_do_not_mix():
+    a, b = FiniteField(5).one(), FiniteField(7).one()
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(FormsError):
+            op()
+    assert a != b
 
 
 @pytest.mark.parametrize("ring", [INTEGERS, ZZ, RATIONALS, RealClosedField(),
