@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import HgrcalcError
-from .polynomial import (Poly, PolyRing, bareiss_det, mat_add, mat_eq,
+from .polynomial import (Poly, PolyRing, bareiss_det, mat_add,
                          mat_identity, mat_mul, mat_scal, mat_transpose,
                          mat_zero)
 
@@ -97,7 +97,7 @@ class FreeComplex:
         if self.ring != other.ring or self.ranks != other.ranks:
             return False
         lo, hi = self.support()
-        return all(mat_eq(self.diff(k), other.diff(k))
+        return all(self.diff(k) == other.diff(k)
                    for k in range(lo, hi + 2))
 
     def dual(self):
@@ -192,7 +192,7 @@ class SymmetricComplex:
             if sgn < 0:
                 lhs = mat_scal(ring.const(-1), lhs)
             rhs = mat_mul(self.form(k - 1), x.diff(k), ring.zero())
-            if not mat_eq(lhs, rhs):
+            if lhs != rhs:
                 return k
         return None
 
@@ -214,7 +214,7 @@ class SymmetricComplex:
         t = self.transpose()
         x, n = self.complex, self.degree
         for k in x.ranks:
-            if not mat_eq(self.form(k), t.get(k, self.form(k))):
+            if self.form(k) != t.get(k, self.form(k)):
                 return False
         return True
 
@@ -348,7 +348,7 @@ def contracting_homotopy(ksym, invert):
         if k > 0:
             acc = mat_add(acc, mat_mul(homotopy[k - 1], cx.diff(k),
                                        ring.zero()))
-        if not mat_eq(acc, mat_identity(rk, ring.one(), ring.zero())):
+        if acc != mat_identity(rk, ring.one(), ring.zero()):
             raise ChainError("homotopy identity fails at degree %d" % k)
     return homotopy
 
@@ -520,7 +520,7 @@ class ChainIso:
                           ring.zero())
             rhs = mat_mul(self.target.diff(k), self.components[k],
                           ring.zero())
-            if not mat_eq(lhs, rhs):
+            if lhs != rhs:
                 return False
         return True
 
@@ -575,7 +575,7 @@ def koszul_tensor_isometry(a, b):
         raise ChainError("koszul merge failed to be a chain map")
     pulled = iso.pullback_form(merged, a + b)
     for k in t.complex.ranks:
-        if not mat_eq(pulled[k], t.form(k)):
+        if pulled[k] != t.form(k):
             raise ChainError("koszul merge failed to be an isometry at %d" % k)
     return t, merged, iso
 
@@ -634,7 +634,7 @@ def swap_sign_check(msym, nsym):
                       [[lift(x) for x in row] for row in t1.complex.diff(k)],
                       ring2.zero())
         rhs = mat_mul(t2.complex.diff(k), components[k], ring2.zero())
-        if not mat_eq(lhs, rhs):
+        if lhs != rhs:
             raise ChainError("factor swap failed to be a chain map at %d" % k)
 
     n = r + s

@@ -12,8 +12,8 @@ from math import isqrt
 
 from . import HgrcalcError
 from .coeffs import IntegerRing, RationalsField, primitive_integers
-from .polynomial import (Poly, PolyRing, mat_apply, mat_eq, mat_identity,
-                         mat_mul, mat_scal, mat_shape, mat_sub,
+from .polynomial import (Poly, PolyRing, invariant_factors, mat_apply,
+                         mat_identity, mat_mul, mat_scal, mat_shape, mat_sub,
                          mat_transpose)
 from .towers import FGAbelian
 
@@ -320,9 +320,9 @@ class BilinearForm:
         self.kind = kind
         transpose = mat_transpose(self.gram)
         if kind == "symmetric":
-            ok = mat_eq(self.gram, transpose)
+            ok = self.gram == transpose
         elif kind == "skew":
-            ok = mat_eq(self.gram, mat_scal(-1, transpose)) and \
+            ok = self.gram == mat_scal(-1, transpose) and \
                 all(not self.gram[i][i] for i in range(n))
         else:
             raise FormsError("kind must be 'symmetric' or 'skew'")
@@ -402,7 +402,7 @@ def diagonalize(form):
                     p_matrix, F.zero())
     diagonal = [[entries[i] if i == j else F.zero() for j in range(n)]
                 for i in range(n)]
-    if not mat_eq(check, diagonal):
+    if check != diagonal:
         raise FormsError("internal error: P^T G P mismatch")
     return Diagonalization(entries, p_matrix, classes)
 
@@ -446,7 +446,7 @@ def symplectic_basis(form):
     # verify P^T G P = standard J
     check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, F.zero()),
                     p_matrix, F.zero())
-    if not mat_eq(check, standard_symplectic_gram(n, F)):
+    if check != standard_symplectic_gram(n, F):
         raise FormsError("internal error: symplectic reduction mismatch")
     return p_matrix
 
@@ -516,8 +516,7 @@ class RationalPolynomialRing:
         acc = self.ring.zero()
         for i, c in enumerate(coeffs):
             if c:
-                acc = acc + self.ring.gen(0, i, Fraction(c)) if i \
-                    else acc + self.ring.const(Fraction(c))
+                acc = acc + self.ring.gen(0, i, Fraction(c))
         return acc
 
     def degree(self, x):
@@ -541,9 +540,7 @@ class RationalPolynomialRing:
         db = self.degree(b)
         lb = self.lead(b)
         while not r.is_zero() and self.degree(r) >= db:
-            dr = self.degree(r)
-            c = self.lead(r) / lb
-            t = self.ring.gen(0, dr - db) * c if dr > db else self.ring.const(c)
+            t = self.ring.gen(0, self.degree(r) - db, self.lead(r) / lb)
             q = q + t
             r = r - t * b
         return q, r
@@ -940,10 +937,4 @@ def karoubi_check(table, expected_ko1=None):
 
 def _kernel_rank(matrix):
     """Rank of the integer kernel of a matrix (columns = domain)."""
-    rows, cols = mat_shape(matrix)
-    if cols == 0:
-        return 0
-    from .towers import smith_normal_form
-    _, d, _ = smith_normal_form(matrix)
-    nonzero = sum(1 for t in range(min(rows, cols)) if d[t][t])
-    return cols - nonzero
+    return mat_shape(matrix)[1] - len(invariant_factors(matrix))

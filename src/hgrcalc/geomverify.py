@@ -11,9 +11,9 @@ from fractions import Fraction
 
 from . import HgrcalcError
 from .coeffs import primitive_integers
-from .polynomial import (Poly, PolyRing, bareiss_det, mat_add, mat_eq,
-                         mat_identity, mat_mul, mat_scal, mat_sub,
-                         mat_transpose, mat_zero)
+from .polynomial import (Poly, PolyRing, bareiss_det, mat_add, mat_identity,
+                         mat_mul, mat_scal, mat_shape, mat_sub, mat_transpose,
+                         mat_zero, smith_normal_form)
 
 
 class GeomError(HgrcalcError):
@@ -87,7 +87,8 @@ def solve_invariant_forms(m):
 
     The condition is linear in the entries of B: collecting coefficients of
     every power of t gives an exact rational system, solved separately on
-    the symmetric and skew subspaces.
+    the symmetric and skew subspaces by the Smith form of its integer rows:
+    the columns of V past the rank span the kernel.
     """
     n = len(m)
     zero = T_RING.zero()
@@ -104,78 +105,33 @@ def solve_invariant_forms(m):
                   for i in range(n) for j in range(i + 1, n)]
 
     def invariant_space(basis):
-        # rows: one linear constraint per (entry, power of t); cols: basis
-        columns = []
-        keys = set()
+        # the kernel of the constraints: one per (entry, power of t) of
+        # M^T B M - B, cleared of denominators (scaling keeps the kernel)
         residuals = []
+        keys = set()
         for b in basis:
             bm = [[T_RING.const(x) for x in row] for row in b]
             mtbm = mat_mul(mat_mul(mat_transpose(m), bm, zero), m, zero)
             res = mat_sub(mtbm, bm)
             residuals.append(res)
-            for i in range(n):
-                for j in range(n):
-                    for exps in res[i][j].terms:
-                        keys.add((i, j, exps))
-        keys = sorted(keys)
-        for res in residuals:
-            col = []
-            for (i, j, exps) in keys:
-                col.append(res[i][j].terms.get(exps, Fraction(0)))
-            columns.append(col)
-        null = rational_nullspace(columns)
+            keys.update((i, j, exps) for i in range(n) for j in range(n)
+                        for exps in res[i][j].terms)
+        # with no constraint at all a zero row keeps the column count
+        a = [primitive_integers([res[i][j].terms.get(exps, 0)
+                                 for res in residuals])
+             for (i, j, exps) in sorted(keys)] or [[0] * len(basis)]
+        _, d, v = smith_normal_form(a)
+        rank = sum(1 for t in range(min(mat_shape(d))) if d[t][t])
         out = []
-        for coeffs in null:
+        for k in range(rank, len(basis)):
             bm = mat_zero(n, n, Fraction(0))
-            for c, b in zip(coeffs, basis):
-                bm = mat_add(bm, mat_scal(c, b))
+            for row, b in zip(v, basis):
+                bm = mat_add(bm, mat_scal(row[k], b))
             out.append(_integer_scale(bm))
         return out
 
     return {"symmetric": invariant_space(sym_basis),
             "skew": invariant_space(skew_basis)}
-
-
-def rational_nullspace(columns):
-    """Nullspace basis of the matrix whose columns are given, over Q.
-
-    Returns coefficient vectors c with sum c_k * column_k = 0.
-    """
-    if not columns:
-        return []
-    ncols = len(columns)
-    nrows = len(columns[0])
-    a = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(nrows):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            vec[pcol] = -a[prow][fc]
-        basis.append(vec)
-    return basis
 
 
 def _integer_scale(bm):
@@ -223,7 +179,7 @@ def verify_M_path():
         for idx, b in enumerate(forms[kind]):
             bm = [[T_RING.const(x) for x in row] for row in b]
             lhs = mat_mul(mat_mul(mat_transpose(m), bm, zero), m, zero)
-            checks["M(t) preserves %s form %d" % (kind, idx)] = mat_eq(lhs, bm)
+            checks["M(t) preserves %s form %d" % (kind, idx)] = lhs == bm
     report = PathReport(checks)
     report.invariant_forms = forms
     return report
@@ -239,7 +195,7 @@ def verify_M1_factorization():
     prod = factors[0]
     for f in factors[1:]:
         prod = mat_mul(prod, f, zero)
-    checks["factor product = M1"] = mat_eq(prod, m1)
+    checks["factor product = M1"] = prod == m1
     forms = solve_invariant_forms(interpolating_path())
     for fi, f in enumerate(factors):
         det = bareiss_det(f, zero=T_RING.zero(), one=T_RING.one())
@@ -249,7 +205,7 @@ def verify_M1_factorization():
                 bm = [[T_RING.const(x) for x in row] for row in b]
                 lhs = mat_mul(mat_mul(mat_transpose(f), bm, zero), f, zero)
                 checks["factor %d preserves %s form %d" % (fi, kind, bi)] = \
-                    mat_eq(lhs, bm)
+                    lhs == bm
     return PathReport(checks)
 
 

@@ -401,11 +401,6 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_eq(a, b):
-    """Entrywise equality; matrices of different shapes are unequal."""
-    return a == b
-
-
 def bareiss_det(m, zero=0, one=1):
     """Fraction-free Bareiss determinant; exact over ints and poly rings."""
     n = len(m)
@@ -445,3 +440,127 @@ def _entry_exact_div(num, den):
     if q is None:
         raise ArithmeticError("Bareiss division was not exact")
     return q
+
+
+# ---------------------------------------------------------------------------
+# Integer normal forms.  smith_normal_form is the library's one elimination
+# over Z: it pivots on the least |entry| of the remaining block and clears
+# that row and column with nearest-integer quotients, so every remainder is
+# at most half the pivot and each re-pick at least halves it (Cohen, GTM 138,
+# section 2.4).  Kernels, ranks and lattice indices read off its (U, D, V).
+# ---------------------------------------------------------------------------
+
+
+def smith_normal_form(a):
+    """(U, D, V) with U*a*V = D for unimodular U and V and a diagonal D
+    with 0 <= d_i | d_{i+1}."""
+    rows, cols = mat_shape(a)
+    d = [list(r) for r in a]
+    u = mat_identity(rows)
+    v = mat_identity(cols)
+    t = 0
+    while t < min(rows, cols):
+        pivot = _least_entry(d, t)
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != t:
+            d[t], d[i] = d[i], d[t]
+            u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in d + v:
+                row[t], row[j] = row[j], row[t]
+        # every entry of the block is at least |p|, so each quotient below
+        # is nonzero and leaves a remainder of at most |p| / 2
+        p = d[t][t]
+        dt, ut = d[t], u[t]
+        left = False
+        for i in range(t + 1, rows):
+            x = d[i][t]
+            if x:
+                q = (2 * x + p) // (2 * p)  # the integer nearest x / p
+                d[i] = [y - q * z for y, z in zip(d[i], dt)]
+                u[i] = [y - q * z for y, z in zip(u[i], ut)]
+                left = left or d[i][t] != 0
+        if left:
+            continue  # a remainder is left in column t: re-pick
+        qs = [(j, (2 * x + p) // (2 * p))
+              for j, x in enumerate(dt[t + 1:], t + 1) if x]
+        if qs:
+            for row in d + v:
+                x = row[t]
+                if x:
+                    for j, q in qs:
+                        row[j] -= q * x
+        if any(dt[t + 1:]):
+            continue  # a remainder is left in row t: re-pick
+        bad = abs(p) > 1 and next((i for i in range(t + 1, rows)
+                                   if any(x % p for x in d[i][t + 1:])), None)
+        if bad:
+            # row_t += row_bad brings an entry p does not divide into row t
+            d[t] = [y + z for y, z in zip(dt, d[bad])]
+            u[t] = [y + z for y, z in zip(ut, u[bad])]
+            continue
+        if p < 0:
+            d[t] = [-y for y in dt]
+            u[t] = [-y for y in ut]
+        t += 1
+    return u, d, v
+
+
+def _least_entry(d, t):
+    """(i, j) of the first nonzero entry of least |value| in d[t:][t:]."""
+    least = pivot = None
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (pivot is None or x < least):
+                if x == 1:
+                    return i, j
+                least, pivot = x, (i, j)
+    return pivot
+
+
+def invariant_factors(a):
+    """The nonzero diagonal entries of the Smith form of a, 1s included."""
+    _, d, _ = smith_normal_form(a)
+    return [d[t][t] for t in range(min(mat_shape(d))) if d[t][t]]
+
+
+def hermite_column_form(a):
+    """Canonical column Hermite normal form; equal spans give equal forms."""
+    rows, cols = mat_shape(a)
+    m = [list(r) for r in a]
+    cur = 0
+    for r in range(rows):
+        # a column at or past cur with a nonzero entry in row r
+        piv = next((j for j in range(cur, cols) if m[r][j]), None)
+        if piv is None:
+            continue
+        for row in m:
+            row[cur], row[piv] = row[piv], row[cur]
+        # Euclid on row r between the pivot column and every later column
+        for j in range(cur + 1, cols):
+            while m[r][j]:
+                if abs(m[r][j]) < abs(m[r][cur]):
+                    for row in m:
+                        row[cur], row[j] = row[j], row[cur]
+                q = m[r][j] // m[r][cur]
+                for row in m:
+                    row[j] -= q * row[cur]
+        if m[r][cur] < 0:
+            for row in m:
+                row[cur] = -row[cur]
+        # reduce earlier columns modulo the pivot
+        for j in range(cur):
+            q = m[r][j] // m[r][cur]
+            if q:
+                for row in m:
+                    row[j] -= q * row[cur]
+        cur += 1
+        if cur == cols:
+            break
+    # drop zero columns for a canonical presentation
+    keep = [j for j in range(cols) if any(row[j] for row in m)]
+    return [[row[j] for j in keep] for row in m]

@@ -9,150 +9,13 @@ uncountable); vanishing certificates are the deliverable.
 """
 
 from . import HgrcalcError
-from .polynomial import (mat_apply, mat_identity, mat_mul, mat_shape,
-                         mat_transpose)
+from .polynomial import (hermite_column_form, invariant_factors, mat_apply,
+                         mat_identity, mat_mul, mat_shape, mat_transpose,
+                         smith_normal_form)
 
 
 class TowerError(HgrcalcError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Exact integer matrix normal forms.
-# ---------------------------------------------------------------------------
-
-
-def smith_normal_form(a):
-    """(U, D, V) with U*a*V = D diagonal, d_i | d_{i+1}, U, V unimodular."""
-    rows, cols = mat_shape(a)
-    d = [list(r) for r in a]
-    u = mat_identity(rows)
-    v = mat_identity(cols)
-
-    def row_op(i, j, c):  # row_i += c * row_j
-        for k in range(cols):
-            d[i][k] += c * d[j][k]
-        for k in range(rows):
-            u[i][k] += c * u[j][k]
-
-    def col_op(i, j, c):  # col_i += c * col_j
-        for k in range(rows):
-            d[k][i] += c * d[k][j]
-        for k in range(cols):
-            v[k][i] += c * v[k][j]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for k in range(rows):
-            d[k][i], d[k][j] = d[k][j], d[k][i]
-        for k in range(cols):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
-
-    t = 0
-    while t < rows and t < cols:
-        # find a nonzero pivot
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j]:
-                    if pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        row_swap(t, i)
-        col_swap(t, j)
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-        # divisibility: pivot must divide the rest of the block
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i][j] % d[t][t]:
-                    row_op(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if d[t][t] < 0:
-            row_op(t, t, -2)  # negate row t
-        t += 1
-    return u, d, v
-
-
-def invariant_factors(a):
-    """Nontrivial diagonal entries of the Smith form (excluding 1s kept)."""
-    _, d, _ = smith_normal_form(a)
-    out = []
-    for t in range(min(mat_shape(d))):
-        if d[t][t]:
-            out.append(abs(d[t][t]))
-    return out
-
-
-def hermite_column_form(a):
-    """Canonical column Hermite normal form; equal spans give equal forms."""
-    rows, cols = mat_shape(a)
-    m = [list(r) for r in a]
-    # work column by column with integer column reduction
-    cur = 0
-    for r in range(rows):
-        # find a column with nonzero entry in row r at position >= cur
-        piv = None
-        for j in range(cur, cols):
-            if m[r][j]:
-                piv = j
-                break
-        if piv is None:
-            continue
-        # move pivot column into place
-        for k in range(rows):
-            m[k][cur], m[k][piv] = m[k][piv], m[k][cur]
-        # gcd-reduce remaining columns against the pivot column
-        for j in range(cur + 1, cols):
-            while m[r][j]:
-                if abs(m[r][j]) < abs(m[r][cur]) and m[r][j]:
-                    for k in range(rows):
-                        m[k][cur], m[k][j] = m[k][j], m[k][cur]
-                q = m[r][j] // m[r][cur]
-                for k in range(rows):
-                    m[k][j] -= q * m[k][cur]
-        if m[r][cur] < 0:
-            for k in range(rows):
-                m[k][cur] = -m[k][cur]
-        # reduce earlier columns modulo the pivot
-        for j in range(cur):
-            q = m[r][j] // m[r][cur]
-            if q:
-                for k in range(rows):
-                    m[k][j] -= q * m[k][cur]
-        cur += 1
-        if cur == cols:
-            break
-    # drop zero columns for a canonical presentation
-    keep = [j for j in range(cols) if any(m[k][j] for k in range(rows))]
-    return [[m[k][j] for j in keep] for k in range(rows)]
 
 
 def solve_integer(a, b):

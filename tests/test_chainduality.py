@@ -6,7 +6,7 @@ from hgrcalc.chainduality import (ChainError, ChainIso, FreeComplex,
                                   SymmetricComplex, contracting_homotopy,
                                   koszul, koszul_tensor_isometry, swap_sign_check,
                                   tensor_pair, unit_complex)
-from hgrcalc.polynomial import PolyRing, mat_eq, mat_zero
+from hgrcalc.polynomial import PolyRing, mat_zero
 
 
 def two_term_x():
@@ -128,7 +128,7 @@ class TestTensor:
         assert t.degree == 2
         assert t.complex.ranks == k.complex.ranks
         for deg in k.complex.ranks:
-            assert mat_eq(t.form(deg), k.form(deg))
+            assert t.form(deg) == k.form(deg)
 
     def test_koszul_merge_one_one(self):
         t, merged, iso = koszul_tensor_isometry(1, 1)
@@ -172,7 +172,7 @@ class TestTensor:
         assert iso.verify_chain_map()
         pulled = iso.pullback_form(right, 3)
         for deg in left.complex.ranks:
-            assert mat_eq(pulled[deg], left.form(deg)), deg
+            assert pulled[deg] == left.form(deg), deg
 
 
 class TestSwapSign:

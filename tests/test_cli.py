@@ -8,6 +8,8 @@ import pytest
 import hgrcalc
 from deadline import alarm
 from hgrcalc.cli import main
+from hgrcalc.polynomial import mat_transpose
+from test_polynomial import SIX_BY_SEVEN
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +235,24 @@ class TestTowerCmd:
         data = json.loads(out)
         assert data["kind"] == "certificate"
         assert data["lim"]["group"] == "Z"
+
+    @pytest.mark.parametrize("length", [1, 2], ids=["one-level", "two-levels"])
+    def test_six_by_seven_relations(self, capsys, length):
+        # coker of the ROADMAP item 3 matrix is Z/2; its Smith form did not
+        # finish, so neither did these calls
+        level = {"gens": 6, "relations": mat_transpose(SIX_BY_SEVEN)}
+        ident = [[int(i == j) for j in range(6)] for i in range(6)]
+        spec = json.dumps({"levels": [level] * length,
+                           "maps": [ident] * (length - 1),
+                           "tail": "eventually-constant"})
+        with alarm(2):
+            code, out, _ = run_cli(capsys, "tower", "--spec", spec,
+                                   "--depth", str(length - 1), "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["kind"] == "certificate"
+        assert data["data"]["orders"] == [2] * length
+        assert data["lim"]["group"] == "Z/2"
 
     def test_bad_spec(self, capsys):
         code, _, err = run_cli(capsys, "tower", "--spec", "{}")

@@ -13,7 +13,7 @@ from hgrcalc.forms import (BilinearForm, DegenerateFormError, FiniteField,
                            unit_square_classes, zhalf_karoubi_table)
 from hgrcalc.coeffs import (GWBASE, INTEGERS, RATIONALS, SQUARE_CLASS_BOUND,
                            CoeffError)
-from hgrcalc.polynomial import mat_apply, mat_eq, mat_mul, mat_transpose
+from hgrcalc.polynomial import mat_apply, mat_mul, mat_transpose
 from hgrcalc.towers import FGAbelian
 
 import oracles
@@ -160,7 +160,7 @@ class TestSymplecticBasis:
         g = standard_symplectic_gram(4)
         f = BilinearForm(g, "skew")
         p = symplectic_basis(f)
-        assert mat_eq(p, [[Fraction(int(i == j)) for j in range(4)] for i in range(4)])
+        assert p == [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
 
     def test_scaled_block(self):
         f = BilinearForm([[0, 2], [-2, 0]], "skew")
@@ -213,7 +213,7 @@ class TestSpReduce:
         factors = sp_reduce_unimodular([3, 5, 7, 2])
         j = standard_symplectic_gram(4, ZZ)
         for f in factors:
-            assert mat_eq(mat_mul(mat_mul(mat_transpose(f.matrix), j), f.matrix), j)
+            assert mat_mul(mat_mul(mat_transpose(f.matrix), j), f.matrix) == j
 
     @pytest.mark.parametrize("n2", [4, 6])
     def test_random_integer_vectors(self, n2):

@@ -97,6 +97,29 @@ class TestInvariantForms:
                            for i in range(4) for j in range(4))
 
 
+    def test_non_integral_coefficients(self):
+        # the shear [[1, t/2], [0, 1]] lies in SL_2 = Sp_2 and keeps exactly
+        # the symmetric form e_22 and the skew form e_12 - e_21
+        one, zero = T_RING.one(), T_RING.zero()
+        shear = [[one, T_RING.gen(0, 1, Fraction(1, 2))], [zero, one]]
+        forms = solve_invariant_forms(shear)
+        assert forms["symmetric"] == [[[0, 0], [0, 1]]]
+        assert forms["skew"] == [[[0, 1], [-1, 0]]]
+        # S^-1 M(t) S with S = diag(1, 2, 3, 5) has entries like t/2 and
+        # 3/5; B is M(t)-invariant exactly when S^T B S is invariant for it
+        s = [1, 2, 3, 5]
+        m = [[e * Fraction(s[j], s[i]) for j, e in enumerate(row)]
+             for i, row in enumerate(interpolating_path())]
+        forms = solve_invariant_forms(m)
+        assert len(forms["symmetric"]) == 1 and len(forms["skew"]) == 3
+        for b in forms["symmetric"] + forms["skew"]:
+            bm = [[T_RING.const(x) for x in row] for row in b]
+            assert mat_mul(mat_mul(mat_transpose(m), bm), m) == bm
+        omega = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+        assert in_span([[Fraction(x * s[i] * s[j]) for j, x in enumerate(row)]
+                        for i, row in enumerate(omega)], forms["skew"])
+
+
 class TestFactorization:
     def test_product_is_endpoint(self):
         factors = factorization_matrices()

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from deadline import alarm
 from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE
 from hgrcalc.forms import FiniteField
-from hgrcalc.polynomial import Poly, PolyRing, bareiss_det, mat_mul
+from hgrcalc.polynomial import (Poly, PolyRing, bareiss_det,
+                                hermite_column_form, invariant_factors,
+                                mat_identity, mat_mul, mat_transpose,
+                                smith_normal_form)
+from hgrcalc.towers import solve_integer
 
 
 R2 = PolyRing(("x", "y"))
@@ -223,3 +228,78 @@ class TestMatMul:
     def test_shapes_must_compose(self):
         with pytest.raises(ValueError):
             mat_mul([[1, 2]], [[1, 2]])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Shapes up to 8x8, entries in [-20, 20]."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return [draw(st.lists(st.integers(-20, 20), min_size=cols,
+                          max_size=cols)) for _ in range(rows)]
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """A product of elementary column operations and swaps on I_n."""
+    w = mat_identity(n)
+    for i, j, c, swap in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3),
+            st.booleans()), max_size=12)):
+        if i == j:
+            continue
+        for row in w:
+            if swap:
+                row[i], row[j] = row[j], row[i]
+            else:
+                row[i] += c * row[j]
+    return w
+
+
+# ROADMAP item 3: the unbounded Smith loop ran for minutes on this matrix
+SIX_BY_SEVEN = [[19, 17, 17, 5, -10, -10, 12], [-6, -20, -8, 14, 15, -6, 5],
+                [12, 2, 16, 2, 9, -3, 15], [18, -20, 4, 12, -12, 13, 15],
+                [-7, 7, -17, 10, 3, 16, 15], [-8, 12, 6, 11, 2, 6, 2]]
+
+
+def check_smith(a):
+    """U*a*V = D, D diagonal with 0 <= d_i | d_{i+1}, |det U| = |det V| = 1."""
+    u, d, v = smith_normal_form(a)
+    assert mat_mul(mat_mul(u, a), v) == d
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    assert all(d[i][j] == 0 for i in range(len(d)) for j in range(len(d[0]))
+               if i != j)
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert (y == 0) if x == 0 else (y % x == 0)
+    assert abs(bareiss_det(u)) == 1 and abs(bareiss_det(v)) == 1
+    return diag
+
+
+class TestSmithNormalForm:
+    def test_six_by_seven(self):
+        with alarm(1):
+            assert check_smith(SIX_BY_SEVEN) == [1, 1, 1, 1, 1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    def test_matches_sympy(self, a):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        sympy = pytest.importorskip("sympy")
+        check_smith(a)
+        want = normalforms.invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
+        assert invariant_factors(a) == [abs(int(x)) for x in want if x]
+
+
+class TestHermiteColumnForm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_invariant_under_unimodular_columns(self, data):
+        a = data.draw(integer_matrices())
+        w = data.draw(unimodular_matrices(len(a[0])))
+        h = hermite_column_form(a)
+        assert hermite_column_form(mat_mul(a, w)) == h
+        # the same lattice: every column of each lies in the span of the other
+        assert all(solve_integer(h, col) is not None
+                   for col in mat_transpose(a))
+        assert all(solve_integer(a, col) is not None
+                   for col in mat_transpose(h))
