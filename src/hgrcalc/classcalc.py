@@ -6,7 +6,7 @@ invents isometries: it only rewrites along registered relations, tracking
 rank at every step, and it retains a full trace of each verification.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import HgrcalcError
 
@@ -15,20 +15,20 @@ class ClassCalcError(HgrcalcError):
     pass
 
 
-@dataclass(frozen=True)
-class BundleSymbol:
-    """A named bundle with a declared rank and symmetry type."""
-    name: str
-    rank: int
-    symmetry: str  # symplectic | orthogonal | plain
+class BundleSymbol(namedtuple("BundleSymbol", "name rank symmetry")):
+    """A named bundle with a declared rank and symmetry type
+    (symplectic | orthogonal | plain)."""
 
-    def __post_init__(self):
-        if self.rank < 0:
+    __slots__ = ()
+
+    def __new__(cls, name, rank, symmetry):
+        if rank < 0:
             raise ClassCalcError("rank must be nonnegative")
-        if self.symmetry not in ("symplectic", "orthogonal", "plain"):
-            raise ClassCalcError("unknown symmetry type %r" % (self.symmetry,))
-        if self.symmetry == "symplectic" and self.rank % 2:
+        if symmetry not in ("symplectic", "orthogonal", "plain"):
+            raise ClassCalcError("unknown symmetry type %r" % (symmetry,))
+        if symmetry == "symplectic" and rank % 2:
             raise ClassCalcError("symplectic symbols must have even rank")
+        return super().__new__(cls, name, rank, symmetry)
 
 
 # symmetry of a tensor word, mirroring the duality-shift arithmetic:

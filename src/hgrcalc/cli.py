@@ -3,7 +3,8 @@
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
 (with --json, a usage error also prints {"error": message} on stdout).
 JSON output is deterministic (sorted keys, canonical term and partition
-orders), so golden files are byte-stable.
+orders), so golden files are byte-stable.  Each subcommand imports the
+library modules it runs, so --help loads none.
 """
 
 import argparse
@@ -12,26 +13,18 @@ import sys
 from fractions import Fraction
 
 from . import HgrcalcError
-from . import chainduality, classcalc, forms, geomverify, grassring
-from . import pontryagin, suite, symfun, towers
-from .coeffs import GWBASE, INTEGERS, RATIONALS
-from .polynomial import PolyRing
 
 
 class UsageError(HgrcalcError):
     pass
 
 
-COEFFS = {"Integers": INTEGERS, "Rationals": RATIONALS, "GWBase": GWBASE}
+COEFFS = ("Integers", "Rationals", "GWBase")  # descriptor names
 
 
-def _emit(args, payload, human_lines=None):
-    if args.json:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = human_lines if human_lines is not None else \
-            [json.dumps(payload, sort_keys=True, indent=2)]
-        text = "\n".join(lines) + "\n"
+def _emit(args, payload, human_lines):
+    text = (json.dumps(payload, sort_keys=True, indent=2) if args.json
+            else "\n".join(human_lines)) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -44,6 +37,7 @@ def _bidegree_note(w):
 
 
 def cmd_schur(args):
+    from . import grassring, symfun
     try:
         lam = symfun.Partition(tuple(int(p) for p in args.partition.split(",")
                                      if p != "")) if args.partition else symfun.EMPTY
@@ -67,7 +61,10 @@ def cmd_schur(args):
 def cmd_hgr_ring(args):
     if args.r > args.n:
         raise UsageError("r exceeds n")
-    ring = grassring.present(args.r, args.n, COEFFS[args.coeff])
+    from . import coeffs, grassring
+    coeff = next(c for c in (coeffs.INTEGERS, coeffs.RATIONALS, coeffs.GWBASE)
+                 if c.name == args.coeff)
+    ring = grassring.present(args.r, args.n, coeff)
     payload = ring.to_json()
     human = ["A(HGr(%d, %d)) over %s" % (args.r, args.n, args.coeff),
              "  rank %d" % ring.rank(),
@@ -79,6 +76,7 @@ def cmd_hgr_ring(args):
 
 
 def cmd_restriction(args):
+    from . import grassring
     src = grassring.present(args.source_r, args.source_n)
     tgt = grassring.present(args.target_r, args.target_n)
     rho = grassring.restriction(src, tgt, args.kind)
@@ -94,10 +92,13 @@ def cmd_restriction(args):
 
 
 def _parse_bundle(text):
+    from . import pontryagin
     try:
         desc = json.loads(text)
     except ValueError as err:  # also integers over the int-to-str digit limit
         raise UsageError("--bundle is not valid JSON: %s" % err)
+    if not isinstance(desc, dict):
+        desc = {}  # refused below
     if "split" in desc:
         roots = desc["split"]
         if not isinstance(roots, list) or not all(isinstance(r, int) for r in roots):
@@ -108,6 +109,8 @@ def _parse_bundle(text):
         return bundle, list(ps)
     if "rank" in desc and "p" in desc:
         rank, ps = desc["rank"], desc["p"]
+        if not isinstance(rank, int):
+            raise UsageError("--bundle rank: expected an integer")
         if not isinstance(ps, list) or not all(isinstance(x, int) for x in ps):
             raise UsageError("--bundle p: expected a list of integers")
         if rank % 2:
@@ -117,6 +120,7 @@ def _parse_bundle(text):
 
 
 def cmd_pontryagin(args):
+    from . import pontryagin
     bundles = []
     coeff_lists = []
     for text in args.bundle:
@@ -140,6 +144,7 @@ def cmd_pontryagin(args):
 
 
 def cmd_classcheck(args):
+    from . import classcalc
     if args.check == "gw-formula":
         v = classcalc.verify_gw_formula(args.n, args.i)
     elif args.check == "k0-formula":
@@ -183,13 +188,14 @@ def _parse_gram(text):
         raise UsageError("--matrix: %s" % err)
 
 
-FIELDS = {"Q": forms.RationalsField(), "RealClosed": forms.RealClosedField()}
-RINGS = {"Z": forms.ZZ, "Z[1/2]": forms.ZHALF, "Z1/2": forms.ZHALF,
-         "Zhalf": forms.ZHALF, "Q[x]": forms.QX}
-
-
-def _descriptor(kind, table, name):
-    """The entry `name` of `table`, or GF(q) for a name F<q>."""
+def _descriptor(kind, name):
+    """The field (kind "field") or ring (kind "ring") called `name`, or
+    GF(q) for a name F<q>."""
+    from . import forms
+    table = ({"Q": forms.RationalsField(), "RealClosed": forms.RealClosedField()}
+             if kind == "field" else
+             {"Z": forms.ZZ, "Z[1/2]": forms.ZHALF, "Z1/2": forms.ZHALF,
+              "Zhalf": forms.ZHALF, "Q[x]": forms.QX})
     if name in table:
         return table[name]
     if name[:1] == "F" and name[1:].isdecimal():
@@ -201,17 +207,10 @@ def _descriptor(kind, table, name):
     raise UsageError("unknown %s %r" % (kind, name))
 
 
-def _field_for(name):
-    return _descriptor("field", FIELDS, name)
-
-
-def _ring_for(name):
-    return _descriptor("ring", RINGS, name)
-
-
 def cmd_gw(args):
+    from . import forms
     if args.verb == "diagonalize":
-        field = _field_for(args.field)
+        field = _descriptor("field", args.field)
         gram = _parse_gram(args.matrix)
         try:
             form = forms.BilinearForm(gram, "symmetric", field=field)
@@ -241,7 +240,7 @@ def cmd_gw(args):
               ["  " + " ".join(str(x) for x in row) for row in p])
         return 0
     if args.verb == "ko1":
-        ring = _ring_for(args.ring)
+        ring = _descriptor("ring", args.ring)
         try:
             res = forms.ko1_euclidean(ring)
         except forms.FormsError as err:
@@ -253,28 +252,26 @@ def cmd_gw(args):
         _emit(args, payload, ["KO_1(%s) = %s, order %d"
                               % (ring.name, res.structure(), res.order)])
         return 0
-    if args.verb == "karoubi":
-        ring = _ring_for(args.ring)
-        if ring is forms.ZHALF:
-            table = forms.zhalf_karoubi_table()
-        elif isinstance(ring, forms.FiniteField):
-            table = forms.fq_karoubi_table(ring.q)
-        else:
-            raise UsageError("karoubi tables exist for Z[1/2] and F<q>")
-        report = forms.karoubi_check(table,
-                                     expected_ko1=forms.ko1_euclidean(ring))
-        payload = report.to_json()
-        human = ["karoubi(%s): %s" % (table.name,
-                                      "pass" if report.ok else
-                                      "FAIL (%s)" % report.violated)]
-        if report.ok:
-            human.append("  KO_1 order %d" % report.derived["KO1_order"])
-        _emit(args, payload, human)
-        return 0 if report.ok else 1
-    raise UsageError("unknown gw verb %r" % args.verb)
+    # karoubi
+    ring = _descriptor("ring", args.ring)
+    if ring is forms.ZHALF:
+        table = forms.zhalf_karoubi_table()
+    elif isinstance(ring, forms.FiniteField):
+        table = forms.fq_karoubi_table(ring.q)
+    else:
+        raise UsageError("karoubi tables exist for Z[1/2] and F<q>")
+    report = forms.karoubi_check(table, expected_ko1=forms.ko1_euclidean(ring))
+    payload = report.to_json()
+    human = ["karoubi(%s): %s" % (table.name, "pass" if report.ok else
+                                  "FAIL (%s)" % report.violated)]
+    if report.ok:
+        human.append("  KO_1 order %d" % report.derived["KO1_order"])
+    _emit(args, payload, human)
+    return 0 if report.ok else 1
 
 
 def cmd_koszul(args):
+    from . import chainduality
     k = chainduality.koszul(args.n)
     payload = k.to_json()
     report = {"theta_symmetric": k.is_symmetric(),
@@ -298,10 +295,13 @@ def cmd_koszul(args):
 
 
 def cmd_tower(args):
+    from . import towers
     try:
         spec = json.loads(args.spec)
     except ValueError as err:  # also integers over the int-to-str digit limit
         raise UsageError("--spec is not valid JSON: %s" % err)
+    if not isinstance(spec, dict):
+        raise UsageError("--spec: expected a JSON object")
     for key in ("levels", "maps"):
         if key not in spec:
             raise UsageError("--spec: missing field %r" % key)
@@ -332,6 +332,7 @@ def cmd_tower(args):
 
 
 def cmd_verify(args):
+    from . import geomverify
     if args.target == "m-path":
         report = geomverify.verify_M_path()
     elif args.target == "m1-factorization":
@@ -339,10 +340,8 @@ def cmd_verify(args):
     elif args.target == "quadratic-section":
         ok = geomverify.quadratic_section_identity(args.r)
         report = geomverify.PathReport({"identity r=%d" % args.r: ok})
-    elif args.target == "symplectic-lift":
+    else:  # symplectic-lift
         report = _demo_symplectic_lift()
-    else:
-        raise UsageError("unknown verify target %r" % args.target)
     payload = report.to_json()
     human = ["%s: %s" % (args.target, "pass" if report.ok else "FAIL")]
     human += ["  %s %s" % ("ok " if v else "FAIL", k)
@@ -352,6 +351,8 @@ def cmd_verify(args):
 
 
 def _demo_symplectic_lift():
+    from . import geomverify
+    from .polynomial import PolyRing, mat_identity
     ring = PolyRing(("t",))
     t = ring.gen(0)
     one, zero = ring.one(), ring.zero()
@@ -359,8 +360,7 @@ def _demo_symplectic_lift():
            [-one, zero, zero, zero],
            [-t, zero, zero, one],
            [zero, zero, -one, zero]]
-    u = [[one, zero, zero, zero], [zero, one, zero, zero],
-         [zero, zero, one, zero], [zero, zero, zero, one]]
+    u = mat_identity(4, one, zero)
     v = [[zero] * 4, [zero, zero, one, zero], [zero] * 4, [zero] * 4]
     checks = {
         "first-order witness solves exactly":
@@ -376,6 +376,7 @@ def _demo_symplectic_lift():
 
 
 def cmd_suite(args):
+    from . import suite
     results = suite.run_all()
     payload = {"criteria": results,
                "all_pass": all(r["ok"] for r in results)}
@@ -466,7 +467,7 @@ def build_parser():
     p.add_argument("--spec", metavar="JSON", required=True,
                    help="{levels: [{gens, relations}], maps: [..], tail}")
     p.add_argument("--window", type=int, default=4)
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=_nonnegative_int, default=None,
                    help="also compute the surjective-tower limit at depth")
     common(p)
     p.set_defaults(func=cmd_tower)

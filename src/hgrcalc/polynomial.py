@@ -138,6 +138,14 @@ class Poly:
         if isinstance(other, Poly):
             if other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
+            # a constant or zero factor only scales: the loop's terms in the
+            # loop's order, without exponent sums
+            if len(other.terms) < 2 and not any(next(iter(other.terms), ())):
+                return Poly(self.ring, {e1: c1 * c2 for e1, c1 in self.terms.items()
+                                        for c2 in other.terms.values()})
+            if len(self.terms) < 2 and not any(next(iter(self.terms), ())):
+                return Poly(self.ring, {e2: c1 * c2 for c1 in self.terms.values()
+                                        for e2, c2 in other.terms.items()})
             res = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():

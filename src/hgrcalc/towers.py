@@ -20,10 +20,15 @@ class TowerError(HgrcalcError):
 
 def solve_integer(a, b):
     """An integer solution x of a x = b (vectors as columns), or None."""
-    rows, cols = mat_shape(a)
+    return _solve_smith(smith_normal_form(a), b)
+
+
+def _solve_smith(smith, b):
+    """solve_integer for the matrix whose Smith form (U, D, V) is `smith`."""
+    u, d, v = smith
+    rows, cols = mat_shape(d)
     if len(b) != rows:
         raise TowerError("right-hand side length does not match the matrix")
-    u, d, v = smith_normal_form(a)
     ub = mat_apply(u, b)
     y = [0] * cols
     for i in range(rows):
@@ -43,16 +48,25 @@ def solve_integer(a, b):
 
 
 class FGAbelian:
-    """coker of an integer matrix: ngens generators, relations as columns."""
+    """coker of an integer matrix: ngens generators, relations as columns.
+
+    A group is not changed after it is made: the Smith form of its
+    relation matrix is computed once, on first use, and read by
+    `invariant_factors`, `order` and `contains`.
+    """
 
     def __init__(self, ngens, relations=None):
-        if ngens < 0:
-            raise TowerError("negative generator count")
+        if not isinstance(ngens, int) or ngens < 0:
+            raise TowerError("generator count %r is not a nonnegative integer"
+                             % (ngens,))
         self.ngens = ngens
         self.relations = [list(col) for col in (relations or [])]
         for col in self.relations:
             if len(col) != ngens:
                 raise TowerError("relation length does not match generators")
+            if not all(isinstance(x, int) for x in col):
+                raise TowerError("relations must have integer entries")
+        self._snf = None
 
     @classmethod
     def free(cls, rank):
@@ -82,11 +96,18 @@ class FGAbelian:
             return [[0] for _ in range(self.ngens)] if self.ngens else []
         return mat_transpose(self.relations)
 
+    def _smith_form(self):
+        """(U, D, V), the Smith form of the relation matrix."""
+        if self._snf is None:
+            self._snf = smith_normal_form(self.relation_matrix())
+        return self._snf
+
     def invariant_factors(self):
         """(free_rank, [torsion invariant factors > 1])."""
         if self.ngens == 0:
             return (0, [])
-        facs = invariant_factors(self.relation_matrix())
+        _, d, _ = self._smith_form()
+        facs = [d[t][t] for t in range(min(mat_shape(d))) if d[t][t]]
         free_rank = self.ngens - len(facs)
         torsion = [f for f in facs if f != 1]
         return (free_rank, torsion)
@@ -111,7 +132,7 @@ class FGAbelian:
         """Whether the vector is a relation (i.e. zero in the group)."""
         if not self.relations:
             return all(x == 0 for x in vector)
-        return solve_integer(self.relation_matrix(), list(vector)) is not None
+        return _solve_smith(self._smith_form(), list(vector)) is not None
 
     def __eq__(self, other):
         return (isinstance(other, FGAbelian)
@@ -137,10 +158,14 @@ class Tower:
     def __init__(self, levels, maps, tail="finite-prefix-only"):
         if tail not in TAIL_POLICIES:
             raise TowerError("unknown tail policy %r" % (tail,))
+        if not levels:
+            raise TowerError("a tower needs at least one level")
         if len(maps) != len(levels) - 1 and not (tail != "finite-prefix-only"
                                                  and len(maps) == len(levels)):
             # template policies may carry one extra map for the repeated tail
             raise TowerError("need one map per adjacent pair of levels")
+        if tail == "template-repeating" and not maps:
+            raise TowerError("a repeating template needs a map to repeat")
         self.levels = list(levels)
         self.maps = [[list(r) for r in m] for m in maps]
         self.tail = tail
@@ -149,6 +174,8 @@ class Tower:
             src = self.levels[min(k + 1, len(self.levels) - 1)]
             if len(m) != tgt.ngens or any(len(r) != src.ngens for r in m):
                 raise TowerError("map %d has the wrong shape" % k)
+            if not all(isinstance(x, int) for r in m for x in r):
+                raise TowerError("map %d must have integer entries" % k)
             if not _map_well_defined(m, src, tgt):
                 raise TowerError("map %d does not send relations into relations" % k)
 
@@ -178,10 +205,7 @@ class Tower:
 
 
 def _map_well_defined(matrix, src, tgt):
-    for col in src.relations:
-        if not tgt.contains(mat_apply(matrix, col)):
-            return False
-    return True
+    return all(tgt.contains(mat_apply(matrix, col)) for col in src.relations)
 
 
 def _image_subgroup_form(matrix, tgt):
@@ -194,9 +218,7 @@ def _image_subgroup_form(matrix, tgt):
 
 def _image_index(matrix, tgt):
     """Index of the image subgroup in tgt; None when infinite."""
-    cols = mat_transpose(matrix) + [list(c) for c in tgt.relations]
-    g = FGAbelian(tgt.ngens, cols)
-    return g.order()
+    return FGAbelian(tgt.ngens, mat_transpose(matrix) + tgt.relations).order()
 
 
 class MLResult:
@@ -243,10 +265,9 @@ def check_mittag_leffler(tower, window):
                         "constant at the full group",
                         {"levels_checked": len(tower.maps)})
 
-    levels_to_check = range(len(tower.levels))
     stabilized_at = {}
     indices_level0 = []
-    for k in levels_to_check:
+    for k in range(len(tower.levels)):
         tgt = tower.level(k)
         prev_form = None
         stable = None
@@ -264,20 +285,14 @@ def check_mittag_leffler(tower, window):
             prev_form = form
         if k == 0:
             indices_level0 = chain_indices
-        if stable is None:
-            stabilized_at[k] = None
-        else:
-            stabilized_at[k] = stable
+        stabilized_at[k] = stable
 
     if all(s is not None for s in stabilized_at.values()):
         # under a repeating template, one stable step propagates forever:
         # Im(F^{j+1}) = F(Im F^j), so equality persists
-        if tower.tail != "finite-prefix-only":
-            return MLResult("certificate", "image chains stabilize",
-                            {"stabilized_at": stabilized_at})
-        return MLResult("certificate",
-                        "image chains stabilize within the supplied prefix",
-                        {"stabilized_at": stabilized_at})
+        reason = ("image chains stabilize" if tower.tail != "finite-prefix-only"
+                  else "image chains stabilize within the supplied prefix")
+        return MLResult("certificate", reason, {"stabilized_at": stabilized_at})
 
     if tower.tail == "template-repeating":
         idx = [i for i in indices_level0 if i is not None]
@@ -289,16 +304,10 @@ def check_mittag_leffler(tower, window):
                     {"indices": idx})
         # also refute on strictly-decreasing infinite-index patterns: a
         # free group whose image spans shrink strictly under the template
-        forms = []
-        growing = True
         tgt = tower.level(0)
-        for j in range(1, window + 1):
-            form = _image_subgroup_form(tower.composite(0, j), tgt)
-            forms.append(form)
-        for t in range(len(forms) - 1):
-            if forms[t] == forms[t + 1]:
-                growing = False
-        if growing and forms:
+        forms = [_image_subgroup_form(tower.composite(0, j), tgt)
+                 for j in range(1, window + 1)]
+        if forms and all(a != b for a, b in zip(forms, forms[1:])):
             return MLResult(
                 "refutation",
                 "image chain at level 0 is strictly decreasing under the "
@@ -328,6 +337,8 @@ def lim_of_surjective(tower, depth):
     Surjectivity of every map gives the Mittag-Leffler condition, hence
     lim^1 = 0, and the limit surjects onto every level <= depth.
     """
+    if depth < 0:
+        raise TowerError("depth must be nonnegative")
     for k in range(depth):
         m = tower.map(k)
         tgt = tower.level(k)

@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hgrcalc
 from deadline import alarm
+from hgrcalc import polynomial, towers
 from hgrcalc.cli import main
 from hgrcalc.polynomial import mat_transpose
 from test_polynomial import SIX_BY_SEVEN
@@ -18,9 +22,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(argv, timeout=120):
+def run_subprocess(argv, timeout=120, code=None):
+    """`python -m hgrcalc.cli argv`, or `python -c code argv`."""
     src = os.path.dirname(os.path.dirname(hgrcalc.__file__))
-    return subprocess.run([sys.executable, "-m", "hgrcalc.cli"] + argv,
+    entry = ["-m", "hgrcalc.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable] + entry + argv,
                           capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=src))
 
@@ -254,10 +260,45 @@ class TestTowerCmd:
         assert data["data"]["orders"] == [2] * length
         assert data["lim"]["group"] == "Z/2"
 
+    @pytest.mark.parametrize("depth, most", [(None, 2), ("1", 3)])
+    def test_one_smith_form_per_group(self, capsys, monkeypatch, depth, most):
+        # one Smith form per group: the two levels and, with --depth, the
+        # image group lim_of_surjective builds
+        original = polynomial.smith_normal_form
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hgrcalc") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        assert towers.smith_normal_form is counting
+        level = {"gens": 6, "relations": mat_transpose(SIX_BY_SEVEN)}
+        ident = [[int(i == j) for j in range(6)] for i in range(6)]
+        spec = json.dumps({"levels": [level] * 2, "maps": [ident],
+                           "tail": "eventually-constant"})
+        argv = ["tower", "--spec", spec] + (["--depth", depth] if depth else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("certificate: all level groups are finite")
+        assert len(calls) <= most
+
     def test_bad_spec(self, capsys):
         code, _, err = run_cli(capsys, "tower", "--spec", "{}")
         assert code == 2
         assert "levels" in err
+
+    def test_negative_depth_rejected(self, capsys):
+        # level(-1) would index the last level from the end
+        spec = json.dumps({"levels": [{"gens": 1}], "maps": []})
+        with pytest.raises(SystemExit) as exc:
+            main(["tower", "--spec", spec, "--depth", "-1"])
+        assert exc.value.code == 2
+        assert "--depth" in capsys.readouterr().err
 
 
 class TestVerifyCmd:
@@ -310,6 +351,16 @@ LIBRARY_ERRORS = [
     ["pontryagin", "--bundle", '{"split":[%s]}' % ("1" * 5000)],
     ["gw", "ko1", "--ring", "F1000000007"],
     ["gw", "ko1", "--ring", "F" + "1" * 5000],
+    ["pontryagin", "--bundle", "null"],
+    ["pontryagin", "--bundle", '{"rank": "2", "p": [1]}'],
+    ["tower", "--spec", "[]"],
+    ["tower", "--spec", '{"levels": [], "maps": [], "tail": "eventually-constant"}'],
+    ["tower", "--spec", '{"levels": [{"gens": 1}], "maps": [], '
+                        '"tail": "template-repeating"}'],
+    ["tower", "--spec", '{"levels": [{"gens": 1.0}], "maps": [], '
+                        '"tail": "eventually-constant"}'],
+    ["tower", "--spec", '{"levels": [{"gens": 1, "relations": [[0.5]]}], '
+                        '"maps": [], "tail": "eventually-constant"}'],
 ]
 LIBRARY_ERROR_IDS = [
     "diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
@@ -318,7 +369,10 @@ LIBRARY_ERROR_IDS = [
     "diagonalize-5001-digits", "diagonalize-json-digit-limit",
     "diagonalize-string-exponent", "tower-json-digit-limit",
     "pontryagin-json-digit-limit", "ko1-field-over-bound",
-    "ko1-field-digit-limit"]
+    "ko1-field-digit-limit", "pontryagin-not-an-object",
+    "pontryagin-string-rank", "tower-not-an-object", "tower-no-levels",
+    "tower-template-without-map", "tower-float-gens",
+    "tower-float-relation"]
 
 
 @pytest.mark.parametrize("argv", LIBRARY_ERRORS, ids=LIBRARY_ERROR_IDS)
@@ -338,3 +392,203 @@ def test_library_errors_under_json(capsys, argv):
     assert err.startswith("usage error: ") and len(err.splitlines()) == 1
     message = err[len("usage error: "):-1]
     assert out == json.dumps({"error": message}, sort_keys=True, indent=2) + "\n"
+
+
+# What a fresh interpreter loads: the CLI imports per subcommand, and the
+# package root imports no submodule.
+LIBRARY = {"hgrcalc." + name for name in (
+    "chainduality", "classcalc", "coeffs", "forms", "geomverify", "grassring",
+    "polynomial", "pontryagin", "suite", "symfun", "towers")}
+
+MODULES_AFTER_MAIN = (
+    "import sys\n"
+    "from hgrcalc.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "except SystemExit:\n"
+    "    pass\n"
+    "print('\\n' + ' '.join(sorted(sys.modules)))\n")
+
+
+def modules_after(argv=(), code=MODULES_AFTER_MAIN):
+    proc = run_subprocess(list(argv), timeout=60, code=code)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImportFootprint:
+    def test_package_root_loads_no_submodule(self):
+        loaded = modules_after(
+            code="import sys, hgrcalc\nprint(' '.join(sorted(sys.modules)))")
+        assert "hgrcalc" in loaded
+        assert not [m for m in loaded if m.startswith("hgrcalc.")]
+
+    def test_help_loads_no_library_module(self):
+        assert not modules_after(["--help"]) & LIBRARY
+
+    def test_gw_loads_only_the_form_layers(self):
+        loaded = modules_after(["gw", "ko1", "--ring", "F7"])
+        assert "hgrcalc.forms" in loaded
+        assert not loaded & {"hgrcalc." + name for name in (
+            "grassring", "symfun", "chainduality", "classcalc", "geomverify",
+            "suite")}
+
+    def test_schur_loads_no_matrix_layer(self):
+        loaded = modules_after(["schur", "--partition", "2,1", "--gens", "3"])
+        assert "hgrcalc.symfun" in loaded
+        assert not loaded & {"hgrcalc.forms", "hgrcalc.towers",
+                             "hgrcalc.chainduality"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["gw", "ko1", "--ring", "F7"],
+        ["classcheck", "--check", "mu", "--n", "1", "--i", "0"],
+        ["pontryagin", "--bundle", '{"split": [2, 3]}']],
+        ids=["help", "gw", "classcheck", "pontryagin"])
+    def test_no_call_loads_dataclasses(self, argv):
+        assert "dataclasses" not in modules_after(argv)
+
+    def test_whole_library_loads_no_dataclasses(self):
+        # suite imports every module
+        loaded = modules_after(
+            code="import sys, hgrcalc.suite\nprint(' '.join(sorted(sys.modules)))")
+        assert LIBRARY <= loaded
+        assert "dataclasses" not in loaded
+
+
+# One call per subcommand in a fresh interpreter: each command's own
+# imports, run end to end.
+FRESH_CALLS = [
+    ["schur", "--partition", "2,1", "--gens", "3"],
+    ["hgr-ring", "--r", "2", "--n", "4", "--coeff", "GWBase"],
+    ["restriction", "--source-r", "2", "--source-n", "3", "--target-r", "1",
+     "--target-n", "2", "--kind", "beta"],
+    ["pontryagin", "--bundle", '{"split": [2]}', "--bundle",
+     '{"rank": 2, "p": [3]}'],
+    ["classcheck", "--check", "k0-formula", "--n", "2", "--i", "1"],
+    ["gw", "karoubi", "--ring", "F9"],
+    ["koszul", "--n", "2", "--invert", "1"],
+    ["tower", "--spec", '{"levels": [{"gens": 1}, {"gens": 1}], '
+     '"maps": [[[1]]], "tail": "eventually-constant"}', "--depth", "1"],
+    ["verify", "symplectic-lift"],
+]
+
+
+@pytest.mark.parametrize("argv", FRESH_CALLS, ids=[a[0] for a in FRESH_CALLS])
+def test_each_subcommand_in_a_fresh_interpreter(argv):
+    proc = run_subprocess(argv, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout and proc.stderr == ""
+
+
+# The CLI contract under generated input: exit 0, 1 or 2, no exception but
+# argparse's SystemExit(2), and every call within CALL_BOUND_S seconds.
+CALL_BOUND_S = 10
+SMALL = st.integers(-2, 4)
+JSON_LEAF = st.one_of(st.none(), st.booleans(), SMALL,
+                      st.floats(-2, 2, width=16), st.text("a1", max_size=2))
+JSON_ANY = st.recursive(JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["split", "rank", "p", "gens",
+                                     "relations", "levels", "maps", "tail"]),
+                    inner, max_size=3)), max_leaves=6)
+ENTRY = st.one_of(SMALL, JSON_LEAF)
+NAMES = st.sampled_from(["Q", "RealClosed", "Z", "Z[1/2]", "Zhalf", "Q[x]",
+                         "F3", "F4", "F9", "F6", "F1", "F0", "Fx", ""])
+
+
+def vectors(entry, size=3):
+    return st.lists(entry, max_size=size)
+
+
+def square_matrices(entry):
+    return st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+BUNDLES = st.one_of(st.fixed_dictionaries({"split": vectors(ENTRY)}),
+                    st.fixed_dictionaries({"rank": ENTRY, "p": vectors(ENTRY)}),
+                    JSON_ANY)
+LEVELS = st.one_of(st.fixed_dictionaries(
+    {"gens": st.one_of(st.integers(0, 3), JSON_LEAF)},
+    optional={"relations": vectors(vectors(ENTRY))}), JSON_ANY)
+SPECS = st.one_of(st.fixed_dictionaries(
+    {"levels": vectors(LEVELS), "maps": vectors(vectors(vectors(ENTRY)))},
+    optional={"tail": st.sampled_from(["eventually-constant",
+                                       "template-repeating",
+                                       "finite-prefix-only", "x"])}),
+    JSON_ANY)
+
+
+@st.composite
+def cli_argv(draw):
+    """A small argv for one of the nine computing subcommands."""
+    command = draw(st.sampled_from(["schur", "hgr-ring", "restriction",
+                                    "pontryagin", "classcheck", "gw", "koszul",
+                                    "tower", "verify"]))
+    argv = [command]
+
+    def option(flag, values, required=False):
+        if required or draw(st.booleans()):
+            argv.extend([flag, str(draw(values))])
+
+    def json_option(flag, values, required=False):
+        option(flag, values.map(json.dumps), required)
+
+    if command == "schur":
+        option("--partition", vectors(SMALL).map(lambda p: ",".join(map(str, p))))
+        option("--gens", SMALL, True)
+    elif command == "hgr-ring":
+        option("--r", SMALL, True)
+        option("--n", SMALL, True)
+        option("--coeff", st.sampled_from(["Integers", "Rationals", "GWBase"]))
+    elif command == "restriction":
+        for flag in ("--source-r", "--source-n", "--target-r", "--target-n"):
+            option(flag, SMALL, True)
+        option("--kind", st.sampled_from(["alpha", "beta"]), True)
+    elif command == "pontryagin":
+        for _ in range(draw(st.integers(1, 3))):
+            json_option("--bundle", BUNDLES, True)
+    elif command == "classcheck":
+        option("--check", st.sampled_from(["gw-formula", "k0-formula", "mu"]),
+               True)
+        for flag in ("--n", "--i"):
+            option(flag, SMALL, True)
+        option("--j", SMALL)
+    elif command == "gw":
+        argv.append(draw(st.sampled_from(["diagonalize", "symplectic-basis",
+                                          "ko1", "karoubi"])))
+        json_option("--matrix", st.one_of(square_matrices(SMALL),
+                                          square_matrices(ENTRY), JSON_ANY))
+        option("--field", NAMES)
+        option("--ring", NAMES)
+    elif command == "koszul":
+        option("--n", st.integers(-1, 4), True)
+        option("--invert", SMALL)
+    elif command == "tower":
+        json_option("--spec", SPECS, True)
+        option("--window", SMALL)
+        option("--depth", SMALL)
+    else:
+        argv.append(draw(st.sampled_from(["m-path", "m1-factorization",
+                                          "quadratic-section",
+                                          "symplectic-lift"])))
+        option("--r", SMALL)
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_generated_calls_keep_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with alarm(CALL_BOUND_S), redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: "), argv

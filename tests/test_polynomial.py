@@ -95,6 +95,47 @@ class TestArithmetic:
         assert q.terms[(0, 0)] == GW_ONE
 
 
+def term_pair_product(a, b):
+    """a * b by the term-pair loop: the terms and their order Poly.__mul__
+    must give, constant factors included."""
+    res = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(s + t for s, t in zip(e1, e2))
+            s = res.get(e, 0) + c1 * c2
+            if s:
+                res[e] = s
+            else:
+                res.pop(e, None)
+    return list(res.items())
+
+
+@st.composite
+def poly_with_constant(draw):
+    """(p, c) in Q[x, y]: p any polynomial, c a constant, zero included."""
+    coeff = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3), 3])
+    p = Poly(R2, draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), coeff, max_size=5)))
+    return p, Poly(R2, {(0, 0): draw(coeff)})
+
+
+class TestConstantFactor:
+    @settings(max_examples=100, deadline=None)
+    @given(poly_with_constant())
+    def test_matches_term_pair_loop(self, case):
+        p, c = case
+        for a, b in ((p, c), (c, p)):
+            assert list((a * b).terms.items()) == term_pair_product(a, b)
+
+    def test_gw_coefficients(self):
+        # h (1 - eps) = 0 in GW: the zero products drop out as in the loop
+        p = Poly(R2, {(1, 0): GW_H, (0, 1): GW_ONE, (0, 0): GW_EPS})
+        c = Poly(R2, {(0, 0): GW_ONE - GW_EPS})
+        for a, b in ((p, c), (c, p)):
+            assert list((a * b).terms.items()) == term_pair_product(a, b)
+        assert (1, 0) not in (p * c).terms
+
+
 class TestDivision:
     def test_exact(self):
         p = (x() + y()) * (x() - y())

@@ -109,6 +109,17 @@ class TestFGAbelian:
         assert g.contains([0])
         assert not g.contains([3])
 
+    def test_contains_checks_the_length(self):
+        with pytest.raises(TowerError):
+            FGAbelian.cyclic(6).contains([1, 0])
+
+    @pytest.mark.parametrize("ngens, relations", [
+        (1.0, []), ("2", []), (1, [[0.5]]), (2, [[1, "x"]])],
+        ids=["float-gens", "string-gens", "float-relation", "string-relation"])
+    def test_non_integer_data_rejected(self, ngens, relations):
+        with pytest.raises(TowerError):
+            FGAbelian(ngens, relations)
+
 
 def constant_tower(group, length=3, tail="eventually-constant"):
     n = group.ngens
@@ -147,6 +158,14 @@ class TestMittagLeffler:
         # the canonical surjection Z/8 -> Z/4 is fine
         Tower([FGAbelian.cyclic(4), FGAbelian.cyclic(8)], [[[1]]])
 
+    def test_ill_formed_towers_rejected(self):
+        with pytest.raises(TowerError):
+            Tower([], [], tail="eventually-constant")
+        with pytest.raises(TowerError):  # no map to repeat
+            Tower([FGAbelian.free(1)], [], tail="template-repeating")
+        with pytest.raises(TowerError):
+            Tower([FGAbelian.free(1), FGAbelian.free(1)], [[[1.5]]])
+
     def test_surjective_tower_certificate(self):
         # coordinate projections Z^2 -> Z
         t = Tower([FGAbelian.free(1), FGAbelian.free(2)], [[[1, 0]]],
@@ -169,6 +188,11 @@ class TestLimOfSurjective:
         with pytest.raises(TowerError) as err:
             lim_of_surjective(t, depth=2)
         assert "level 1" in str(err.value)
+
+    def test_negative_depth_rejected(self):
+        # level(-1) would index the last level from the end
+        with pytest.raises(TowerError):
+            lim_of_surjective(constant_tower(FGAbelian.cyclic(2)), depth=-1)
 
     def test_depth_outputs_map_compatibly(self):
         # the depth-d approximation surjects onto the depth-(d-1) one
