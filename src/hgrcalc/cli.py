@@ -20,6 +20,9 @@ class UsageError(HgrcalcError):
 
 
 COEFFS = ("Integers", "Rationals", "GWBase")  # descriptor names
+# largest rank of a --bundle and of their Cartan sum: the split case
+# expands rank/2 elementary symmetric functions, quadratic in rank/2
+BUNDLE_RANK_BOUND = 2000
 
 
 def _emit(args, payload, human_lines):
@@ -103,6 +106,7 @@ def _parse_bundle(text):
         roots = desc["split"]
         if not isinstance(roots, list) or not all(isinstance(r, int) for r in roots):
             raise UsageError("--bundle split: expected a list of integers")
+        _check_bundle_rank(2 * len(roots))
         ps = pontryagin.elementary_in(list(roots))  # integer coefficients
         bundle = pontryagin.FormalSymplecticBundle(2 * len(roots), ps,
                                                    roots=list(roots))
@@ -113,10 +117,18 @@ def _parse_bundle(text):
             raise UsageError("--bundle rank: expected an integer")
         if not isinstance(ps, list) or not all(isinstance(x, int) for x in ps):
             raise UsageError("--bundle p: expected a list of integers")
-        if rank % 2:
-            raise UsageError("--bundle rank: symplectic rank must be even")
+        if rank < 0 or rank % 2:
+            raise UsageError("--bundle rank: symplectic rank must be even "
+                             "and nonnegative")
+        _check_bundle_rank(rank)
         return pontryagin.FormalSymplecticBundle.abstract(rank, ps), list(ps)
     raise UsageError("--bundle: need {\"split\": [..]} or {\"rank\": .., \"p\": [..]}")
+
+
+def _check_bundle_rank(rank, what="--bundle rank"):
+    if rank > BUNDLE_RANK_BOUND:
+        raise UsageError("%s %d is over the bound %d"
+                         % (what, rank, BUNDLE_RANK_BOUND))
 
 
 def cmd_pontryagin(args):
@@ -132,6 +144,7 @@ def cmd_pontryagin(args):
     human = ["bundle %d: rank %d, p = %s" % (i, b.rank, c)
              for i, (b, c) in enumerate(zip(bundles, coeff_lists))]
     if len(bundles) >= 2:
+        _check_bundle_rank(sum(b.rank for b in bundles), "Cartan sum rank")
         total = bundles[0]
         for b in bundles[1:]:
             ps = pontryagin.cartan_sum(total, b)

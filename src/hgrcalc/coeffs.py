@@ -195,8 +195,7 @@ class IntegerRing:
         return x  # +-1 are self-inverse
 
     def unit_square_class_data(self):
-        return {"order": 2, "representatives": [1, -1],
-                "generators": [(-1, 2)]}
+        return {"order": 2, "representatives": [1, -1]}
 
 
 # Squarefree parts are found by trial division up to the cube root, so

@@ -171,14 +171,9 @@ class FiniteField:
         # tails in base-p order; see _poly_irreducible_mod_p for the test
         p, k = self.p, self.k
         for tail_int in range(p ** k):
-            tail = []
-            t = tail_int
-            for _ in range(k):
-                tail.append(t % p)
-                t //= p
-            cand = tail + [1]  # monic
+            cand = _base_digits(tail_int, p, k) + [1]  # monic
             if _poly_irreducible_mod_p(cand, p):
-                return tail + [1]
+                return cand
         raise FormsError("no irreducible polynomial found (impossible)")
 
     def zero(self):
@@ -200,11 +195,7 @@ class FiniteField:
 
     def _element(self, n):
         """The element whose coefficients are the base-p digits of n."""
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return FFElement(self, coeffs)
+        return FFElement(self, _base_digits(n, self.p, self.k))
 
     def elements(self):
         return [self._element(n) for n in range(self.q)]
@@ -243,8 +234,7 @@ class FiniteField:
 
     def unit_square_class_data(self):
         return {"order": 2,
-                "representatives": [self.one(), self.nonsquare()],
-                "generators": [("g", self.q - 1)]}
+                "representatives": [self.one(), self.nonsquare()]}
 
 
 def _factor_prime_power(q):
@@ -278,15 +268,18 @@ def _poly_irreducible_mod_p(poly, p):
     # check divisibility by every monic polynomial of degree 1..k//2
     for d in range(1, k // 2 + 1):
         for tail_int in range(p ** d):
-            tail = []
-            t = tail_int
-            for _ in range(d):
-                tail.append(t % p)
-                t //= p
-            div = tail + [1]
-            if _poly_mod_divides(div, poly, p):
+            if _poly_mod_divides(_base_digits(tail_int, p, d) + [1], poly, p):
                 return False
     return True
+
+
+def _base_digits(n, p, k):
+    """The k lowest base-p digits of n, least significant first."""
+    digits = []
+    for _ in range(k):
+        n, digit = divmod(n, p)
+        digits.append(digit)
+    return digits
 
 
 def _poly_mod_divides(div, poly, p):
@@ -487,8 +480,7 @@ class IntegersWithTwoInverted:
     has_half = True
 
     def unit_square_class_data(self):
-        return {"order": 4, "representatives": [1, -1, 2, -2],
-                "generators": [(-1, 2), (2, 0)]}  # order 0 = infinite
+        return {"order": 4, "representatives": [1, -1, 2, -2]}
 
 
 class RationalPolynomialRing:
@@ -766,7 +758,7 @@ class UnitSquareClasses:
 
 
 def unit_square_classes(ring):
-    """R^x/(R^x)^2 from the ring's declared unit-group presentation."""
+    """R^x/(R^x)^2 from the ring's declared order and representatives."""
     data = ring.unit_square_class_data()
     return UnitSquareClasses(data["order"], data["representatives"])
 
@@ -816,12 +808,12 @@ class KaroubiTable:
     Groups are FGAbelian presentations; maps are integer matrices on the
     chosen generators.  `witt` maps the cohomological index mod 4 to the
     group; `squaring` is the composite K_1 -> K_1 (x -> x - t(xbar)^-1,
-    which is x -> x^2 for the trivial involution, i.e. doubling).
+    which is x -> x^2 for the trivial involution every instance carries,
+    i.e. doubling).
     """
 
     def __init__(self, name, k0, k1, gw_minus, gw_plus, map_gwminus_to_k0,
-                 map_hyperbolic_k0_to_gwplus, witt, squaring,
-                 trivial_involution=True):
+                 map_hyperbolic_k0_to_gwplus, witt, squaring):
         self.name = name
         self.k0 = k0
         self.k1 = k1
@@ -831,7 +823,6 @@ class KaroubiTable:
         self.map_hyperbolic = map_hyperbolic_k0_to_gwplus
         self.witt = witt
         self.squaring = squaring
-        self.trivial_involution = trivial_involution
 
 
 def zhalf_karoubi_table():
@@ -913,10 +904,8 @@ def karoubi_check(table, expected_ko1=None):
         return KaroubiReport(False, "hyperbolic injectivity", derived)
 
     # squaring composite on K_1 is doubling for the trivial involution
-    if table.trivial_involution:
-        n = table.k1.ngens
-        if table.squaring != mat_identity(n, 2):
-            return KaroubiReport(False, "squaring composite", derived)
+    if table.squaring != mat_identity(table.k1.ngens, 2):
+        return KaroubiReport(False, "squaring composite", derived)
 
     # derive KO_1 from 1 -> R^x/R^x2 -> KO_1 -> Z/2 -> 0 (split)
     usc_group = FGAbelian(table.k1.ngens,

@@ -149,16 +149,22 @@ def elementary_in(values, ring=None):
 
 
 def cartan_sum(e, f):
-    """Pontryagin coefficients of the direct sum: p_k = sum p_i(E) p_j(F)."""
+    """Pontryagin coefficients of the direct sum: p_k = sum p_i(E) p_j(F).
+
+    Only the supplied coefficients are convolved, since p_i = 0 past them;
+    the list is padded with zeros to half the total rank.
+    """
+    pe = [e.p(0)] + e.ps
+    pf = [f.p(0)] + f.ps
     total_half = (e.rank + f.rank) // 2
     out = []
-    for k in range(1, total_half + 1):
+    for k in range(1, min(total_half, len(pe) + len(pf) - 2) + 1):
         acc = None
-        for i in range(0, k + 1):
-            term = e.p(i) * f.p(k - i)
+        for i in range(max(0, k - len(pf) + 1), min(k, len(pe) - 1) + 1):
+            term = pe[i] * pf[k - i]
             acc = term if acc is None else acc + term
         out.append(acc)
-    return out
+    return out + [e.p(-1) * f.p(-1)] * (total_half - len(out))
 
 
 def p1_of_class(rank, name, trivial="H"):

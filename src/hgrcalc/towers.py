@@ -150,6 +150,10 @@ class FGAbelian:
 
 
 TAIL_POLICIES = ("eventually-constant", "template-repeating", "finite-prefix-only")
+# each window step takes one more composite and Hermite form, and under a
+# doubling template the entries double per step too, so a window's cost
+# grows faster than its length
+WINDOW_BOUND = 256
 
 
 class Tower:
@@ -246,8 +250,8 @@ def check_mittag_leffler(tower, window):
     when a repeating template forces strictly growing image indices through
     the whole window; inconclusive otherwise.
     """
-    if window < 1:
-        raise TowerError("window must be at least 1")
+    if not 1 <= window <= WINDOW_BOUND:
+        raise TowerError("window must be between 1 and %d" % WINDOW_BOUND)
 
     # finite groups force stabilization of any decreasing chain; this needs
     # the tail policy to pin the groups beyond the prefix

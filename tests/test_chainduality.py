@@ -14,6 +14,13 @@ def two_term_x():
     return FreeComplex(ring, {0: 1, 1: 1}, {1: [[ring.gen(0)]]})
 
 
+def gap_complex():
+    """Ranks {0: 1, 2: 1}, no differential, the degree-2 form (1, 1)."""
+    ring = PolyRing(("y",))
+    cx = FreeComplex(ring, {0: 1, 2: 1}, {})
+    return SymmetricComplex(cx, 2, {0: [[ring.one()]], 2: [[ring.one()]]})
+
+
 class TestFreeComplex:
     def test_d_squared_rejected(self):
         ring = PolyRing(("x",))
@@ -96,6 +103,21 @@ class TestKoszul:
     def test_d_squared_zero(self, n):
         koszul(n).complex.validate()
 
+    def test_map_to_renames_generators(self):
+        k = koszul(2)
+        ring = PolyRing(("a", "b", "c"))
+        moved = k.map_to(ring, {0: 2, 1: 0})
+        assert moved.degree == 2
+        assert moved.complex.ring == ring
+        assert moved.complex.ranks == k.complex.ranks
+        assert moved.complex.labels == k.complex.labels
+        assert [e.pretty() for e in moved.complex.diff(1)[0]] == ["c", "a"]
+        for deg in k.complex.ranks:
+            assert moved.form(deg) == [[x.map_to(ring, {0: 2, 1: 0})
+                                        for x in row] for row in k.form(deg)]
+            assert [[x.pretty() for x in row] for row in moved.form(deg)] == \
+                [[x.pretty() for x in row] for row in k.form(deg)]
+
     def test_asymmetric_form_rejected(self):
         k = koszul(1)
         bad = {0: k.form(0), 1: [[k.complex.ring.one()]]}  # +1 instead of -1
@@ -146,6 +168,32 @@ class TestTensor:
         t = tensor_pair(koszul(1), koszul(2))
         assert t.is_symmetric()
         assert t.chain_defect() is None
+
+    def test_gap_in_degree_against_rank_one_koszul(self):
+        t = tensor_pair(gap_complex(), koszul(1))
+        cx = t.complex
+        assert cx.ring.gens == ("y", "x1")
+        assert t.degree == 3
+        assert cx.ranks == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert cx.labels == {0: [(0, 0, 0, 0)], 1: [(0, 0, 1, 0)],
+                             2: [(2, 0, 0, 0)], 3: [(2, 0, 1, 0)]}
+        x = cx.ring.gen(1)
+        # d(m@n) = dm@n + (-1)^|m| m@dn; the gap leaves d_2 = 0
+        assert cx.diff(1) == [[x]] and cx.diff(3) == [[x]]
+        assert cx.diff(2)[0][0].is_zero()
+        cx.validate()
+        assert t.is_symmetric()
+        assert t.chain_defect() is None
+        # nu(p, q) = (-1)^{q(r-p)} is +1 on every block (r - p is even), so
+        # the form is (1) @ Theta(1) = (1, -1, 1, -1) by degree
+        assert [t.form(k)[0][0] for k in range(4)] == [1, -1, 1, -1]
+
+    def test_gap_survives_the_unit(self):
+        t = tensor_pair(gap_complex(), unit_complex())
+        assert t.complex.ranks == {0: 1, 2: 1}
+        assert t.complex.labels == {0: [(0, 0, 0, 0)], 1: [],
+                                    2: [(2, 0, 0, 0)]}
+        assert t.is_symmetric() and t.is_nondegenerate()
 
     def test_associativity_on_rank_one_koszuls(self):
         k = koszul(1)
@@ -202,3 +250,10 @@ class TestSwapSign:
         rep = swap_sign_check(koszul(2), koszul(2))
         assert rep.ok
         assert rep.observed_sign == 1
+
+    def test_degree_three_by_one(self):
+        rep = swap_sign_check(koszul(3), koszul(1))
+        assert rep.ok
+        assert rep.observed_sign == -1  # rs = 3 odd
+        assert rep.expected_sign == -1
+        assert rep.involution_power() == 1

@@ -138,6 +138,38 @@ class TestPontryagin:
         assert code == 2
         assert "even" in err
 
+    def test_negative_rank_refused(self, capsys):
+        # it used to print a Cartan sum of rank -2 and exit 0
+        code, _, err = run_cli(capsys, "pontryagin",
+                               "--bundle", '{"rank": -4, "p": [1]}',
+                               "--bundle", '{"split": [1]}')
+        assert code == 2
+        assert "nonnegative" in err
+
+    @pytest.mark.parametrize("bundles", [
+        ['{"rank": 200000000, "p": [1]}', '{"split": [1]}'],
+        ['{"rank": 2002, "p": [1]}'],
+        ['{"split": [%s]}' % ", ".join(["1"] * 1001)],
+        ['{"rank": 2000, "p": [1]}', '{"split": [1]}'],
+    ], ids=["abstract-huge", "abstract-over", "split-over", "cartan-sum-over"])
+    def test_rank_over_the_bound_refused(self, capsys, bundles):
+        argv = ["pontryagin"]
+        for text in bundles:
+            argv += ["--bundle", text]
+        with alarm(2):
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "over the bound 2000" in err
+
+    def test_rank_at_the_bound(self, capsys):
+        with alarm(2):
+            code, out, _ = run_cli(capsys, "pontryagin",
+                                   "--bundle", '{"rank": 1998, "p": [1]}',
+                                   "--bundle", '{"split": [2]}', "--json")
+        assert code == 0
+        p = json.loads(out)["cartan_sum"]["p"]
+        assert p[:2] == [3, 2] and len(p) == 1000 and not any(p[2:])
+
 
 class TestClasscheck:
     def test_gw_formula(self, capsys):
@@ -241,6 +273,15 @@ class TestTowerCmd:
         data = json.loads(out)
         assert data["kind"] == "certificate"
         assert data["lim"]["group"] == "Z"
+
+    def test_window_over_the_bound_refused(self, capsys):
+        spec = json.dumps({"levels": [{"gens": 1}], "maps": [[[2]]],
+                           "tail": "template-repeating"})
+        with alarm(2):
+            code, _, err = run_cli(capsys, "tower", "--spec", spec,
+                                   "--window", "100000")
+        assert code == 2
+        assert "between 1 and %d" % towers.WINDOW_BOUND in err
 
     @pytest.mark.parametrize("length", [1, 2], ids=["one-level", "two-levels"])
     def test_six_by_seven_relations(self, capsys, length):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from deadline import alarm
 from hgrcalc.classcalc import FormalClass
 from hgrcalc.coeffs import GWElement, GW_H, GWBASE
 from hgrcalc.grassring import ParameterError, present, restriction
@@ -83,6 +84,16 @@ class TestCartanSum:
         e = FormalSymplecticBundle.split([ring.gen(0), ring.gen(1)])
         empty = FormalSymplecticBundle.split([])
         assert cartan_sum(e, empty) == e.ps
+
+    def test_large_rank_convolves_only_the_supplied_coefficients(self):
+        # p_i = 0 past the list, so the work is len(p) products, whatever
+        # the rank; the zeros up to half the total rank stay in the list
+        e = FormalSymplecticBundle.abstract(200000, [1, 2])
+        f = FormalSymplecticBundle.abstract(2, [3])
+        with alarm(2):
+            got = cartan_sum(e, f)
+        assert got[:3] == [4, 5, 6]
+        assert len(got) == 100001 and not any(got[3:])
 
     def test_commutative(self):
         ring = pontryagin_ring(4)

@@ -4,7 +4,8 @@ import pytest
 
 from hgrcalc.grassring import present, restriction
 from hgrcalc.symfun import Partition
-from hgrcalc.towers import (FGAbelian, MLResult, Tower, TowerError,
+from deadline import alarm
+from hgrcalc.towers import (WINDOW_BOUND, FGAbelian, MLResult, Tower, TowerError,
                             check_mittag_leffler, hermite_column_form,
                             invariant_factors, lim_of_surjective,
                             milnor_assemble, smith_normal_form, solve_integer)
@@ -137,6 +138,16 @@ class TestMittagLeffler:
         t = Tower([FGAbelian.free(1)], [[[2]]], tail="template-repeating")
         res = check_mittag_leffler(t, window=4)
         assert res.kind == "refutation"
+
+    def test_window_bound(self):
+        t = Tower([FGAbelian.free(1)], [[[2]]], tail="template-repeating")
+        with alarm(5):
+            res = check_mittag_leffler(t, window=WINDOW_BOUND)
+            assert res.kind == "refutation"
+            assert len(res.data["indices"]) == WINDOW_BOUND
+            for window in (0, WINDOW_BOUND + 1, 100000):
+                with pytest.raises(TowerError):
+                    check_mittag_leffler(t, window=window)
 
     def test_finite_template_certified(self):
         for matrix in ([[3]], [[2]], [[5]], [[0]]):
