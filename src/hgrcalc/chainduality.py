@@ -319,13 +319,6 @@ def contracting_homotopy(ksym, invert):
 # ---------------------------------------------------------------------------
 
 
-def unit_complex():
-    """The rank-one symmetric complex <1> in degree zero (no variables)."""
-    ring = PolyRing(())
-    cx = FreeComplex(ring, {0: 1}, {})
-    return SymmetricComplex(cx, 0, {0: [[ring.one()]]})
-
-
 def _adjoin_rings(r1, r2):
     """Combined ring with r2's generators renamed past collisions."""
     names = list(r1.gens)

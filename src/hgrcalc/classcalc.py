@@ -31,19 +31,6 @@ class BundleSymbol(namedtuple("BundleSymbol", "name rank symmetry")):
         return super().__new__(cls, name, rank, symmetry)
 
 
-# symmetry of a tensor word, mirroring the duality-shift arithmetic:
-# symplectic = shift 2, orthogonal = shift 0, composed mod 4
-_SHIFT = {"symplectic": 2, "orthogonal": 0}
-
-
-def word_symmetry(symbols, word):
-    kinds = [symbols[name].symmetry for name in word]
-    if "plain" in kinds:
-        return "plain"
-    total = sum(_SHIFT[k] for k in kinds) % 4
-    return "orthogonal" if total == 0 else "symplectic"
-
-
 class FormalClass:
     """Integer combination of tensor words of bundle symbols."""
 
@@ -107,14 +94,6 @@ class FormalClass:
                     res[w] = s
                 else:
                     res.pop(w, None)
-        return FormalClass(res)
-
-    def swap_factors(self):
-        """Formal transposition of all length-two tensor words."""
-        res = {}
-        for w, c in self.terms.items():
-            key = tuple(reversed(w)) if len(w) == 2 else w
-            res[key] = res.get(key, 0) + c
         return FormalClass(res)
 
     def sorted_terms(self):
@@ -200,9 +179,6 @@ class RelationSet:
                 r *= self.symbol(name).rank
             total += c * r
         return total
-
-    def word_symmetry(self, word):
-        return word_symmetry(self.symbols, word)
 
 
 def expand(x, relations, _trace=None):

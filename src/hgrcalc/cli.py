@@ -107,10 +107,7 @@ def _parse_bundle(text):
         if not isinstance(roots, list) or not all(isinstance(r, int) for r in roots):
             raise UsageError("--bundle split: expected a list of integers")
         _check_bundle_rank(2 * len(roots))
-        ps = pontryagin.elementary_in(list(roots))  # integer coefficients
-        bundle = pontryagin.FormalSymplecticBundle(2 * len(roots), ps,
-                                                   roots=list(roots))
-        return bundle, list(ps)
+        return pontryagin.FormalSymplecticBundle.split(roots)
     if "rank" in desc and "p" in desc:
         rank, ps = desc["rank"], desc["p"]
         if not isinstance(rank, int):
@@ -121,7 +118,7 @@ def _parse_bundle(text):
             raise UsageError("--bundle rank: symplectic rank must be even "
                              "and nonnegative")
         _check_bundle_rank(rank)
-        return pontryagin.FormalSymplecticBundle.abstract(rank, ps), list(ps)
+        return pontryagin.FormalSymplecticBundle(rank, ps)
     raise UsageError("--bundle: need {\"split\": [..]} or {\"rank\": .., \"p\": [..]}")
 
 
@@ -133,24 +130,17 @@ def _check_bundle_rank(rank, what="--bundle rank"):
 
 def cmd_pontryagin(args):
     from . import pontryagin
-    bundles = []
-    coeff_lists = []
-    for text in args.bundle:
-        bundle, coeffs = _parse_bundle(text)
-        bundles.append(bundle)
-        coeff_lists.append(coeffs)
-    payload = {"bundles": [{"rank": b.rank, "p": c}
-                           for b, c in zip(bundles, coeff_lists)]}
-    human = ["bundle %d: rank %d, p = %s" % (i, b.rank, c)
-             for i, (b, c) in enumerate(zip(bundles, coeff_lists))]
+    bundles = [_parse_bundle(text) for text in args.bundle]
+    payload = {"bundles": [{"rank": b.rank, "p": b.ps} for b in bundles]}
+    human = ["bundle %d: rank %d, p = %s" % (i, b.rank, b.ps)
+             for i, b in enumerate(bundles)]
     if len(bundles) >= 2:
         _check_bundle_rank(sum(b.rank for b in bundles), "Cartan sum rank")
         total = bundles[0]
         for b in bundles[1:]:
             ps = pontryagin.cartan_sum(total, b)
-            total = pontryagin.FormalSymplecticBundle.abstract(
-                total.rank + b.rank, ps)
-        payload["cartan_sum"] = {"rank": total.rank, "p": list(total.ps)}
+            total = pontryagin.FormalSymplecticBundle(total.rank + b.rank, ps)
+        payload["cartan_sum"] = {"rank": total.rank, "p": total.ps}
         human.append("cartan sum: rank %d, p = %s" % (total.rank, total.ps))
     _emit(args, payload, human)
     return 0

@@ -842,7 +842,16 @@ def zhalf_karoubi_table():
 
 
 def fq_karoubi_table(q):
-    """The GF(q) instance, q odd: K_1 cyclic of order q - 1."""
+    """The GF(q) instance, q odd: K_1 cyclic of order q - 1.
+
+    W(F_q) is Z/2 + Z/2 when -1 is a square, that is when q = 1 mod 4, and
+    Z/4 otherwise: then <1, 1> is not the hyperbolic plane, so <1> has
+    order 4 (Lam, Introduction to Quadratic Forms over Fields, II.3.5).
+    """
+    if q % 4 == 1:
+        witt0 = FGAbelian.direct_sum(FGAbelian.cyclic(2), FGAbelian.cyclic(2))
+    else:
+        witt0 = FGAbelian.cyclic(4)
     return KaroubiTable(
         name="F%d" % q,
         k0=FGAbelian.free(1),
@@ -851,8 +860,7 @@ def fq_karoubi_table(q):
         gw_plus=FGAbelian.free(2),
         map_gwminus_to_k0=[[2]],
         map_hyperbolic_k0_to_gwplus=[[1], [1]],
-        witt={0: FGAbelian.direct_sum(FGAbelian.cyclic(2), FGAbelian.cyclic(2)),
-              1: FGAbelian(0), 2: FGAbelian(0), 3: FGAbelian(0)},
+        witt={0: witt0, 1: FGAbelian(0), 2: FGAbelian(0), 3: FGAbelian(0)},
         squaring=[[2]],
     )
 

@@ -163,14 +163,6 @@ class GrassElement:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def to_poly(self):
-        """Lift back to Z[e_1..e_r] through the Schur polynomial of each class."""
-        ring = self.ring.poly_ring()
-        acc = ring.zero()
-        for lam, c in self.coords.items():
-            acc = acc + c * symfun.schur_in_elementary(lam, self.ring.r)
-        return acc
-
     def coordinate(self, lam):
         if not isinstance(lam, Partition):
             lam = Partition(lam)
@@ -312,26 +304,6 @@ class PowerSeriesRing:
         e = [0] * self.r
         e[i - 1] = 1
         return PowerSeries(self, {tuple(e): self.coeff.one()})
-
-    def basis_through_weight(self, w=None):
-        """Exponent vectors of weight <= w (default: the truncation), sorted."""
-        w = self.W if w is None else min(w, self.W)
-        out = []
-        for target in range(w + 1):
-            chunk = []
-
-            def rec(i, remaining, acc):
-                if i == self.r:
-                    if remaining == 0:
-                        chunk.append(tuple(acc))
-                    return
-                step = i + 1
-                for e in range(remaining // step + 1):
-                    rec(i + 1, remaining - step * e, acc + [e])
-
-            rec(0, target, [])
-            out.extend(sorted(chunk))
-        return out
 
     def project(self, ring):
         """Cone projection onto a finite presentation present(r', n)."""
@@ -583,8 +555,3 @@ class EpsElement:
                 cs = "(%s)" % cs
             bits.append(cs if not mono else "%s*%s" % (cs, mono))
         return " + ".join(bits)
-
-
-def eps_product(a, b):
-    """The associative product of the eps-commutative harness."""
-    return a * b

@@ -102,14 +102,6 @@ class Poly:
             return -1
         return max(self.ring.weight_of(e) for e in self.terms)
 
-    def homogeneous_part(self, w):
-        return Poly(self.ring, {e: c for e, c in self.terms.items()
-                                if self.ring.weight_of(e) == w})
-
-    def is_homogeneous(self):
-        ws = {self.ring.weight_of(e) for e in self.terms}
-        return len(ws) <= 1
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
@@ -185,29 +177,7 @@ class Poly:
             return x
         return self.ring.const(x)
 
-    # -- substitution and evaluation --------------------------------------
-
-    def substitute(self, values):
-        """Substitute generators by ring elements; values maps index -> Poly.
-
-        Generators absent from the mapping stay themselves.  Negative
-        exponents of substituted generators are rejected.
-        """
-        ring = self.ring
-        result = ring.zero()
-        for exps, coeff in self.terms.items():
-            term = ring.const(coeff)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if i in values:
-                    if e < 0:
-                        raise ValueError("cannot substitute into a negative power")
-                    term = term * (values[i] ** e)
-                else:
-                    term = term * ring.gen(i, e)
-            result = result + term
-        return result
+    # -- evaluation -------------------------------------------------------
 
     def evaluate(self, point):
         """Evaluate at a full point (sequence of coefficients)."""

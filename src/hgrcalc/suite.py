@@ -2,8 +2,8 @@
 
 Each criterion returns {"id", "name", "ok", "detail"}; run_all executes the
 full battery.  Randomized criteria use fixed seeds so the battery is
-deterministic, and the brute-force oracles here (tableau enumeration,
-generic polynomial division) are independent of the code paths they check.
+deterministic, and the brute-force oracle here (tableau enumeration) is
+independent of the code paths it checks.
 """
 
 import random
@@ -12,7 +12,7 @@ from math import comb, gcd
 
 from . import chainduality, classcalc, forms, geomverify, grassring
 from . import pontryagin, symfun, towers
-from .coeffs import GWElement, GW_EPS, GW_ONE
+from .coeffs import GWBASE, GWElement, GW_EPS, GW_ONE
 from .polynomial import Poly, PolyRing
 
 
@@ -189,17 +189,26 @@ def criterion_class_identities():
 
 
 def criterion_tau_consistency():
-    for n in range(1, 5):
-        for i in range(-n, n + 1):
-            lhs = pontryagin.p1_of_class(2 * n, "U").value \
-                + i * classcalc.FormalClass.of("H")
-            rhs = classcalc.FormalClass.of("U") \
-                + (i - n) * classcalc.FormalClass.of("H")
-            if lhs != rhs:
-                return _result(7, "tau-consistency", False,
-                               "n=%d i=%d" % (n, i))
+    for n in range(2, 5):
+        big = grassring.present(n, 2 * n, GWBASE)
+        mid = grassring.present(n - 1, 2 * n - 1, GWBASE)
+        small = grassring.present(n - 1, 2 * n - 2, GWBASE)
+        rho_beta = grassring.restriction(big, mid, "beta")
+        rho_alpha = grassring.restriction(mid, small, "alpha")
+        if pontryagin.tau_element(0, 0, n) != big.p(1):
+            return _result(7, "tau-consistency", False,
+                           "tau(0, 0) != p1 at n=%d" % n)
+        for k in range(3):
+            for i in range(-n, n + 1):
+                got = rho_alpha(rho_beta(pontryagin.tau_element(k, i, n)))
+                if got != pontryagin.tau_element(k, i, n - 1):
+                    return _result(7, "tau-consistency", False,
+                                   "restriction fails at n=%d k=%d i=%d"
+                                   % (n, k, i))
     return _result(7, "tau-consistency", True,
-                   "p1(U) + i*h = [U] + (i-n)[H] for n <= 4")
+                   "tau(k, i) restricts along beta then alpha to tau(k, i) "
+                   "of rank n-1, and tau(0, 0) = p1, for 2 <= n <= 4, "
+                   "k <= 2, |i| <= n")
 
 
 def criterion_ko1():

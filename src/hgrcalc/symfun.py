@@ -39,12 +39,6 @@ class Partition:
     def length(self):
         return len(self.parts)
 
-    def conjugate(self):
-        if not self.parts:
-            return Partition()
-        cols = self.parts[0]
-        return Partition(tuple(sum(1 for p in self.parts if p > j) for j in range(cols)))
-
     def fits_in_box(self, rows, cols):
         return self.length() <= rows and (not self.parts or self.parts[0] <= cols)
 

@@ -1,13 +1,14 @@
 """Independent brute-force oracles.
 
 These stay deliberately naive: tableau enumeration, full monomial sums and
-generic polynomial division, so that they share no code path with the
+exhaustive searches, so that they share no code path with the
 implementations they check.
 """
 
 from itertools import combinations, product
 
 from hgrcalc.polynomial import Poly, PolyRing
+from hgrcalc.symfun import Partition, schur_in_elementary
 
 
 def variable_ring(m):
@@ -97,29 +98,6 @@ def eval_in_elementaries(poly, m):
     return acc
 
 
-def poly_div_univariate(num_coeffs, den_coeffs):
-    """Generic division of polynomials in t with coefficients in any ring.
-
-    Coefficient lists are little-endian.  The divisor must be monic.
-    Returns (quotient, remainder) coefficient lists.
-    """
-    num = list(num_coeffs)
-    dn = len(den_coeffs) - 1
-    quot = [0] * max(0, len(num) - dn)
-    while len(num) - 1 >= dn:
-        lead = num[-1]
-        deg = len(num) - 1 - dn
-        quot[deg] = lead
-        for i, c in enumerate(den_coeffs):
-            num[deg + i] = num[deg + i] - lead * c
-        while num and (num[-1] == 0 if not hasattr(num[-1], "is_zero")
-                       else num[-1].is_zero()):
-            num.pop()
-        if not num:
-            break
-    return quot, num
-
-
 def brute_force_partitions_in_box(r, cols):
     """Every weakly decreasing tuple with at most r parts, parts <= cols."""
     found = set()
@@ -153,24 +131,25 @@ def gram_congruent_backtrack(g1, g2, field_elements):
     """
     els = list(field_elements)
     n = len(g1)
-    zero = g1[0][0] - g1[0][0]
 
-    def bil(u, v):
-        acc = zero
-        for i in range(n):
-            for j in range(n):
-                acc = acc + u[i] * g1[i][j] * v[j]
-        return acc
+    def dot(u, w):
+        return sum_start(u[i] * w[i] for i in range(n))
+
+    # g1 v once per candidate: each pairing u^T g1 v is then a dot product
+    candidates = []
+    for cand in product(els, repeat=n):
+        vec = list(cand)
+        g1v = [dot(row, vec) for row in g1]
+        candidates.append((vec, g1v, dot(vec, g1v)))
 
     def extend(cols):
         k = len(cols)
         if k == n:
             return cols
-        for cand in product(els, repeat=n):
-            vec = list(cand)
-            if bil(vec, vec) != g2[k][k]:
+        for vec, g1v, norm in candidates:
+            if norm != g2[k][k]:
                 continue
-            if any(bil(prev, vec) != g2[i][k] for i, prev in enumerate(cols)):
+            if any(dot(prev, g1v) != g2[i][k] for i, prev in enumerate(cols)):
                 continue
             # keep the columns independent: reject if vec is a combination
             # of the previous ones (dimension check by elimination)
@@ -280,3 +259,21 @@ def lr_coefficient(lam, mu, nu):
         return total
 
     return count(0)
+
+
+def conjugate(lam):
+    """The conjugate partition: the column lengths of the Young diagram."""
+    if not lam.parts:
+        return Partition()
+    return Partition(tuple(sum(1 for p in lam.parts if p > j)
+                           for j in range(lam.parts[0])))
+
+
+def to_poly(x):
+    """Lift a GrassElement back to Z[e_1..e_r] through the Schur polynomial
+    of each class: the e-polynomial reference for products in the ring."""
+    ring = x.ring.poly_ring()
+    acc = ring.zero()
+    for lam, c in x.coords.items():
+        acc = acc + c * schur_in_elementary(lam, x.ring.r)
+    return acc

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hgrcalc import forms, suite
+from hgrcalc import forms, pontryagin, suite
 
 
 RESULTS = {fn.__name__: fn() for fn in suite.CRITERIA}
@@ -42,6 +42,24 @@ def test_ksp1_witness_failure_carries_the_vector(monkeypatch):
     assert not result["ok"]
     assert result["detail"].startswith("polynomial case [")
     assert "x" in result["detail"]
+
+
+@pytest.mark.parametrize("broken, detail", [
+    # the rank-3 tau on component 1 loses its periodicity twist, so it no
+    # longer restricts to the rank-2 tau
+    (lambda real, k, i, n: real(0 if (n, i) == (3, 1) else k, i, n),
+     "restriction fails at n=3 k=1 i=1"),
+    # every component index off by one: the restrictions still agree, but
+    # tau(0, 0) is p1 + h
+    (lambda real, k, i, n: real(k, i + 1, n), "tau(0, 0) != p1 at n=2"),
+], ids=["restriction", "p1"])
+def test_tau_consistency_failure_names_the_case(monkeypatch, broken, detail):
+    real = pontryagin.tau_element
+    monkeypatch.setattr(pontryagin, "tau_element",
+                        lambda k, i, n: broken(real, k, i, n))
+    result = suite.criterion_tau_consistency()
+    assert not result["ok"]
+    assert result["detail"] == detail
 
 
 def test_criterion_14_determinism_in_process():

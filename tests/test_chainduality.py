@@ -5,13 +5,20 @@ import pytest
 from hgrcalc.chainduality import (ChainError, ChainIso, FreeComplex,
                                   SymmetricComplex, contracting_homotopy,
                                   koszul, koszul_tensor_isometry, swap_sign_check,
-                                  tensor_pair, unit_complex)
+                                  tensor_pair)
 from hgrcalc.polynomial import PolyRing, mat_zero
 
 
 def two_term_x():
     ring = PolyRing(("x",))
     return FreeComplex(ring, {0: 1, 1: 1}, {1: [[ring.gen(0)]]})
+
+
+def unit_complex():
+    """The rank-one symmetric complex <1> in degree zero (no variables)."""
+    ring = PolyRing(())
+    cx = FreeComplex(ring, {0: 1}, {})
+    return SymmetricComplex(cx, 0, {0: [[ring.one()]]})
 
 
 def gap_complex():

@@ -13,6 +13,7 @@ from deadline import alarm
 from hgrcalc import polynomial, towers
 from hgrcalc.cli import main
 from hgrcalc.polynomial import mat_transpose
+from hgrcalc.pontryagin import FormalSymplecticBundle
 from test_polynomial import SIX_BY_SEVEN
 
 
@@ -107,6 +108,14 @@ class TestPontryagin:
         assert code == 0
         data = json.loads(out)
         assert data["bundles"][0] == {"rank": 4, "p": [5, 6]}
+
+    def test_split_over_integers_matches_the_library(self, capsys):
+        # split() read roots[0].ring and raised on plain integers
+        code, out, _ = run_cli(capsys, "pontryagin", "--bundle",
+                               '{"split": [1, 2]}', "--json")
+        assert code == 0
+        assert (json.loads(out)["bundles"][0]["p"]
+                == FormalSymplecticBundle.split([1, 2]).ps)
 
     def test_cartan_sum(self, capsys):
         code, out, _ = run_cli(capsys, "pontryagin",
@@ -472,6 +481,13 @@ class TestImportFootprint:
         assert "hgrcalc.forms" in loaded
         assert not loaded & {"hgrcalc." + name for name in (
             "grassring", "symfun", "chainduality", "classcalc", "geomverify",
+            "suite")}
+
+    def test_pontryagin_loads_no_class_calculus(self):
+        loaded = modules_after(["pontryagin", "--bundle", '{"split": [2, 3]}'])
+        assert "hgrcalc.pontryagin" in loaded
+        assert not loaded & {"hgrcalc." + name for name in (
+            "classcalc", "forms", "towers", "chainduality", "geomverify",
             "suite")}
 
     def test_schur_loads_no_matrix_layer(self):

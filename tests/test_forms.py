@@ -384,6 +384,19 @@ class TestKaroubi:
             assert report.ok, (q, report.violated)
             assert report.derived["KO1_order"] == 4
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+    def test_fq_witt_group(self, q):
+        # W(F_q) is Z/2 + Z/2 exactly when <1, 1> is the hyperbolic plane,
+        # and Z/4 otherwise; the isometry comes from an exhaustive search
+        field = FiniteField(q)
+        one, zero = field.one(), field.zero()
+        hyperbolic = oracles.gram_congruent_search(
+            [[one, zero], [zero, one]], [[zero, one], [one, zero]],
+            field.elements()) is not None
+        assert hyperbolic == (q % 4 == 1)
+        want = [2, 2] if hyperbolic else [4]
+        assert fq_karoubi_table(q).witt[0].invariant_factors() == (0, want)
+
     def test_nonzero_w2_fails(self):
         table = zhalf_karoubi_table()
         table.witt[2] = FGAbelian.cyclic(2)

@@ -67,18 +67,10 @@ class TestArithmetic:
         assert (e1 * e1).weight() == 2
         assert e2.weight() == 2
         assert (e1 * e2).weight() == 3
-        p = e1 * e1 + e2
-        assert p.homogeneous_part(2) == p
-        assert p.is_homogeneous()
-        assert not (e1 + e2).is_homogeneous()
 
-    def test_substitute_and_evaluate(self):
+    def test_evaluate(self):
         p = x() * x() + 2 * y()
         assert p.evaluate([Fraction(3), Fraction(4)]) == 17
-        sub = p.substitute({0: y()})  # x -> y
-        assert sub == y() * y() + 2 * y()
-        with pytest.raises(ValueError):
-            R2.gen(0, -1).substitute({0: y()})
 
     def test_map_to(self):
         other = PolyRing(("a", "b", "c"))

@@ -3,76 +3,21 @@ from itertools import combinations
 import pytest
 
 from deadline import alarm
-from hgrcalc.classcalc import FormalClass
 from hgrcalc.coeffs import GWElement, GW_H, GWBASE
-from hgrcalc.grassring import ParameterError, present, restriction
-from hgrcalc.pontryagin import (FormalSymplecticBundle, QPBModule, cartan_sum,
-                                char_reduce, p1_of_class, pontryagin_ring,
-                                tau_element)
+from hgrcalc.grassring import present, restriction
+from hgrcalc.polynomial import PolyRing
+from hgrcalc.pontryagin import FormalSymplecticBundle, cartan_sum, tau_element
 from hgrcalc.symfun import EMPTY, Partition
 
-import oracles
 
-
-class TestCharReduce:
-    def test_rank_one(self):
-        m = QPBModule(1)
-        assert char_reduce(1, m) == [m.ps[0]]
-
-    def test_rank_two_square(self):
-        m = QPBModule(2)
-        p1, p2 = m.ps
-        got = char_reduce(2, m)
-        assert got == [-p2, p1]  # t^2 = p1 t - p2
-
-    def test_low_powers_are_basis_vectors(self):
-        m = QPBModule(3)
-        assert char_reduce(0, m) == [m.ring.one(), m.ring.zero(), m.ring.zero()]
-        assert char_reduce(2, m) == [m.ring.zero(), m.ring.zero(), m.ring.one()]
-
-    def test_rank_three_fourth_power(self):
-        m = QPBModule(3)
-        p1, p2, p3 = m.ps
-        got = char_reduce(4, m)
-        # t^3 = p1 t^2 - p2 t + p3, so
-        # t^4 = p1 t^3 - p2 t^2 + p3 t = (p1^2 - p2) t^2 + (p3 - p1 p2) t + p1 p3
-        assert got[2] == p1 * p1 - p2
-        assert got[1] == p3 - p1 * p2
-        assert got[0] == p1 * p3
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_against_generic_division_oracle(self, n):
-        m = QPBModule(n)
-        ring = m.ring
-        char = m.char_coeffs()
-        for power in range(0, 9):
-            got = char_reduce(power, m)
-            num = [ring.zero()] * power + [ring.one()]
-            _, rem = oracles.poly_div_univariate(num, char)
-            rem = rem + [ring.zero()] * (n - len(rem))
-            assert got == rem, (n, power)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ParameterError):
-            char_reduce(-1, QPBModule(2))
-
-    def test_grassring_base(self):
-        # the module also runs over a Grassmannian presentation: take the
-        # quaternionic projective bundle of a rank-4 bundle with p-classes
-        # p1, p2 living in present(2, 4)
-        ring = present(2, 4)
-        mod = QPBModule(2, ps=[ring.p(1), ring.p(2)])
-        got = char_reduce(2, mod)  # t^2 = p1 t - p2
-        assert got == [-ring.p(2), ring.p(1)]
-        got3 = char_reduce(3, mod)
-        # t^3 = p1 t^2 - p2 t = (p1^2 - p2) t - p1 p2
-        assert got3[1] == ring.p(1) * ring.p(1) - ring.p(2)
-        assert got3[0] == -(ring.p(1) * ring.p(2))
+def root_ring(n):
+    """Z[a_1..a_n], the ring of generic first Pontryagin roots."""
+    return PolyRing(tuple("a%d" % i for i in range(1, n + 1)))
 
 
 class TestCartanSum:
     def test_rank_two_pair(self):
-        ring = pontryagin_ring(2)
+        ring = root_ring(2)
         a, b = ring.gen(0), ring.gen(1)
         e = FormalSymplecticBundle.split([a])
         f = FormalSymplecticBundle.split([b])
@@ -80,7 +25,7 @@ class TestCartanSum:
         assert ps == [a + b, a * b]
 
     def test_rank_zero_identity(self):
-        ring = pontryagin_ring(3)
+        ring = root_ring(3)
         e = FormalSymplecticBundle.split([ring.gen(0), ring.gen(1)])
         empty = FormalSymplecticBundle.split([])
         assert cartan_sum(e, empty) == e.ps
@@ -88,15 +33,15 @@ class TestCartanSum:
     def test_large_rank_convolves_only_the_supplied_coefficients(self):
         # p_i = 0 past the list, so the work is len(p) products, whatever
         # the rank; the zeros up to half the total rank stay in the list
-        e = FormalSymplecticBundle.abstract(200000, [1, 2])
-        f = FormalSymplecticBundle.abstract(2, [3])
+        e = FormalSymplecticBundle(200000, [1, 2])
+        f = FormalSymplecticBundle(2, [3])
         with alarm(2):
             got = cartan_sum(e, f)
         assert got[:3] == [4, 5, 6]
         assert len(got) == 100001 and not any(got[3:])
 
     def test_commutative(self):
-        ring = pontryagin_ring(4)
+        ring = root_ring(4)
         e = FormalSymplecticBundle.split([ring.gen(0), ring.gen(1)])
         f = FormalSymplecticBundle.split([ring.gen(2), ring.gen(3)])
         assert cartan_sum(e, f) == cartan_sum(f, e)
@@ -106,7 +51,7 @@ class TestCartanSum:
         # Cartan sum of split bundles = elementary symmetric polynomials of
         # the union of the root multisets
         na, nb = split_sizes
-        ring = pontryagin_ring(na + nb)
+        ring = root_ring(na + nb)
         roots = [ring.gen(i) for i in range(na + nb)]
         e = FormalSymplecticBundle.split(roots[:na])
         f = FormalSymplecticBundle.split(roots[na:])
@@ -122,35 +67,11 @@ class TestCartanSum:
             assert got[k - 1] == acc, k
 
     def test_boundary_conventions(self):
-        ring = pontryagin_ring(2)
+        ring = root_ring(2)
         e = FormalSymplecticBundle.split([ring.gen(0), ring.gen(1)])
         assert e.p(0) == ring.one()
         assert e.p(3) == ring.zero()
         assert e.p(-1) == ring.zero()
-
-
-class TestP1OfClass:
-    def test_trivial_bundle_vanishes(self):
-        got = p1_of_class(2, "H")
-        assert got.value == FormalClass.zero()
-
-    def test_tautological(self):
-        n = 3
-        got = p1_of_class(2 * n, "U")
-        assert got.value == FormalClass.of("U") - n * FormalClass.of("H")
-        assert got.bidegree == (4, 2)
-
-    def test_odd_rank_rejected(self):
-        with pytest.raises(ParameterError):
-            p1_of_class(3, "X")
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_tau_consistency(self, n):
-        # p_1(U_{n,2n}) + i*h = [U] + (i-n)[H] as formal classes
-        for i in range(-n, n + 1):
-            lhs = p1_of_class(2 * n, "U").value + i * FormalClass.of("H")
-            rhs = FormalClass.of("U") + (i - n) * FormalClass.of("H")
-            assert lhs == rhs, (n, i)
 
 
 class TestTauElement:

