@@ -100,13 +100,6 @@ class FreeComplex:
         return all(self.diff(k) == other.diff(k)
                    for k in range(lo, hi + 2))
 
-    def dual(self):
-        """Degreewise transpose with the sign (-1)^k."""
-        ranks = {-k: r for k, r in self.ranks.items()}
-        diffs = {k: _signed(k, mat_transpose(self.diff(1 - k)))
-                 for k in ranks if self.rank(1 - k)}
-        return FreeComplex(self.ring, ranks, diffs)
-
     def shift(self, n):
         """(X[n])_k = X_{k-n} with differentials scaled by (-1)^n."""
         ranks = {k + n: r for k, r in self.ranks.items()}

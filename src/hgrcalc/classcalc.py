@@ -9,6 +9,7 @@ rank at every step, and it retains a full trace of each verification.
 from collections import namedtuple
 
 from . import HgrcalcError
+from .polynomial import Combination
 
 
 class ClassCalcError(HgrcalcError):
@@ -31,17 +32,14 @@ class BundleSymbol(namedtuple("BundleSymbol", "name rank symmetry")):
         return super().__new__(cls, name, rank, symmetry)
 
 
-class FormalClass:
+class FormalClass(Combination):
     """Integer combination of tensor words of bundle symbols."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[tuple(w)] = c
+        Combination.__init__(self, None, {tuple(w): c
+                                          for w, c in (terms or {}).items()})
 
     @classmethod
     def of(cls, *word):
@@ -51,50 +49,21 @@ class FormalClass:
     def zero(cls):
         return cls()
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FormalClass) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other):
-        res = dict(self.terms)
-        for w, c in other.terms.items():
-            s = res.get(w, 0) + c
-            if s:
-                res[w] = s
-            else:
-                res.pop(w, None)
-        return FormalClass(res)
-
-    def __neg__(self):
-        return FormalClass({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, k):
+    def _scalar(self, k):
         if not isinstance(k, int):
-            return NotImplemented
-        if k == 0:
-            return FormalClass()
-        return FormalClass({w: k * c for w, c in self.terms.items()})
+            raise TypeError("formal classes scale by integers, not %r" % (k,))
+        return k
 
     def tensor(self, other):
         """Bilinear box-product: concatenates words."""
         res = {}
+        get = res.get
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = res.get(w, 0) + c1 * c2
-                if s:
-                    res[w] = s
-                else:
-                    res.pop(w, None)
-        return FormalClass(res)
+                s = get(w)
+                res[w] = c1 * c2 if s is None else s + c1 * c2
+        return self._new(res)
 
     def sorted_terms(self):
         return sorted(self.terms.items())

@@ -311,6 +311,13 @@ def cmd_tower(args):
     try:
         levels = [towers.FGAbelian(lv["gens"], lv.get("relations", []))
                   for lv in spec["levels"]]
+        if len(levels) > towers.LEVELS_BOUND or any(
+                g.ngens > towers.GENS_BOUND
+                or len(g.relations) > towers.RELATIONS_BOUND for g in levels):
+            raise UsageError(
+                "--spec: at most %d levels, each with at most %d generators "
+                "and %d relations" % (towers.LEVELS_BOUND, towers.GENS_BOUND,
+                                      towers.RELATIONS_BOUND))
         tower = towers.Tower(levels, spec["maps"],
                              tail=spec.get("tail", "finite-prefix-only"))
     except (KeyError, TypeError) as err:

@@ -55,11 +55,7 @@ class GWElement:
         res = dict(self.terms)
         for k, (a, b) in other.terms.items():
             a0, b0 = res.get(k, (0, 0))
-            a0, b0 = a0 + a, b0 + b
-            if a0 or b0:
-                res[k] = (a0, b0)
-            else:
-                res.pop(k, None)
+            res[k] = (a0 + a, b0 + b)
         return GWElement(res)
 
     __radd__ = __add__
@@ -88,11 +84,7 @@ class GWElement:
                 a = a1 * a2 + b1 * b2
                 b = a1 * b2 + b1 * a2
                 a0, b0 = res.get(k, (0, 0))
-                a0, b0 = a0 + a, b0 + b
-                if a0 or b0:
-                    res[k] = (a0, b0)
-                else:
-                    res.pop(k, None)
+                res[k] = (a0 + a, b0 + b)
         return GWElement(res)
 
     __rmul__ = __mul__

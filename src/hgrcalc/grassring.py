@@ -3,15 +3,17 @@
 A presentation A(pt)[p_1..p_r]/(h_{n-r+1},..,h_n) carries the Schur basis
 indexed by partitions in the r x (n-r) box; every element has a unique
 normal form over that basis.  Restrictions between presentations act as
-box truncation on Schur coordinates.  The module also provides truncated
-homogeneous power series (the inverse-limit rings) and a free
-eps-commutative bigraded algebra used as a sign-rule harness.
+box truncation on Schur coordinates.  The inverse-limit rings are
+polynomials in `symfun.elementary_ring(r)` truncated at a weight, and a
+free eps-commutative bigraded algebra serves as a sign-rule harness.
+Elements of all three are `polynomial.Combination`s.
 """
 
 from math import comb
 
 from . import HgrcalcError
-from .coeffs import GWElement, GW_EPS, GW_ONE, INTEGERS
+from .coeffs import GWBASE, GWElement, GW_EPS, GW_ONE, INTEGERS
+from .polynomial import Combination, Poly
 from . import symfun
 from .symfun import Partition, EMPTY, enumerate_box_partitions, sort_key
 
@@ -64,8 +66,7 @@ class GrassRing:
         return GrassElement(self, {EMPTY: self.coeff.one()})
 
     def scalar(self, c):
-        c = self.coeff.coerce(c)
-        return GrassElement(self, {EMPTY: c} if c else {})
+        return GrassElement(self, {EMPTY: self.coeff.coerce(c)})
 
     def p(self, i):
         """The Pontryagin generator p_i = e_i = s_(1^i)."""
@@ -101,78 +102,39 @@ def present(r, n, coeff=INTEGERS):
     return GrassRing(r, n, coeff)
 
 
-class GrassElement:
-    """Coefficient vector over the Schur basis of a GrassRing."""
+class GrassElement(Combination):
+    """Coefficient vector over the Schur basis of a GrassRing; `coords`
+    names the same dict as `terms`."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ()
 
-    def __init__(self, ring, coords):
-        self.ring = ring
-        self.coords = {lam: c for lam, c in coords.items() if c}
+    @property
+    def coords(self):
+        return self.terms
 
-    def is_zero(self):
-        return not self.coords
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __eq__(self, other):
-        if isinstance(other, GrassElement):
-            return self.ring == other.ring and self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.coords.items(),
-                                             key=lambda t: sort_key(t[0])))))
-
-    def __add__(self, other):
-        self._check(other)
-        res = dict(self.coords)
-        for lam, c in other.coords.items():
-            s = res.get(lam, self.ring.coeff.zero()) + c
-            if s:
-                res[lam] = s
-            else:
-                res.pop(lam, None)
-        return GrassElement(self.ring, res)
-
-    def __neg__(self):
-        return GrassElement(self.ring, {l: -c for l, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = self.ring.coeff.coerce(c)
-        return GrassElement(self.ring, {l: c * v for l, v in self.coords.items()})
+    def _scalar(self, c):
+        return self.ring.coeff.coerce(c)
 
     def __mul__(self, other):
         if not isinstance(other, GrassElement):
             return self.scale(other)
-        self._check(other)
+        self._coerce(other)
         rows, cols = self.ring.r, self.ring.n - self.ring.r
-        zero = self.ring.coeff.zero()
         res = {}
-        for lam, a in self.coords.items():
-            for mu, b in other.coords.items():
+        get = res.get
+        for lam, a in self.terms.items():
+            for mu, b in other.terms.items():
                 ab = a * b
                 for nu, c in symfun.lr_multiply(lam, mu, rows, cols).items():
-                    res[nu] = res.get(nu, zero) + ab * c
-        return GrassElement(self.ring, res)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def coordinate(self, lam):
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return self.coords.get(lam, self.ring.coeff.zero())
+                    s = get(nu)
+                    res[nu] = ab * c if s is None else s + ab * c
+        return self._new(res)
 
     def sorted_coords(self):
-        return sorted(self.coords.items(), key=lambda t: sort_key(t[0]))
+        return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
 
     def __repr__(self):
-        if not self.coords:
+        if not self.terms:
             return "0"
         bits = []
         for lam, c in self.sorted_coords():
@@ -185,10 +147,6 @@ class GrassElement:
     def to_json(self):
         return [{"partition": lam.to_json(), "coeff": str(c)}
                 for lam, c in self.sorted_coords()]
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ValueError("elements of different Grassmannian rings")
 
 
 class RestrictionMap:
@@ -252,151 +210,54 @@ def restriction(source, target, kind):
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous power series: the inverse limit rings.
+# The inverse-limit rings, truncated at a weight.
 # ---------------------------------------------------------------------------
 
 
-class PowerSeriesRing:
-    """Truncated homogeneous power series in p_1..p_r (or countably many).
+class LimitRing:
+    """lim_n A(HGr(r, n)) up to weight W: polynomials in p_1..p_r, which are
+    the e_1..e_r of `symfun.elementary_ring(r)` with deg p_i = i.
 
-    Countably many generators are truncated at index W as well: p_i with
-    i > W cannot appear in weight <= W.
+    An element is a Poly there; `truncate` drops its terms of weight
+    above W, and `project` reads it in a finite presentation.
     """
 
-    def __init__(self, r, truncation, coeff=INTEGERS):
+    def __init__(self, r, truncation):
         if truncation < 0:
             raise ParameterError("truncation weight must be nonnegative")
-        self.countable = r is None
+        self.r = r
         self.W = truncation
-        self.r = truncation if r is None else r
-        self.coeff = coeff
-
-    def __eq__(self, other):
-        return (isinstance(other, PowerSeriesRing)
-                and (self.countable, self.W, self.r, self.coeff)
-                == (other.countable, other.W, other.r, other.coeff))
-
-    def __hash__(self):
-        return hash((self.countable, self.W, self.r, self.coeff))
-
-    def __repr__(self):
-        gens = "p1..p%d" % self.r if not self.countable else "p1,p2,..."
-        return "PowerSeriesRing(%s; weight <= %d)" % (gens, self.W)
-
-    def weight_of(self, exps):
-        return sum((i + 1) * e for i, e in enumerate(exps))
-
-    def zero(self):
-        return PowerSeries(self, {})
-
-    def one(self):
-        return self.scalar(self.coeff.one())
-
-    def scalar(self, c):
-        c = self.coeff.coerce(c)
-        return PowerSeries(self, {(0,) * self.r: c} if c else {})
+        self.ring = symfun.elementary_ring(r)
 
     def p(self, i):
         if not 1 <= i <= self.r:
             raise ParameterError("generator p_%d out of range" % i)
-        if i > self.W:
-            return self.zero()  # too heavy for the truncation
-        e = [0] * self.r
-        e[i - 1] = 1
-        return PowerSeries(self, {tuple(e): self.coeff.one()})
+        return self.truncate(self.ring.gen(i - 1))
+
+    def truncate(self, x):
+        """x without its terms of weight above W."""
+        if x.ring != self.ring:
+            raise ValueError("series from a different limit ring")
+        weight_of, W = self.ring.weight_of, self.W
+        return Poly(self.ring, {e: c for e, c in x.terms.items()
+                                if weight_of(e) <= W})
 
     def project(self, ring):
         """Cone projection onto a finite presentation present(r', n)."""
+        width = ring.r
+
         def proj(x):
-            if x.ring is not self and x.ring != self:
-                raise ValueError("series from a different limit ring")
-            poly_ring = ring.poly_ring()
-            acc = poly_ring.zero()
-            for exps, c in x.terms.items():
-                mono = poly_ring.one()
-                skip = False
-                for i, e in enumerate(exps):
-                    if not e:
-                        continue
-                    if i >= ring.r:
-                        skip = True  # p_i restricts to zero when i > r'
-                        break
-                    mono = mono * poly_ring.gen(i, e)
-                if not skip:
-                    acc = acc + c * mono
-            return ring.normal_form(acc)
+            # p_i restricts to zero when i > r'
+            terms = {(e + (0,) * width)[:width]: c
+                     for e, c in self.truncate(x).terms.items()
+                     if not any(e[width:])}
+            return ring.normal_form(Poly(ring.poly_ring(), terms))
         return proj
 
 
-class PowerSeries:
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = {e: c for e, c in terms.items()
-                      if c and ring.weight_of(e) <= ring.W}
-
-    def __eq__(self, other):
-        return (isinstance(other, PowerSeries) and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, self.ring.coeff.zero()) + c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        return PowerSeries(self.ring, res)
-
-    def __neg__(self):
-        return PowerSeries(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, PowerSeries):
-            return PowerSeries(self.ring,
-                               {e: c * other for e, c in self.terms.items()})
-        res = {}
-        W = self.ring.W
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if self.ring.weight_of(e) > W:
-                    continue
-                s = res.get(e, self.ring.coeff.zero()) + c1 * c2
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        return PowerSeries(self.ring, res)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, key=lambda t: (self.ring.weight_of(t), t)):
-            c = self.terms[e]
-            mono = "*".join("p%d^%d" % (i + 1, x) if x > 1 else "p%d" % (i + 1)
-                            for i, x in enumerate(e) if x)
-            bits.append("%s%s" % (c, "*" + mono if mono else ""))
-        return " + ".join(bits)
-
-
-def limit_ring(r, truncation, coeff=INTEGERS):
-    """Homogeneous power series ring truncated at the given weight.
-
-    Pass r=None for countably many generators.
-    """
-    return PowerSeriesRing(r, truncation, coeff)
+def limit_ring(r, truncation):
+    """The inverse-limit ring in p_1..p_r, truncated at the given weight."""
+    return LimitRing(r, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +301,7 @@ class EpsAlgebra:
         return EpsElement(self, {(): GW_ONE})
 
     def scalar(self, c):
-        if isinstance(c, int):
-            c = GWElement.from_int(c)
-        return EpsElement(self, {(): c} if c else {})
+        return self.one().scale(c)
 
     def gen(self, name):
         i = self.index[name]
@@ -484,62 +343,29 @@ class EpsAlgebra:
         return tuple(factors), sign
 
 
-class EpsElement:
-    __slots__ = ("algebra", "terms")
+class EpsElement(Combination):
+    """A GWBase combination of normal-ordered monomials of an EpsAlgebra."""
 
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {m: c for m, c in terms.items() if c}
+    __slots__ = ()
 
-    def __eq__(self, other):
-        return (isinstance(other, EpsElement)
-                and self.algebra == other.algebra and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.algebra, tuple(sorted(self.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, GWElement()) + c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
-        return EpsElement(self.algebra, res)
-
-    def __neg__(self):
-        return EpsElement(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _scalar(self, c):
+        return GWBASE.coerce(c)
 
     def __mul__(self, other):
         if not isinstance(other, EpsElement):
             return self.scale(other)
         res = {}
+        get = res.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                prod = self.algebra._mono_mul(m1, m2)
+                prod = self.ring._mono_mul(m1, m2)
                 if prod is None:
                     continue
                 mono, sign = prod
-                s = res.get(mono, GWElement()) + c1 * c2 * sign
-                if s:
-                    res[mono] = s
-                else:
-                    res.pop(mono, None)
-        return EpsElement(self.algebra, res)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = GWElement.from_int(c)
-        return EpsElement(self.algebra, {m: c * v for m, v in self.terms.items()})
-
-    __rmul__ = scale
+                c = c1 * c2 * sign
+                s = get(mono)
+                res[mono] = c if s is None else s + c
+        return self._new(res)
 
     def __repr__(self):
         if not self.terms:
@@ -548,7 +374,7 @@ class EpsElement:
         for m in sorted(self.terms):
             c = self.terms[m]
             mono = "*".join(
-                "%s^%d" % (self.algebra.names[i], e) if e > 1 else self.algebra.names[i]
+                "%s^%d" % (self.ring.names[i], e) if e > 1 else self.ring.names[i]
                 for i, e in m)
             cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]):

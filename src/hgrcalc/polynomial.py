@@ -1,12 +1,16 @@
-"""Exact multivariate Laurent polynomials and small matrix helpers.
+"""Linear combinations, exact multivariate Laurent polynomials and small
+matrix helpers.
 
-Everything here is exact: coefficients are Python ints, fractions.Fraction,
-or any ring element supporting +, -, *, == and truthiness (zero test).
+`Combination` is the arithmetic every sparse element type of the library
+shares.  Everything here is exact: coefficients are Python ints,
+fractions.Fraction, or any ring element supporting +, -, *, == and
+truthiness (zero test).
 Exponents may be negative, which is what the localized Koszul homotopies
 need; ordinary polynomials simply never produce negative exponents.
 """
 
 from fractions import Fraction
+from operator import add
 
 
 class PolyRing:
@@ -40,8 +44,6 @@ class PolyRing:
         return Poly(self, {})
 
     def const(self, c):
-        if not c:
-            return Poly(self, {})
         return Poly(self, {(0,) * len(self.gens): c})
 
     def one(self):
@@ -65,16 +67,42 @@ class PolyRing:
         return sum(w * e for w, e in zip(self.weights, exps))
 
 
-class Poly:
-    """Sparse exact polynomial: dict from exponent tuples to coefficients."""
+class Combination:
+    """A finite linear combination: `terms` maps each basis key to its
+    nonzero coefficient, and `ring` is the structure the element lives in.
+
+    The shared arithmetic: zero test, sum, negative, difference, equality,
+    hash and scaling.  A subclass gives its product, its printing and the
+    scalars it accepts (`_scalar`, and `_coerce` for sums).  Every result is
+    built by `_new`, which drops zero coefficients, so no loop has to
+    cancel a sum in place.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
-    # -- basic structure -------------------------------------------------
+    def _new(self, terms):
+        """An element of the same type and ring with these terms."""
+        x = object.__new__(type(self))
+        Combination.__init__(x, self.ring, terms)
+        return x
+
+    def _coerce(self, other):
+        """other as an element of the same type and ring."""
+        if not isinstance(other, type(self)):
+            raise TypeError("cannot combine %s with %r"
+                            % (type(self).__name__, other))
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError("elements of different rings: %r and %r"
+                             % (self.ring, other.ring))
+        return other
+
+    def _scalar(self, c):
+        """c as a coefficient."""
+        return c
 
     def is_zero(self):
         return not self.terms
@@ -83,14 +111,48 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.ring == other.ring and self.terms == other.terms
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self == self.ring.const(other)
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.ring, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        res = dict(self.terms)
+        get = res.get
+        for k, c in self._coerce(other).terms.items():
+            s = get(k)
+            res[k] = c if s is None else s + c
+        return self._new(res)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def scale(self, c):
+        c = self._scalar(c)
+        return self._new({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self.scale(c)
+
+
+class Poly(Combination):
+    """Sparse exact polynomial: dict from exponent tuples to coefficients.
+
+    Sums, differences and equality also take a scalar, as a constant."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.ring.const(other)
+        return Combination.__eq__(self, other)
+
+    __hash__ = Combination.__hash__
 
     def constant_term(self):
         zero_exp = (0,) * len(self.ring.gens)
@@ -104,59 +166,28 @@ class Poly:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, 0) + c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        return Poly(self.ring, res)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
+    __radd__ = Combination.__add__
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            if other.ring != self.ring:
-                raise ValueError("polynomials from different rings")
-            # a constant or zero factor only scales: the loop's terms in the
-            # loop's order, without exponent sums
-            if len(other.terms) < 2 and not any(next(iter(other.terms), ())):
-                return Poly(self.ring, {e1: c1 * c2 for e1, c1 in self.terms.items()
-                                        for c2 in other.terms.values()})
-            if len(self.terms) < 2 and not any(next(iter(self.terms), ())):
-                return Poly(self.ring, {e2: c1 * c2 for c1 in self.terms.values()
-                                        for e2, c2 in other.terms.items()})
-            res = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = res.get(e, 0) + c1 * c2
-                    if s:
-                        res[e] = s
-                    else:
-                        res.pop(e, None)
-            return Poly(self.ring, res)
-        # scalar
-        if not other:
-            return self.ring.zero()
-        return Poly(self.ring, {e: c * other for e, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        if not other:
-            return self.ring.zero()
-        return Poly(self.ring, {e: other * c for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        self._coerce(other)
+        # a constant or zero factor only scales
+        if len(other.terms) < 2 and not any(next(iter(other.terms), ())):
+            return self.scale(next(iter(other.terms.values()), 0))
+        if len(self.terms) < 2 and not any(next(iter(self.terms), ())):
+            return other.scale(next(iter(self.terms.values()), 0))
+        res = {}
+        get = res.get
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = get(e)
+                res[e] = c1 * c2 if s is None else s + c1 * c2
+        return self._new(res)
 
     def __pow__(self, k):
         if k < 0:
@@ -172,9 +203,7 @@ class Poly:
 
     def _coerce(self, x):
         if isinstance(x, Poly):
-            if x.ring != self.ring:
-                raise ValueError("polynomials from different rings")
-            return x
+            return Combination._coerce(self, x)
         return self.ring.const(x)
 
     # -- evaluation -------------------------------------------------------
@@ -195,6 +224,7 @@ class Poly:
     def map_to(self, ring, gen_map):
         """Reinterpret in another ring; gen_map sends old index -> new index."""
         res = {}
+        get = res.get
         width = len(ring.gens)
         for exps, coeff in self.terms.items():
             new = [0] * width
@@ -202,11 +232,8 @@ class Poly:
                 if e:
                     new[gen_map[i]] += e
             key = tuple(new)
-            s = res.get(key, 0) + coeff
-            if s:
-                res[key] = s
-            else:
-                res.pop(key, None)
+            s = get(key)
+            res[key] = coeff if s is None else s + coeff
         return Poly(ring, res)
 
     # -- division ----------------------------------------------------------

@@ -6,7 +6,7 @@ presentations over the GW coefficient ring.
 """
 
 from .coeffs import GWBASE, GWElement, GW_H
-from .grassring import GrassElement, ParameterError, present
+from .grassring import GrassElement, ParameterError
 from .symfun import EMPTY, Partition
 
 
@@ -83,17 +83,17 @@ def cartan_sum(e, f):
     return out + [e.p(-1) * f.p(-1)] * (total_half - len(out))
 
 
-def tau_element(k, i, n):
-    """The universal element (p_1 + i*h) * b8^k in present(n, 2n) over GWBase.
+def tau_element(k, i, ring):
+    """The universal element (p_1 + i*h) * b8^k of ring = present(n, 2n)
+    over GWBase.
 
     The half-rank term evaluates to i on the component indexed by i; h is
     the hyperbolic class 1 + eps and b8 the invertible periodicity generator.
     """
-    if n < 1:
-        raise ParameterError("need n >= 1")
+    if ring.r < 1 or ring.coeff != GWBASE:
+        raise ParameterError("need a presentation of rank >= 1 over GWBase")
     if k < 0:
         raise ParameterError("negative periodicity powers are not produced here")
-    ring = present(n, 2 * n, GWBASE)
     beta_k = GWElement.scalar(1, 0, beta_power=k)
     coords = {Partition((1,)): beta_k}
     if i:

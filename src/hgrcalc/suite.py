@@ -195,13 +195,13 @@ def criterion_tau_consistency():
         small = grassring.present(n - 1, 2 * n - 2, GWBASE)
         rho_beta = grassring.restriction(big, mid, "beta")
         rho_alpha = grassring.restriction(mid, small, "alpha")
-        if pontryagin.tau_element(0, 0, n) != big.p(1):
+        if pontryagin.tau_element(0, 0, big) != big.p(1):
             return _result(7, "tau-consistency", False,
                            "tau(0, 0) != p1 at n=%d" % n)
         for k in range(3):
             for i in range(-n, n + 1):
-                got = rho_alpha(rho_beta(pontryagin.tau_element(k, i, n)))
-                if got != pontryagin.tau_element(k, i, n - 1):
+                got = rho_alpha(rho_beta(pontryagin.tau_element(k, i, big)))
+                if got != pontryagin.tau_element(k, i, small):
                     return _result(7, "tau-consistency", False,
                                    "restriction fails at n=%d k=%d i=%d"
                                    % (n, k, i))

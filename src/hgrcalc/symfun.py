@@ -267,16 +267,15 @@ def poly_to_schur_coords(poly, rows, cols):
     """Partition -> coefficient of poly over the rows x cols box's Schur classes.
 
     The s_mu with mu_1 > cols span the ideal (h_{cols+1},..,h_{cols+rows})
-    (Fulton, Young Tableaux 9.4), so every Pieri step may drop them.
+    (Fulton, Young Tableaux 9.4), so every Pieri step may drop them.  A
+    coefficient may be zero; the element built from the map drops it.
     """
     coords = {}
+    get = coords.get
     for exps, coeff in poly.terms.items():
         for lam, c in _monomial_schur(exps, rows, cols).items():
-            s = coords.get(lam, 0) + coeff * c
-            if s:
-                coords[lam] = s
-            else:
-                coords.pop(lam, None)
+            s = get(lam)
+            coords[lam] = coeff * c if s is None else s + coeff * c
     return coords
 
 

@@ -9,22 +9,17 @@ uncountable); vanishing certificates are the deliverable.
 """
 
 from . import HgrcalcError
-from .polynomial import (hermite_column_form, invariant_factors, mat_apply,
-                         mat_identity, mat_mul, mat_shape, mat_transpose,
-                         smith_normal_form)
+from .polynomial import (hermite_column_form, mat_apply, mat_identity,
+                         mat_mul, mat_shape, mat_transpose, smith_normal_form)
 
 
 class TowerError(HgrcalcError):
     pass
 
 
-def solve_integer(a, b):
-    """An integer solution x of a x = b (vectors as columns), or None."""
-    return _solve_smith(smith_normal_form(a), b)
-
-
 def _solve_smith(smith, b):
-    """solve_integer for the matrix whose Smith form (U, D, V) is `smith`."""
+    """An integer solution x of a x = b (vectors as columns), or None, for
+    the matrix a whose Smith form (U, D, V) is `smith`."""
     u, d, v = smith
     rows, cols = mat_shape(d)
     if len(b) != rows:
@@ -154,6 +149,13 @@ TAIL_POLICIES = ("eventually-constant", "template-repeating", "finite-prefix-onl
 # doubling template the entries double per step too, so a window's cost
 # grows faster than its length
 WINDOW_BOUND = 256
+# a window runs once per level on matrices of generators x (generators +
+# relations); a doubling template of 8 generators on 4 levels, with 16
+# relations each, takes about 4 s at the largest window as one CLI call
+# (Python 3.11, 2 vCPUs)
+GENS_BOUND = 8
+RELATIONS_BOUND = 16
+LEVELS_BOUND = 4
 
 
 class Tower:
@@ -324,11 +326,10 @@ def check_mittag_leffler(tower, window):
 
 
 class LimResult:
-    def __init__(self, group, depth, lim1_zero, report):
+    def __init__(self, group, depth, lim1_zero):
         self.group = group
         self.depth = depth
         self.lim1_zero = lim1_zero
-        self.report = report
 
     def __repr__(self):
         return "LimResult(depth=%d, %r, lim1=0: %s)" % (
@@ -343,16 +344,14 @@ def lim_of_surjective(tower, depth):
     """
     if depth < 0:
         raise TowerError("depth must be nonnegative")
-    for k in range(depth):
+    # from k = len(maps) on, map(k) and level(k) no longer change, so that
+    # step stands for every later one
+    for k in range(min(depth, len(tower.maps) + 1)):
         m = tower.map(k)
         tgt = tower.level(k)
         if _image_index(m, tgt) != 1:
             raise TowerError("map at level %d is not surjective" % k)
-    report = {
-        "certified": "maps surjective through depth %d" % depth,
-        "lim_surjects_onto_levels": list(range(depth + 1)),
-    }
-    return LimResult(tower.level(depth), depth, True, report)
+    return LimResult(tower.level(depth), depth, True)
 
 
 def milnor_assemble(tower, certificate, elements, depth=None):

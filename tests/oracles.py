@@ -7,7 +7,8 @@ implementations they check.
 
 from itertools import combinations, product
 
-from hgrcalc.polynomial import Poly, PolyRing
+from hgrcalc import towers
+from hgrcalc.polynomial import Poly, PolyRing, smith_normal_form
 from hgrcalc.symfun import Partition, schur_in_elementary
 
 
@@ -277,3 +278,9 @@ def to_poly(x):
     for lam, c in x.coords.items():
         acc = acc + c * schur_in_elementary(lam, x.ring.r)
     return acc
+
+
+def solve_integer(a, b):
+    """An integer solution x of a x = b (vectors as columns), or None, read
+    off the Smith form; it shares no code with `hermite_column_form`."""
+    return towers._solve_smith(smith_normal_form(a), b)

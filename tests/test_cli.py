@@ -292,6 +292,51 @@ class TestTowerCmd:
         assert code == 2
         assert "between 1 and %d" % towers.WINDOW_BOUND in err
 
+    @staticmethod
+    def doubling_spec(gens, levels, relations):
+        """A doubling template (2 on the diagonal, 1 above it) on `levels`
+        levels, each with `relations` multiples of the first generator."""
+        m = [[2 if j == i else int(j == i + 1) for j in range(gens)]
+             for i in range(gens)]
+        rels = [[7 + 2 * k] + [0] * (gens - 1) for k in range(relations)]
+        return json.dumps({"levels": [{"gens": gens, "relations": rels}] * levels,
+                           "maps": [m] * levels, "tail": "template-repeating"})
+
+    @pytest.mark.parametrize("gens, levels, relations", [
+        (towers.GENS_BOUND + 1, 1, 0), (12, 1, 0),
+        (2, towers.LEVELS_BOUND + 1, 0), (2, 1, towers.RELATIONS_BOUND + 1)],
+        ids=["gens", "twelve-gens", "levels", "relations"])
+    def test_spec_over_a_bound_refused(self, capsys, gens, levels, relations):
+        spec = self.doubling_spec(gens, levels, relations)
+        with alarm(2):
+            code, _, err = run_cli(capsys, "tower", "--spec", spec,
+                                   "--window", str(towers.WINDOW_BOUND))
+        assert code == 2
+        assert err == ("usage error: --spec: at most %d levels, each with at "
+                       "most %d generators and %d relations\n"
+                       % (towers.LEVELS_BOUND, towers.GENS_BOUND,
+                          towers.RELATIONS_BOUND))
+
+    def test_spec_at_the_bounds(self, capsys):
+        spec = self.doubling_spec(towers.GENS_BOUND, towers.LEVELS_BOUND,
+                                  towers.RELATIONS_BOUND)
+        with alarm(2):
+            code, out, _ = run_cli(capsys, "tower", "--spec", spec, "--json")
+        assert code == 1
+        assert json.loads(out)["kind"] == "refutation"
+
+    def test_depth_past_the_data(self, capsys):
+        # the tail repeats after the supplied maps, so a deep limit costs
+        # no more than a shallow one
+        spec = json.dumps({"levels": [{"gens": 1, "relations": [[4]]}],
+                           "maps": [[[3]]], "tail": "template-repeating"})
+        with alarm(2):
+            code, out, _ = run_cli(capsys, "tower", "--spec", spec,
+                                   "--depth", "1000000000", "--json")
+        assert code == 0
+        assert json.loads(out)["lim"] == {"depth": 1000000000,
+                                          "group": "Z/4", "lim1": "0"}
+
     @pytest.mark.parametrize("length", [1, 2], ids=["one-level", "two-levels"])
     def test_six_by_seven_relations(self, capsys, length):
         # coker of the ROADMAP item 3 matrix is Z/2; its Smith form did not

@@ -76,28 +76,28 @@ class TestCartanSum:
 
 class TestTauElement:
     def test_base_component(self):
-        tau = tau_element(0, 0, 2)
         ring = present(2, 4, GWBASE)
+        tau = tau_element(0, 0, ring)
         assert tau == ring.p(1)
 
     def test_component_two(self):
-        tau = tau_element(0, 2, 1)
-        assert tau.coordinate(EMPTY) == GWElement.from_int(2) * GW_H
-        assert tau.coordinate(Partition((1,))) == GWElement.from_int(1)
+        tau = tau_element(0, 2, present(1, 2, GWBASE))
+        assert tau.coords[EMPTY] == GWElement.from_int(2) * GW_H
+        assert tau.coords[Partition((1,))] == GWElement.from_int(1)
 
     def test_periodicity_twist(self):
-        tau = tau_element(1, 0, 1)
+        tau = tau_element(1, 0, present(1, 2, GWBASE))
         beta = GWElement.scalar(1, 0, beta_power=1)
-        assert tau.coordinate(Partition((1,))) == beta
-        assert not tau.coordinate(EMPTY)
+        assert tau.coords[Partition((1,))] == beta
+        assert EMPTY not in tau.coords
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("i", [-1, 0, 3])
     def test_tower_compatibility(self, k, i):
         # restricting along beta then alpha sends tau(n) to tau(n-1)
         for n in (2, 3):
-            big = tau_element(k, i, n)
-            small = tau_element(k, i, n - 1)
+            big = tau_element(k, i, present(n, 2 * n, GWBASE))
+            small = tau_element(k, i, present(n - 1, 2 * n - 2, GWBASE))
             mid = present(n - 1, 2 * n - 1, GWBASE)
             rho1 = restriction(big.ring, mid, "beta")
             rho2 = restriction(mid, small.ring, "alpha")

@@ -2,19 +2,18 @@
 
 Every top-level function and class of `src/hgrcalc`, and every method that
 is not a dunder, must be referenced somewhere in `src/hgrcalc` outside its
-own body. A reference is an identifier, an attribute, or a word in a string
-constant, docstrings included (so `getattr(x, "name")` counts).
+own body. A reference is an identifier, an attribute, or a string constant
+that is exactly the name (so `getattr(x, "name")` counts, but a word in a
+docstring does not).
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 import hgrcalc
 
 SRC = Path(hgrcalc.__file__).resolve().parent
-WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _definitions(tree):
@@ -38,7 +37,7 @@ def _references(node):
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            refs.update(WORD.findall(sub.value))
+            refs[sub.value] += 1
     return refs
 
 

@@ -7,9 +7,10 @@ from hgrcalc.symfun import Partition
 from deadline import alarm
 from hgrcalc.towers import (WINDOW_BOUND, FGAbelian, MLResult, Tower, TowerError,
                             check_mittag_leffler, hermite_column_form,
-                            invariant_factors, lim_of_surjective,
-                            milnor_assemble, smith_normal_form, solve_integer)
-from hgrcalc.polynomial import mat_mul
+                            lim_of_surjective, milnor_assemble,
+                            smith_normal_form)
+from hgrcalc.polynomial import invariant_factors, mat_mul
+from oracles import solve_integer
 
 
 def snf_check(a):
