@@ -297,6 +297,15 @@ def cmd_koszul(args):
     return 0 if all(report.values()) else 1
 
 
+def _check_entries(matrices):
+    """Refuse a --spec entry over the bound; relations go first, because
+    building the tower takes their Hermite forms."""
+    from .towers import ENTRY_BOUND
+    if any(abs(x) > ENTRY_BOUND for m in matrices for row in m for x in row):
+        raise UsageError("--spec: map and relation entries must be at most %d "
+                         "in absolute value" % ENTRY_BOUND)
+
+
 def cmd_tower(args):
     from . import towers
     try:
@@ -318,8 +327,10 @@ def cmd_tower(args):
                 "--spec: at most %d levels, each with at most %d generators "
                 "and %d relations" % (towers.LEVELS_BOUND, towers.GENS_BOUND,
                                       towers.RELATIONS_BOUND))
+        _check_entries(g.relations for g in levels)
         tower = towers.Tower(levels, spec["maps"],
                              tail=spec.get("tail", "finite-prefix-only"))
+        _check_entries(tower.maps)
     except (KeyError, TypeError) as err:
         raise UsageError("--spec: bad tower data (%s)" % err)
     except towers.TowerError as err:

@@ -897,10 +897,7 @@ def karoubi_check(table, expected_ko1=None):
 
     # forgetful GW^- -> K_0: injective with cokernel of order 2 (2Z in Z)
     m = table.map_gwminus_to_k0
-    cok = FGAbelian(table.k0.ngens,
-                    list(table.k0.relations)
-                    + [[m[i][j] for i in range(table.k0.ngens)]
-                       for j in range(table.gw_minus.ngens)])
+    cok = table.k0.modulo(m)
     if cok.order() != 2:
         return KaroubiReport(False, "2Z ⊂ Z", derived)
     if _kernel_rank(m) != 0:
@@ -916,10 +913,7 @@ def karoubi_check(table, expected_ko1=None):
         return KaroubiReport(False, "squaring composite", derived)
 
     # derive KO_1 from 1 -> R^x/R^x2 -> KO_1 -> Z/2 -> 0 (split)
-    usc_group = FGAbelian(table.k1.ngens,
-                          list(table.k1.relations)
-                          + [[table.squaring[i][j] for i in range(table.k1.ngens)]
-                             for j in range(table.k1.ngens)])
+    usc_group = table.k1.modulo(table.squaring)
     usc_order = usc_group.order()
     if usc_order is None:
         return KaroubiReport(False, "unit square classes not finite", derived)

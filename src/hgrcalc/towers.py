@@ -8,6 +8,8 @@ Full lim^1 of an arbitrary tower is never computed as a group (it can be
 uncountable); vanishing certificates are the deliverable.
 """
 
+from math import prod
+
 from . import HgrcalcError
 from .polynomial import (hermite_column_form, mat_apply, mat_identity,
                          mat_mul, mat_shape, mat_transpose, smith_normal_form)
@@ -17,24 +19,11 @@ class TowerError(HgrcalcError):
     pass
 
 
-def _solve_smith(smith, b):
-    """An integer solution x of a x = b (vectors as columns), or None, for
-    the matrix a whose Smith form (U, D, V) is `smith`."""
-    u, d, v = smith
-    rows, cols = mat_shape(d)
-    if len(b) != rows:
-        raise TowerError("right-hand side length does not match the matrix")
-    ub = mat_apply(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < cols else 0
-        if di:
-            if ub[i] % di:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i]:
-            return None
-    return mat_apply(v, y)
+def _lattice_index(form):
+    """Index in Z^rows of the lattice a column Hermite form spans: the
+    product of its pivots, or None when it has fewer columns than rows."""
+    rows, cols = mat_shape(form)
+    return None if cols < rows else prod(form[i][i] for i in range(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +34,9 @@ def _solve_smith(smith, b):
 class FGAbelian:
     """coker of an integer matrix: ngens generators, relations as columns.
 
-    A group is not changed after it is made: the Smith form of its
-    relation matrix is computed once, on first use, and read by
-    `invariant_factors`, `order` and `contains`.
+    A group is not changed after it is made: the Hermite form of its
+    relations is computed once, on first use, and read by `order` and
+    `contains`; only `invariant_factors` reads a Smith form, also once.
     """
 
     def __init__(self, ngens, relations=None):
@@ -61,6 +50,7 @@ class FGAbelian:
                 raise TowerError("relation length does not match generators")
             if not all(isinstance(x, int) for x in col):
                 raise TowerError("relations must have integer entries")
+        self._hnf = None
         self._snf = None
 
     @classmethod
@@ -85,23 +75,29 @@ class FGAbelian:
             offset += g.ngens
         return cls(ngens, rels)
 
+    def modulo(self, matrix):
+        """This group modulo the columns of a matrix with ngens rows."""
+        return FGAbelian(self.ngens, self.relations + mat_transpose(matrix))
+
     def relation_matrix(self):
         """Generators x relations matrix (relations as columns)."""
         if not self.relations:
             return [[0] for _ in range(self.ngens)] if self.ngens else []
         return mat_transpose(self.relations)
 
-    def _smith_form(self):
-        """(U, D, V), the Smith form of the relation matrix."""
-        if self._snf is None:
-            self._snf = smith_normal_form(self.relation_matrix())
-        return self._snf
+    def hermite_form(self):
+        """The column Hermite form of the relation lattice."""
+        if self._hnf is None:
+            self._hnf = hermite_column_form(self.relation_matrix())
+        return self._hnf
 
     def invariant_factors(self):
         """(free_rank, [torsion invariant factors > 1])."""
         if self.ngens == 0:
             return (0, [])
-        _, d, _ = self._smith_form()
+        if self._snf is None:
+            self._snf = smith_normal_form(self.relation_matrix())[1]
+        d = self._snf
         facs = [d[t][t] for t in range(min(mat_shape(d))) if d[t][t]]
         free_rank = self.ngens - len(facs)
         torsion = [f for f in facs if f != 1]
@@ -109,13 +105,7 @@ class FGAbelian:
 
     def order(self):
         """Group order, or None when infinite."""
-        free_rank, torsion = self.invariant_factors()
-        if free_rank:
-            return None
-        out = 1
-        for f in torsion:
-            out *= f
-        return out
+        return _lattice_index(self.hermite_form())
 
     def is_finite(self):
         return self.order() is not None
@@ -124,10 +114,25 @@ class FGAbelian:
         return self.order() == 1
 
     def contains(self, vector):
-        """Whether the vector is a relation (i.e. zero in the group)."""
-        if not self.relations:
-            return all(x == 0 for x in vector)
-        return _solve_smith(self._smith_form(), list(vector)) is not None
+        """Whether the vector is a relation (i.e. zero in the group), by
+        forward substitution down the Hermite form's increasing pivots."""
+        if len(vector) != self.ngens:
+            raise TowerError("vector length does not match generators")
+        form = self.hermite_form()
+        rest = list(vector)
+        c = 0
+        for i in range(self.ngens):
+            pivot = form[i][c] if c < len(form[i]) else 0
+            if pivot:
+                q, r = divmod(rest[i], pivot)
+                if r:
+                    return False
+                for t in range(i + 1, self.ngens):
+                    rest[t] -= q * form[t][c]
+                c += 1
+            elif rest[i]:
+                return False
+        return True
 
     def __eq__(self, other):
         return (isinstance(other, FGAbelian)
@@ -145,17 +150,20 @@ class FGAbelian:
 
 
 TAIL_POLICIES = ("eventually-constant", "template-repeating", "finite-prefix-only")
-# each window step takes one more composite and Hermite form, and under a
-# doubling template the entries double per step too, so a window's cost
-# grows faster than its length
+# each window step takes one product and one Hermite form per level, on
+# entries that grow with the image index, so a window's cost grows faster
+# than its length
 WINDOW_BOUND = 256
-# a window runs once per level on matrices of generators x (generators +
-# relations); a doubling template of 8 generators on 4 levels, with 16
-# relations each, takes about 4 s at the largest window as one CLI call
-# (Python 3.11, 2 vCPUs)
+# the Hermite forms are generators x (generators + relations); a doubling
+# template of 8 generators on 4 levels, with 16 relations each, takes
+# about 0.4 s at the largest window as one CLI call (Python 3.11, 2 vCPUs)
 GENS_BOUND = 8
 RELATIONS_BOUND = 16
 LEVELS_BOUND = 4
+# a step multiplies an image index by at most the index of the level's
+# first image, below (sqrt(8) * 40)^8 < 2^55 by Hadamard's bound, so every
+# index of a 256-step window prints within the 4300-digit int-to-str limit
+ENTRY_BOUND = 40
 
 
 class Tower:
@@ -175,14 +183,14 @@ class Tower:
         self.levels = list(levels)
         self.maps = [[list(r) for r in m] for m in maps]
         self.tail = tail
-        for k, m in enumerate(self.maps):
-            tgt = self.levels[min(k, len(self.levels) - 1)]
-            src = self.levels[min(k + 1, len(self.levels) - 1)]
+        # a repeating template also acts on the last level by its last map
+        for k in range(len(self.maps) + (tail == "template-repeating")):
+            m, tgt, src = self.map(k), self.level(k), self.level(k + 1)
             if len(m) != tgt.ngens or any(len(r) != src.ngens for r in m):
                 raise TowerError("map %d has the wrong shape" % k)
             if not all(isinstance(x, int) for r in m for x in r):
                 raise TowerError("map %d must have integer entries" % k)
-            if not _map_well_defined(m, src, tgt):
+            if not all(tgt.contains(mat_apply(m, col)) for col in src.relations):
                 raise TowerError("map %d does not send relations into relations" % k)
 
     def level(self, k):
@@ -202,29 +210,36 @@ class Tower:
             return mat_identity(self.levels[-1].ngens)
         return self.maps[-1]
 
-    def composite(self, k, j):
-        """Matrix of level_{k+j} -> level_k."""
-        acc = mat_identity(self.level(k).ngens)
-        for step in range(j):
-            acc = mat_mul(acc, self.map(k + step))
-        return acc
 
+def _image_chains(tower):
+    """chain(k, j): the Hermite form of Im(A_{k+j} -> A_k), None past the data.
 
-def _map_well_defined(matrix, src, tgt):
-    return all(tgt.contains(mat_apply(matrix, col)) for col in src.relations)
+    Tower() checks that F_k = map(k) sends R_{k+1} into R_k, so the image is
+    F_k Im(A_{k+j} -> A_{k+1}) + R_k: one product and one Hermite form from
+    the level above, each computed once.  From level `tail` on, level(k)
+    and map(k) no longer change, so those levels share one chain.
+    """
+    tail = (len(tower.levels) - 1 if tower.tail == "template-repeating"
+            else len(tower.maps))
+    chains = {}
 
+    def chain(k, j):
+        k = min(k, tail)
+        if k not in chains:
+            chains[k] = [mat_identity(tower.level(k).ngens)]
+        forms = chains[k]
+        while len(forms) <= j:
+            try:
+                m = tower.map(k)
+            except TowerError:
+                return None  # no data beyond the prefix: refuse to guess
+            above = chain(k + 1, len(forms) - 1)
+            if above is None:
+                return None
+            forms.append(tower.level(k).modulo(mat_mul(m, above)).hermite_form())
+        return forms[j]
 
-def _image_subgroup_form(matrix, tgt):
-    """Canonical form of span(matrix columns + target relations)."""
-    cols = mat_transpose(matrix) + [list(c) for c in tgt.relations]
-    if not cols:
-        return []
-    return hermite_column_form(mat_transpose(cols))
-
-
-def _image_index(matrix, tgt):
-    """Index of the image subgroup in tgt; None when infinite."""
-    return FGAbelian(tgt.ngens, mat_transpose(matrix) + tgt.relations).order()
+    return chain
 
 
 class MLResult:
@@ -263,8 +278,9 @@ def check_mittag_leffler(tower, window):
                             "all level groups are finite; image chains stabilize",
                             {"orders": [g.order() for g in tower.levels]})
 
+    chain = _image_chains(tower)
     # surjective maps keep every image chain constant at the full group
-    if tower.maps and all(_image_index(tower.maps[k], tower.levels[k]) == 1
+    if tower.maps and all(_lattice_index(chain(k, 1)) == 1
                           for k in range(len(tower.maps))):
         return MLResult("certificate",
                         "all supplied maps are surjective; image chains are "
@@ -272,25 +288,15 @@ def check_mittag_leffler(tower, window):
                         {"levels_checked": len(tower.maps)})
 
     stabilized_at = {}
-    indices_level0 = []
     for k in range(len(tower.levels)):
-        tgt = tower.level(k)
-        prev_form = None
         stable = None
-        chain_indices = []
-        for j in range(1, window + 1):
-            try:
-                comp = tower.composite(k, j)
-            except TowerError:
-                break  # no data beyond the prefix: refuse to guess
-            form = _image_subgroup_form(comp, tgt)
-            chain_indices.append(_image_index(comp, tgt))
-            if prev_form is not None and form == prev_form:
+        for j in range(2, window + 1):
+            form = chain(k, j)
+            if form is None:
+                break
+            if form == chain(k, j - 1):
                 stable = j - 1
                 break
-            prev_form = form
-        if k == 0:
-            indices_level0 = chain_indices
         stabilized_at[k] = stable
 
     if all(s is not None for s in stabilized_at.values()):
@@ -300,25 +306,20 @@ def check_mittag_leffler(tower, window):
                   else "image chains stabilize within the supplied prefix")
         return MLResult("certificate", reason, {"stabilized_at": stabilized_at})
 
-    if tower.tail == "template-repeating":
-        idx = [i for i in indices_level0 if i is not None]
-        if len(idx) == len(indices_level0) and len(idx) == window:
-            if all(idx[t] < idx[t + 1] for t in range(len(idx) - 1)):
-                return MLResult(
-                    "refutation",
-                    "image indices at level 0 grow strictly through the window",
-                    {"indices": idx})
-        # also refute on strictly-decreasing infinite-index patterns: a
-        # free group whose image spans shrink strictly under the template
-        tgt = tower.level(0)
-        forms = [_image_subgroup_form(tower.composite(0, j), tgt)
-                 for j in range(1, window + 1)]
-        if forms and all(a != b for a, b in zip(forms, forms[1:])):
+    if tower.tail == "template-repeating" and stabilized_at[0] is None:
+        # level 0's chain decreases strictly through the whole window
+        idx = [_lattice_index(chain(0, j)) for j in range(1, window + 1)]
+        if None not in idx and all(a < b for a, b in zip(idx, idx[1:])):
             return MLResult(
                 "refutation",
-                "image chain at level 0 is strictly decreasing under the "
-                "repeating template",
-                {"chain_length": len(forms)})
+                "image indices at level 0 grow strictly through the window",
+                {"indices": idx})
+        # a free group whose image spans shrink strictly under the template
+        return MLResult(
+            "refutation",
+            "image chain at level 0 is strictly decreasing under the "
+            "repeating template",
+            {"chain_length": window})
 
     return MLResult("inconclusive",
                     "no stabilization within the window and no forcing tail policy",
@@ -347,9 +348,7 @@ def lim_of_surjective(tower, depth):
     # from k = len(maps) on, map(k) and level(k) no longer change, so that
     # step stands for every later one
     for k in range(min(depth, len(tower.maps) + 1)):
-        m = tower.map(k)
-        tgt = tower.level(k)
-        if _image_index(m, tgt) != 1:
+        if tower.level(k).modulo(tower.map(k)).order() != 1:
             raise TowerError("map at level %d is not surjective" % k)
     return LimResult(tower.level(depth), depth, True)
 

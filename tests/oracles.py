@@ -8,7 +8,8 @@ implementations they check.
 from itertools import combinations, product
 
 from hgrcalc import towers
-from hgrcalc.polynomial import Poly, PolyRing, smith_normal_form
+from hgrcalc.polynomial import (Poly, PolyRing, mat_apply, mat_shape,
+                                smith_normal_form)
 from hgrcalc.symfun import Partition, schur_in_elementary
 
 
@@ -282,5 +283,116 @@ def to_poly(x):
 
 def solve_integer(a, b):
     """An integer solution x of a x = b (vectors as columns), or None, read
-    off the Smith form; it shares no code with `hermite_column_form`."""
-    return towers._solve_smith(smith_normal_form(a), b)
+    off the Smith form U a V = D: solve D y = U b entrywise, then x = V y.
+    It shares no code with `hermite_column_form` or `FGAbelian.contains`."""
+    u, d, v = smith_normal_form(a)
+    rows, cols = mat_shape(d)
+    if len(b) != rows:
+        raise ValueError("right-hand side length does not match the matrix")
+    ub = mat_apply(u, b)
+    y = [0] * cols
+    for i in range(rows):
+        di = d[i][i] if i < cols else 0
+        if di:
+            if ub[i] % di:
+                return None
+            y[i] = ub[i] // di
+        elif ub[i]:
+            return None
+    return mat_apply(v, y)
+
+
+def _same_span(a, b):
+    """Whether the columns of a and of b span the same lattice, by solving
+    for each column of one in the other."""
+    return (all(solve_integer(a, list(col)) is not None for col in zip(*b))
+            and all(solve_integer(b, list(col)) is not None for col in zip(*a)))
+
+
+def _smith_index(a):
+    """Index of the column span of a in Z^rows from the Smith diagonal,
+    None when the span has lower rank."""
+    _, d, _ = smith_normal_form(a)
+    diag = [d[t][t] for t in range(min(mat_shape(d))) if d[t][t]]
+    if len(diag) < len(a):
+        return None
+    out = 1
+    for x in diag:
+        out *= x
+    return out
+
+
+def mittag_leffler_by_composites(tower, window):
+    """(kind, reason, data) of `towers.check_mittag_leffler` the long way,
+    as it was computed before the image chains: each Im(A_{k+j} -> A_k) is
+    spanned by the columns of the composite map level_{k+j} -> level_k,
+    multiplied out from scratch, and the relations of level k; spans are
+    compared by solving for columns, and indices come from Smith diagonals.
+    No Hermite form is taken."""
+
+    def relations(k):
+        # a zero column keeps every matrix at least one column wide
+        return [[col[r] for col in tower.level(k).relations] + [0]
+                for r in range(tower.level(k).ngens)]
+
+    def image(k, j):
+        n = tower.level(k).ngens
+        comp = [[int(r == c) for c in range(n)] for r in range(n)]
+        for step in range(j):
+            m = tower.map(k + step)
+            comp = [[sum(comp[r][t] * m[t][c] for t in range(len(m)))
+                     for c in range(len(m[0]) if m else 0)] for r in range(n)]
+        return [row + rel for row, rel in zip(comp, relations(k))]
+
+    def has_data(k, j):
+        try:
+            for step in range(j):
+                tower.map(k + step)
+        except towers.TowerError:
+            return False
+        return True
+
+    if tower.tail != "finite-prefix-only":
+        orders = [_smith_index(relations(k)) for k in range(len(tower.levels))]
+        if None not in orders:
+            return ("certificate",
+                    "all level groups are finite; image chains stabilize",
+                    {"orders": orders})
+    if tower.maps and all(_smith_index(image(k, 1)) == 1
+                          for k in range(len(tower.maps))):
+        return ("certificate", "all supplied maps are surjective; image chains "
+                "are constant at the full group",
+                {"levels_checked": len(tower.maps)})
+
+    stabilized_at = {}
+    indices0 = []  # level 0's indices, up to where its chain stopped
+    for k in range(len(tower.levels)):
+        stable = None
+        for j in range(1, window + 1):
+            if not has_data(k, j):
+                break
+            if k == 0:
+                indices0.append(_smith_index(image(0, j)))
+            if j > 1 and _same_span(image(k, j), image(k, j - 1)):
+                stable = j - 1
+                break
+        stabilized_at[k] = stable
+    if all(s is not None for s in stabilized_at.values()):
+        return ("certificate", "image chains stabilize"
+                if tower.tail != "finite-prefix-only"
+                else "image chains stabilize within the supplied prefix",
+                {"stabilized_at": stabilized_at})
+    if tower.tail == "template-repeating":
+        if (len(indices0) == window and None not in indices0
+                and all(a < b for a, b in zip(indices0, indices0[1:]))):
+            return ("refutation",
+                    "image indices at level 0 grow strictly through the window",
+                    {"indices": indices0})
+        spans = [image(0, j) for j in range(1, window + 1)]
+        if all(not _same_span(a, b) for a, b in zip(spans, spans[1:])):
+            return ("refutation", "image chain at level 0 is strictly "
+                    "decreasing under the repeating template",
+                    {"chain_length": window})
+    return ("inconclusive",
+            "no stabilization within the window and no forcing tail policy",
+            {"stabilized_at": stabilized_at})

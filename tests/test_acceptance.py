@@ -62,8 +62,41 @@ def test_tau_consistency_failure_names_the_case(monkeypatch, broken, detail):
     assert result["detail"] == detail
 
 
+def test_recurrence_failure_names_the_case(monkeypatch):
+    # h_5 in two generators loses its e_1^5 term, so it no longer equals
+    # the Kostka inversion of s_(5)
+    real = suite.symfun.complete_from_elementary
+
+    def broken(k, r):
+        h = real(k, r)
+        if (k, r) == (5, 2):
+            h = h - h.ring.monomial((5, 0))
+        return h
+
+    monkeypatch.setattr(suite.symfun, "complete_from_elementary", broken)
+    result = suite.criterion_recurrence()
+    assert not result["ok"]
+    assert result["detail"] == "fails at k=5 r=2"
+
+
 def test_criterion_14_determinism_in_process():
-    _report(suite.criterion_determinism())
+    _report(suite.criterion_determinism(list(RESULTS.values())))
+
+
+def test_criterion_14_catches_a_changing_report(monkeypatch):
+    # a criterion whose detail changes from one run to the next
+    runs = []
+
+    def drifting():
+        runs.append(None)
+        return suite._result(99, "drifting", True, "run %d" % len(runs))
+
+    monkeypatch.setattr(suite, "CRITERIA", [drifting])
+    results = suite.run_all()
+    assert len(runs) == 2
+    assert results[0]["detail"] == "run 1"
+    assert results[-1] == {"id": 14, "name": "determinism", "ok": False,
+                           "detail": "reports differ between runs"}
 
 
 def test_criterion_14_determinism_cli_bytes():

@@ -325,6 +325,54 @@ class TestTowerCmd:
         assert code == 1
         assert json.loads(out)["kind"] == "refutation"
 
+    @pytest.mark.parametrize("where", ["maps", "relations"])
+    def test_spec_entry_over_the_bound_refused(self, capsys, where):
+        # 4000-digit entries made each window step multiply numbers of
+        # millions of digits
+        big = int("9" * 4000)
+        level = {"gens": 2}
+        maps = [[[big, 1], [0, big]]]
+        if where == "relations":
+            level["relations"] = [[big, 0]]
+            maps = [[[2, 1], [0, 2]]]
+        spec = json.dumps({"levels": [level], "maps": maps,
+                           "tail": "template-repeating"})
+        with alarm(2):
+            code, out, err = run_cli(capsys, "tower", "--spec", spec,
+                                     "--window", str(towers.WINDOW_BOUND))
+        assert code == 2
+        assert out == ""
+        assert err == ("usage error: --spec: map and relation entries must be "
+                       "at most %d in absolute value\n" % towers.ENTRY_BOUND)
+
+    def test_spec_entries_at_the_bound(self, capsys):
+        # every entry at +-ENTRY_BOUND, on the largest levels and window;
+        # the printed indices stay under the int-to-str digit limit
+        e, n = towers.ENTRY_BOUND, towers.GENS_BOUND
+        m = [[e if j == i else -e if j == i + 1 else 0 for j in range(n)]
+             for i in range(n)]
+        rels = [[e] + [0] * (n - 1)] * towers.RELATIONS_BOUND
+        spec = json.dumps({"levels": [{"gens": n, "relations": rels}]
+                           * towers.LEVELS_BOUND,
+                           "maps": [m] * towers.LEVELS_BOUND,
+                           "tail": "template-repeating"})
+        with alarm(5):
+            code, out, _ = run_cli(capsys, "tower", "--spec", spec, "--window",
+                                   str(towers.WINDOW_BOUND), "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["kind"] == "refutation"
+        assert len(data["data"]["indices"]) == towers.WINDOW_BOUND
+
+    def test_repeated_map_of_the_wrong_shape_refused(self, capsys):
+        # the template's map from Z^2 to Z cannot repeat on Z^2; the chain
+        # used to multiply it by itself and raise a ValueError
+        spec = json.dumps({"levels": [{"gens": 1}, {"gens": 2}],
+                           "maps": [[[2, 0]]], "tail": "template-repeating"})
+        code, _, err = run_cli(capsys, "tower", "--spec", spec)
+        assert code == 2
+        assert err == "usage error: --spec: map 1 has the wrong shape\n"
+
     def test_depth_past_the_data(self, capsys):
         # the tail repeats after the supplied maps, so a deep limit costs
         # no more than a shallow one
@@ -357,8 +405,8 @@ class TestTowerCmd:
 
     @pytest.mark.parametrize("depth, most", [(None, 2), ("1", 3)])
     def test_one_smith_form_per_group(self, capsys, monkeypatch, depth, most):
-        # one Smith form per group: the two levels and, with --depth, the
-        # image group lim_of_surjective builds
+        # at most one Smith form per group (the two levels and, with
+        # --depth, the limit group); only printed invariant factors take one
         original = polynomial.smith_normal_form
         calls = []
 

@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrcalc.grassring import present, restriction
 from hgrcalc.symfun import Partition
 from deadline import alarm
-from hgrcalc.towers import (WINDOW_BOUND, FGAbelian, MLResult, Tower, TowerError,
-                            check_mittag_leffler, hermite_column_form,
-                            lim_of_surjective, milnor_assemble,
-                            smith_normal_form)
-from hgrcalc.polynomial import invariant_factors, mat_mul
-from oracles import solve_integer
+from hgrcalc import towers
+from hgrcalc.towers import (TAIL_POLICIES, WINDOW_BOUND, FGAbelian, MLResult,
+                            Tower, TowerError, check_mittag_leffler,
+                            hermite_column_form, lim_of_surjective,
+                            milnor_assemble, smith_normal_form)
+from hgrcalc.polynomial import (invariant_factors, mat_apply, mat_mul,
+                                mat_transpose)
+from oracles import mittag_leffler_by_composites, solve_integer
 
 
 def snf_check(a):
@@ -111,6 +114,22 @@ class TestFGAbelian:
         assert g.contains([0])
         assert not g.contains([3])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_contains_matches_the_smith_solver(self, data):
+        rows = data.draw(st.integers(1, 8))
+        cols = data.draw(st.integers(1, 8))
+        entry = st.integers(-20, 20)
+        a = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+        if data.draw(st.booleans()):  # a vector in the span
+            x = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+            v = mat_apply(a, x)
+        else:
+            v = data.draw(st.lists(entry, min_size=rows, max_size=rows))
+        group = FGAbelian(rows, mat_transpose(a))
+        assert group.contains(v) == (solve_integer(a, v) is not None)
+
     def test_contains_checks_the_length(self):
         with pytest.raises(TowerError):
             FGAbelian.cyclic(6).contains([1, 0])
@@ -178,12 +197,120 @@ class TestMittagLeffler:
         with pytest.raises(TowerError):
             Tower([FGAbelian.free(1), FGAbelian.free(1)], [[[1.5]]])
 
+    def test_repeated_template_map_checked_on_the_last_level(self):
+        # the last map of a template also acts on the last level
+        with pytest.raises(TowerError, match="map 1 has the wrong shape"):
+            Tower([FGAbelian.free(1), FGAbelian.free(2)], [[[2, 0]]],
+                  tail="template-repeating")
+        # the swap sends the relation (1, 0) of level 0 to (0, 1), but
+        # level 1 has only (1, 0)
+        with pytest.raises(TowerError, match="map 1 does not send relations"):
+            Tower([FGAbelian(2, [[0, 1]]), FGAbelian(2, [[1, 0]])],
+                  [[[0, 1], [1, 0]]], tail="template-repeating")
+
     def test_surjective_tower_certificate(self):
         # coordinate projections Z^2 -> Z
         t = Tower([FGAbelian.free(1), FGAbelian.free(2)], [[[1, 0]]],
                   tail="eventually-constant")
         res = check_mittag_leffler(t, window=2)
         assert res.kind == "certificate"
+
+
+def random_tower(rng):
+    """A seeded draw of a small tower: 1 to 3 levels of 0 to 3 generators,
+    free, torsion or mixed, with map entries in [-3, 3]; None when the
+    draw is not a tower (a map that does not respect the relations)."""
+    tail = rng.choice(TAIL_POLICIES)
+    levels = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.choice((0, 1, 1, 2, 2, 3))
+        kind = rng.randrange(3)
+        if kind == 0:
+            rels = []
+        elif kind == 1:  # diagonal torsion, some of it trivial or free
+            rels = [[rng.choice((0, 1, 2, 3, 4, 6)) * int(i == j)
+                     for i in range(n)] for j in range(n)]
+        else:
+            rels = [[rng.randint(-4, 4) for _ in range(n)]
+                    for _ in range(rng.randint(1, 3))]
+        levels.append(FGAbelian(n, rels))
+    n_maps = len(levels) - 1
+    # a template needs a map to repeat; either tail may carry one extra map
+    if tail != "finite-prefix-only" and (not n_maps or rng.random() < 0.5):
+        n_maps += 1
+    maps = []
+    for k in range(n_maps):
+        tgt = levels[min(k, len(levels) - 1)]
+        src = levels[min(k + 1, len(levels) - 1)]
+        # a multiple of the target's torsion exponent keeps many draws
+        # well defined
+        scale = rng.choice((1, 1, 12))
+        maps.append([[scale * rng.randint(-3, 3) for _ in range(src.ngens)]
+                     for _ in range(tgt.ngens)])
+    try:
+        return Tower(levels, maps, tail=tail)
+    except TowerError:
+        return None
+
+
+class TestImageChains:
+    def test_matches_the_composite_route(self):
+        rng = random.Random(1301)
+        seen = set()
+        done = 0
+        while done < 300:
+            tower = random_tower(rng)
+            if tower is None:
+                continue
+            done += 1
+            window = rng.randint(1, 6)
+            res = check_mittag_leffler(tower, window)
+            want = mittag_leffler_by_composites(tower, window)
+            assert (res.kind, res.reason, res.data) == want, (
+                [(g.ngens, g.relations) for g in tower.levels], tower.maps,
+                tower.tail, window)
+            seen.add((tower.tail, res.kind))
+            seen.add(("torsion", any(g.relations for g in tower.levels)))
+        # torsion levels occur, and every tail gives each kind it can give
+        assert ("torsion", True) in seen
+        for tail in TAIL_POLICIES:
+            assert {kind for t, kind in seen if t == tail} >= (
+                {"certificate", "refutation", "inconclusive"}
+                if tail == "template-repeating" else {"certificate", "inconclusive"})
+
+    @pytest.mark.parametrize("levels, maps, tail, window", [
+        ([FGAbelian.free(1)], [[[2]]], "template-repeating", 40),
+        ([FGAbelian(2, [[0, 6]]), FGAbelian(2, [[0, 6]]), FGAbelian.free(2)],
+         [[[2, 0], [0, 1]], [[3, 1], [0, 2]], [[2, 1], [0, 1]]],
+         "template-repeating", 12),
+        ([FGAbelian.free(2)] * 3, [[[2, 0], [0, 1]], [[1, 1], [0, 3]]],
+         "finite-prefix-only", 5),
+        ([FGAbelian(2, [[4, 0]])] * 2, [[[1, 0], [0, 2]]] * 2,
+         "eventually-constant", 8),
+    ], ids=["doubling", "torsion-template", "finite-prefix", "eventually-constant"])
+    def test_one_hermite_form_per_level_and_step(self, monkeypatch, levels,
+                                                 maps, tail, window):
+        tower = Tower(levels, maps, tail=tail)
+        for g in tower.levels:
+            g.order()  # the level groups' own forms are cached first
+        calls = {"hermite": 0, "smith": 0}
+
+        def counting(name, fn):
+            def wrapper(a):
+                calls[name] += 1
+                return fn(a)
+            return wrapper
+
+        monkeypatch.setattr(towers, "hermite_column_form",
+                            counting("hermite", towers.hermite_column_form))
+        monkeypatch.setattr(towers, "smith_normal_form",
+                            counting("smith", towers.smith_normal_form))
+        check_mittag_leffler(tower, window)
+        assert calls["smith"] == 0
+        # levels 0 .. len(levels) - 1 and the tail's own level
+        assert 0 < calls["hermite"] <= (len(tower.levels) + 1) * window
+        if len(tower.levels) == 1:
+            assert calls["hermite"] == window
 
 
 class TestLimOfSurjective:
