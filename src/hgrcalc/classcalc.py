@@ -99,8 +99,7 @@ class RelationSet:
     Every rule is checked to preserve rank when registered.
     """
 
-    def __init__(self, symbols, name="relations"):
-        self.name = name
+    def __init__(self, symbols):
         self.symbols = {s.name: s for s in symbols}
         self.complements = {}
         self.contractions = {}
@@ -150,12 +149,12 @@ class RelationSet:
         return total
 
 
-def expand(x, relations, _trace=None):
+def expand(x, relations):
     """Confluent normal form of a formal class under the relation set.
 
     Returns (normal_form, trace); the trace lists each rewrite applied.
     """
-    trace = [] if _trace is None else _trace
+    trace = []
     for w in x.terms:
         for name in w:
             relations.symbol(name)
@@ -209,8 +208,8 @@ def _rewrite_word(word, relations):
 # ---------------------------------------------------------------------------
 
 
-def gw_relations(n, i):
-    """Symbols and decompositions around HGr'(2n,4n) x HP^1 at component i.
+def gw_relations(n):
+    """Symbols and decompositions around HGr'(2n,4n) x HP^1.
 
     U2n + U2n_perp = H^{2n} on the big Grassmannian, U + U_perp = H^2 on
     the quaternionic projective line, and H % H = 2 H+.
@@ -222,22 +221,22 @@ def gw_relations(n, i):
         BundleSymbol("U_perp", 2, "symplectic"),
         BundleSymbol("H", 2, "symplectic"),
         BundleSymbol("H+", 2, "orthogonal"),
-    ], name="gw(n=%d,i=%d)" % (n, i))
+    ])
     rel.add_complement("U2n_perp", "U2n", "H", 2 * n)
     rel.add_complement("U_perp", "U", "H", 2)
     rel.add_contraction(("H", "H"), {("H+",): 2})
     return rel
 
 
-def k0_relations(n, i):
-    """Plain K0 symbols on CGr(n,2n) x CP^1 at component i."""
+def k0_relations(n):
+    """Plain K0 symbols on CGr(n,2n) x CP^1."""
     rel = RelationSet([
         BundleSymbol("U'n", n, "plain"),
         BundleSymbol("U''n", n, "plain"),
         BundleSymbol("U'1", 1, "plain"),
         BundleSymbol("U''1", 1, "plain"),
         BundleSymbol("O", 1, "plain"),
-    ], name="k0(n=%d,i=%d)" % (n, i))
+    ])
     rel.add_complement("U''n", "U'n", "O", 2 * n)
     rel.add_complement("U''1", "U'1", "O", 2)
     rel.set_absorbing_unit("O")
@@ -283,7 +282,7 @@ def verify_gw_formula(n, i):
         raise ClassCalcError("need n >= 1")
     if abs(i) > n:
         raise ClassCalcError("component index must satisfy |i| <= n")
-    rel = gw_relations(n, i)
+    rel = gw_relations(n)
     pulled_back = (FormalClass.of("U2n", "U")
                    + (n - i) * FormalClass.of("H", "U_perp")
                    + FormalClass.of("U2n_perp", "H")
@@ -292,8 +291,7 @@ def verify_gw_formula(n, i):
     factor1 = FormalClass.of("U2n") - (n - i) * FormalClass.of("H")
     factor2 = FormalClass.of("U") - FormalClass.of("H")
     rhs = factor1.tensor(factor2)
-    return _verify("gw-formula(n=%d,i=%d)" % (n, i), lhs, rhs, rel,
-                   expect_rank=0)
+    return _verify("gw-formula(n=%d,i=%d)" % (n, i), lhs, rhs, rel)
 
 
 def verify_k0_formula(n, i):
@@ -302,7 +300,7 @@ def verify_k0_formula(n, i):
         raise ClassCalcError("need n >= 1")
     if abs(i) > n:
         raise ClassCalcError("component index must satisfy |i| <= n")
-    rel = k0_relations(n, i)
+    rel = k0_relations(n)
     pulled_back = (FormalClass.of("U'n", "U'1")
                    + (n - i) * FormalClass.of("O", "U''1")
                    + FormalClass.of("U''n", "O")
@@ -311,23 +309,19 @@ def verify_k0_formula(n, i):
     factor1 = FormalClass.of("U'n") - (n - i) * FormalClass.of("O")
     factor2 = FormalClass.of("U'1") - FormalClass.of("O")
     rhs = factor1.tensor(factor2)
-    return _verify("k0-formula(n=%d,i=%d)" % (n, i), lhs, rhs, rel,
-                   expect_rank=0)
+    return _verify("k0-formula(n=%d,i=%d)" % (n, i), lhs, rhs, rel)
 
 
-def _verify(name, lhs, rhs, rel, expect_rank=None):
-    notes = {}
-    trace = []
+def _verify(name, lhs, rhs, rel):
+    """Both sides of a virtual (rank 0) identity in normal form; the trace
+    lists the left side's rewrites, then the right side's."""
     lhs_rank, rhs_rank = rel.rank_of(lhs), rel.rank_of(rhs)
-    notes["rank_lhs"] = lhs_rank
-    notes["rank_rhs"] = rhs_rank
-    lhs_nf, trace = expand(lhs, rel, trace)
-    rhs_nf, trace = expand(rhs, rel, trace)
-    ok = lhs_nf == rhs_nf and lhs_rank == rhs_rank
-    if expect_rank is not None:
-        ok = ok and lhs_rank == expect_rank
-        notes["rank_expected"] = expect_rank
-    return Verification(name, ok, lhs_nf, rhs_nf, trace, notes)
+    notes = {"rank_lhs": lhs_rank, "rank_rhs": rhs_rank, "rank_expected": 0}
+    lhs_nf, lhs_trace = expand(lhs, rel)
+    rhs_nf, rhs_trace = expand(rhs, rel)
+    ok = lhs_nf == rhs_nf and lhs_rank == rhs_rank == 0
+    return Verification(name, ok, lhs_nf, rhs_nf, lhs_trace + rhs_trace,
+                        notes)
 
 
 def mu_class(n, i, j):
@@ -341,7 +335,7 @@ def mu_class(n, i, j):
         BundleSymbol("U", 2 * n, "symplectic"),
         BundleSymbol("H", 2, "symplectic"),
         BundleSymbol("H+", 2, "orthogonal"),
-    ], name="mu(n=%d)" % n)
+    ])
     rel.add_contraction(("H", "H"), {("H+",): 2})
     factor = lambda idx: FormalClass.of("U") + (idx - n) * FormalClass.of("H")
     product = factor(i).tensor(factor(j))

@@ -94,12 +94,16 @@ def cmd_restriction(args):
     return 0
 
 
+def _parse_json(option, text):
+    try:
+        return json.loads(text)
+    except ValueError as err:  # also integers over the int-to-str digit limit
+        raise UsageError("--%s is not valid JSON: %s" % (option, err))
+
+
 def _parse_bundle(text):
     from . import pontryagin
-    try:
-        desc = json.loads(text)
-    except ValueError as err:  # also integers over the int-to-str digit limit
-        raise UsageError("--bundle is not valid JSON: %s" % err)
+    desc = _parse_json("bundle", text)
     if not isinstance(desc, dict):
         desc = {}  # refused below
     if "split" in desc:
@@ -174,10 +178,7 @@ def cmd_classcheck(args):
 def _parse_gram(text):
     if text is None:
         raise UsageError("--matrix is required")
-    try:
-        rows = json.loads(text)
-    except ValueError as err:  # also integers over the int-to-str digit limit
-        raise UsageError("--matrix is not valid JSON: %s" % err)
+    rows = _parse_json("matrix", text)
     if not isinstance(rows, list) or not rows:
         raise UsageError("--matrix: expected a nonempty array of rows")
     if any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
@@ -244,11 +245,7 @@ def cmd_gw(args):
         return 0
     if args.verb == "ko1":
         ring = _descriptor("ring", args.ring)
-        try:
-            res = forms.ko1_euclidean(ring)
-        except forms.FormsError as err:
-            _emit(args, {"error": str(err)}, ["error: %s" % err])
-            return 1
+        res = forms.ko1_euclidean(ring)
         payload = {"ring": ring.name, "order": res.order,
                    "structure": res.structure(),
                    "generators": res.generators()}
@@ -257,15 +254,9 @@ def cmd_gw(args):
         return 0
     # karoubi
     ring = _descriptor("ring", args.ring)
-    if ring is forms.ZHALF:
-        table = forms.zhalf_karoubi_table()
-    elif isinstance(ring, forms.FiniteField):
-        table = forms.fq_karoubi_table(ring.q)
-    else:
-        raise UsageError("karoubi tables exist for Z[1/2] and F<q>")
-    report = forms.karoubi_check(table, expected_ko1=forms.ko1_euclidean(ring))
+    report = forms.karoubi_check(forms.karoubi_table(ring))
     payload = report.to_json()
-    human = ["karoubi(%s): %s" % (table.name, "pass" if report.ok else
+    human = ["karoubi(%s): %s" % (ring.name, "pass" if report.ok else
                                   "FAIL (%s)" % report.violated)]
     if report.ok:
         human.append("  KO_1 order %d" % report.derived["KO1_order"])
@@ -308,10 +299,7 @@ def _check_entries(matrices):
 
 def cmd_tower(args):
     from . import towers
-    try:
-        spec = json.loads(args.spec)
-    except ValueError as err:  # also integers over the int-to-str digit limit
-        raise UsageError("--spec is not valid JSON: %s" % err)
+    spec = _parse_json("spec", args.spec)
     if not isinstance(spec, dict):
         raise UsageError("--spec: expected a JSON object")
     for key in ("levels", "maps"):

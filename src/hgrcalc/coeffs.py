@@ -147,7 +147,8 @@ class CoeffError(HgrcalcError):
 # zero(), one() and coerce(x).  Beyond that a descriptor defines only what
 # its callers use: inv, square_class and is_square for fields; quo, gcd_all,
 # is_unit and unit_inverse for Euclidean rings; has_half and
-# unit_square_class_data for the rings KO_1 is computed over.
+# unit_square_classes, one representative per class of R^x/R^x2, for the
+# rings KO_1 is computed over.
 
 
 class IntegerRing:
@@ -186,8 +187,8 @@ class IntegerRing:
     def unit_inverse(self, x):
         return x  # +-1 are self-inverse
 
-    def unit_square_class_data(self):
-        return {"order": 2, "representatives": [1, -1]}
+    def unit_square_classes(self):
+        return [1, -1]
 
 
 # Squarefree parts are found by trial division up to the cube root, so

@@ -13,7 +13,7 @@ from math import isqrt
 from . import HgrcalcError
 from .coeffs import IntegerRing, RationalsField, primitive_integers
 from .polynomial import (Poly, PolyRing, invariant_factors, mat_apply,
-                         mat_identity, mat_mul, mat_scal, mat_shape, mat_sub,
+                         mat_identity, mat_mul, mat_scal, mat_shape,
                          mat_transpose)
 from .towers import FGAbelian
 
@@ -232,9 +232,8 @@ class FiniteField:
     def square_class(self, x):
         return self.one() if self.is_square(x) else self.nonsquare()
 
-    def unit_square_class_data(self):
-        return {"order": 2,
-                "representatives": [self.one(), self.nonsquare()]}
+    def unit_square_classes(self):
+        return [self.one(), self.nonsquare()]
 
 
 def _factor_prime_power(q):
@@ -479,8 +478,8 @@ class IntegersWithTwoInverted:
     name = "Z[1/2]"
     has_half = True
 
-    def unit_square_class_data(self):
-        return {"order": 4, "representatives": [1, -1, 2, -2]}
+    def unit_square_classes(self):
+        return [1, -1, 2, -2]
 
 
 class RationalPolynomialRing:
@@ -557,7 +556,7 @@ class RationalPolynomialRing:
     def unit_inverse(self, x):
         return self.ring.const(1 / x.constant_term())
 
-    def unit_square_class_data(self):
+    def unit_square_classes(self):
         raise FormsError("Q[x] has infinitely many unit square classes")
 
 
@@ -586,31 +585,19 @@ class SympFactor:
     since omega(u,y) = -omega(y,u).  So E^T J E = J for the matrix E of T
     holds for lam != 0 and u != 0 over a domain if and only if
     omega(u,u) = 0, and that O(n) identity is checked on construction.
-    The dense matrix I - lam*(u u^T)J is built only when `.matrix` is read.
     """
 
-    __slots__ = ("ring", "u", "lam", "_matrix")
+    __slots__ = ("ring", "u", "lam")
 
     def __init__(self, ring, u, lam, n2):
         self.ring = ring
         self.u = list(u)
         self.lam = lam
-        self._matrix = None
         if len(self.u) != n2:
             raise FormsError("transvection vector has length %d, not %d"
                              % (len(self.u), n2))
         if symplectic_pairing(self.u, self.u, ring.zero()):
             raise FormsError("internal error: transvection broke the form")
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            n2, zero = len(self.u), self.ring.zero()
-            j = standard_symplectic_gram(n2, self.ring)
-            uut = [[a * b for b in self.u] for a in self.u]
-            self._matrix = mat_sub(mat_identity(n2, self.ring.one(), zero),
-                                   mat_scal(self.lam, mat_mul(uut, j, zero)))
-        return self._matrix
 
     def apply(self, v):
         c = self.lam * symplectic_pairing(v, self.u, self.ring.zero())
@@ -701,36 +688,21 @@ def sp_reduce_unimodular(v, ring=ZZ):
             if state[0] == zero:
                 add_cross_into_first(i, one)
                 add_first_into_cross(i, -one)
-    # state = (unit, 0, .., 0): scale pair one by (1/unit, unit)
+    # state = (unit, 0, .., 0): scale pair one by diag(c, c^-1), c = 1/unit,
+    # as W(c) W(-1) with W(t) = E12(t) E21(-1/t) E12(t) (Whitehead), applied
+    # to the state right to left.  E12(t) (a += t*b) is tau with u = e_a and
+    # lam = -t; E21(t) (b += t*a) is tau with u = e_b and lam = t.
     lead = state[0]
     if lead != one:
         c = ring.unit_inverse(lead)
-        _scale_pair_one(tau, unit_vec, c, ring)
+        cinv = ring.unit_inverse(c)
+        for i, lam in ((0, one), (1, one), (0, one), (0, -c), (1, -cinv),
+                       (0, -c)):
+            tau(unit_vec(i), lam)
     e1 = unit_vec(0)
     if state != e1:
         raise FormsError("internal error: reduction did not reach e_1")
     return factors
-
-
-def _scale_pair_one(tau, unit_vec, c, ring):
-    """diag(c, c^-1) on pair one as six transvections (Whitehead-style)."""
-    cinv = ring.unit_inverse(c)
-    one = ring.one()
-
-    def e12(t):  # a += t*b; tau with u = e_a adds -lam*b to a
-        tau(unit_vec(0), -t)
-
-    def e21(t):  # b += t*a; tau with u = e_b adds lam*a to b
-        tau(unit_vec(1), t)
-
-    # diag(c, c^-1) = W(c) W(-1) with W(t) = E12(t) E21(-1/t) E12(t);
-    # factors are applied to the state right to left
-    e12(-one)
-    e21(one)
-    e12(-one)
-    e12(c)
-    e21(-cinv)
-    e12(c)
 
 
 # ---------------------------------------------------------------------------
@@ -738,46 +710,26 @@ def _scale_pair_one(tau, unit_vec, c, ring):
 # ---------------------------------------------------------------------------
 
 
-class UnitSquareClasses:
-    """Finite presentation of R^x / (R^x)^2 as an elementary abelian 2-group."""
-
-    def __init__(self, order, representatives):
-        self.order = order
-        self.representatives = representatives
-
-    def rank(self):
-        n = self.order
-        r = 0
-        while n > 1:
-            n //= 2
-            r += 1
-        return r
-
-    def __repr__(self):
-        return "UnitSquareClasses(order=%d)" % self.order
-
-
-def unit_square_classes(ring):
-    """R^x/(R^x)^2 from the ring's declared order and representatives."""
-    data = ring.unit_square_class_data()
-    return UnitSquareClasses(data["order"], data["representatives"])
-
-
 class KO1Result:
-    """KO_1 = Z/2 x R^x/R^x2: the switch isometry splits off the Z/2."""
+    """KO_1 = Z/2 x R^x/R^x2: the switch isometry splits off the Z/2.
 
-    def __init__(self, ring, usc):
+    `unit_square_classes` lists one representative of each class of
+    R^x/R^x2, an elementary abelian 2-group, so its length is a power of
+    two whose exponent is the group's rank.
+    """
+
+    def __init__(self, ring, unit_square_classes):
         self.ring = ring
-        self.usc = usc
-        self.order = 2 * usc.order
-        self.rank_two_elementary = 1 + usc.rank()
+        self.unit_square_classes = unit_square_classes
+        self.order = 2 * len(unit_square_classes)
+        self.rank_two_elementary = len(unit_square_classes).bit_length()
 
     def structure(self):
         return "(Z/2)^%d" % self.rank_two_elementary
 
     def generators(self):
         gens = [{"kind": "switch", "matrix": [[0, 1], [1, 0]]}]
-        for rep in self.usc.representatives:
+        for rep in self.unit_square_classes:
             if rep == 1:
                 continue
             gens.append({"kind": "square-class", "b": str(rep),
@@ -793,8 +745,7 @@ def ko1_euclidean(ring):
     """KO_1 of a Euclidean domain containing 1/2."""
     if not ring.has_half:
         raise FormsError("2 not invertible in %s" % ring.name)
-    usc = unit_square_classes(ring)
-    return KO1Result(ring, usc)
+    return KO1Result(ring, ring.unit_square_classes())
 
 
 # ---------------------------------------------------------------------------
@@ -806,63 +757,48 @@ class KaroubiTable:
     """Supplied groups and maps for one Euclidean-domain instance.
 
     Groups are FGAbelian presentations; maps are integer matrices on the
-    chosen generators.  `witt` maps the cohomological index mod 4 to the
-    group; `squaring` is the composite K_1 -> K_1 (x -> x - t(xbar)^-1,
-    which is x -> x^2 for the trivial involution every instance carries,
-    i.e. doubling).
+    chosen generators.  Every instance has K_0 = Z, the forgetful map
+    GW^- -> K_0 with image 2Z (the rank of a symplectic form) and the
+    hyperbolic map out of K_0, of which only injectivity is checked; the
+    groups GW^+ and GW^- are not held.  Only K_1 and W^0 depend on the ring.
+    `witt` maps the cohomological index mod 4 to the group; `squaring` is
+    the composite K_1 -> K_1 (x -> x - t(xbar)^-1, which is x -> x^2 for
+    the trivial involution every instance carries, i.e. doubling).
     """
 
-    def __init__(self, name, k0, k1, gw_minus, gw_plus, map_gwminus_to_k0,
-                 map_hyperbolic_k0_to_gwplus, witt, squaring):
-        self.name = name
-        self.k0 = k0
+    def __init__(self, ring, k1, witt0):
+        self.ring = ring
+        self.k0 = FGAbelian.free(1)
         self.k1 = k1
-        self.gw_minus = gw_minus
-        self.gw_plus = gw_plus
-        self.map_gwminus_to_k0 = map_gwminus_to_k0
-        self.map_hyperbolic = map_hyperbolic_k0_to_gwplus
-        self.witt = witt
-        self.squaring = squaring
+        self.map_gwminus_to_k0 = [[2]]
+        self.map_hyperbolic = [[1], [1]]
+        self.witt = {0: witt0, 1: FGAbelian(0), 2: FGAbelian(0),
+                     3: FGAbelian(0)}
+        self.squaring = mat_identity(k1.ngens, 2)
 
 
-def zhalf_karoubi_table():
-    """The Z[1/2] instance: K_1 = units = Z/2 x Z generated by -1 and 2."""
-    return KaroubiTable(
-        name="Z[1/2]",
-        k0=FGAbelian.free(1),
-        k1=FGAbelian(2, [[2, 0]]),   # Z/2 x Z
-        gw_minus=FGAbelian.free(1),
-        gw_plus=FGAbelian.free(2),
-        map_gwminus_to_k0=[[2]],     # forgetful: rank of a symplectic form
-        map_hyperbolic_k0_to_gwplus=[[1], [1]],
-        witt={0: FGAbelian.direct_sum(FGAbelian.free(1), FGAbelian.cyclic(2)),
-              1: FGAbelian(0), 2: FGAbelian(0), 3: FGAbelian(0)},
-        squaring=[[2, 0], [0, 2]],
-    )
+def karoubi_table(ring):
+    """The instance of Z[1/2] or of GF(q), q odd.
 
-
-def fq_karoubi_table(q):
-    """The GF(q) instance, q odd: K_1 cyclic of order q - 1.
-
-    W(F_q) is Z/2 + Z/2 when -1 is a square, that is when q = 1 mod 4, and
-    Z/4 otherwise: then <1, 1> is not the hyperbolic plane, so <1> has
-    order 4 (Lam, Introduction to Quadratic Forms over Fields, II.3.5).
+    K_1 is the unit group: Z/2 x Z generated by -1 and 2 for Z[1/2], cyclic
+    of order q - 1 for GF(q).  W(Z[1/2]) is Z + Z/2.  W(F_q) is Z/2 + Z/2
+    when -1 is a square, that is when q = 1 mod 4, and Z/4 otherwise: then
+    <1, 1> is not the hyperbolic plane, so <1> has order 4 (Lam,
+    Introduction to Quadratic Forms over Fields, II.3.5).
     """
-    if q % 4 == 1:
-        witt0 = FGAbelian.direct_sum(FGAbelian.cyclic(2), FGAbelian.cyclic(2))
+    if ring is ZHALF:
+        k1 = FGAbelian(2, [[2, 0]])
+        witt0 = FGAbelian.direct_sum(FGAbelian.free(1), FGAbelian.cyclic(2))
+    elif isinstance(ring, FiniteField):
+        k1 = FGAbelian.cyclic(ring.q - 1)
+        if ring.q % 4 == 1:
+            witt0 = FGAbelian.direct_sum(FGAbelian.cyclic(2),
+                                         FGAbelian.cyclic(2))
+        else:
+            witt0 = FGAbelian.cyclic(4)
     else:
-        witt0 = FGAbelian.cyclic(4)
-    return KaroubiTable(
-        name="F%d" % q,
-        k0=FGAbelian.free(1),
-        k1=FGAbelian.cyclic(q - 1),
-        gw_minus=FGAbelian.free(1),
-        gw_plus=FGAbelian.free(2),
-        map_gwminus_to_k0=[[2]],
-        map_hyperbolic_k0_to_gwplus=[[1], [1]],
-        witt={0: witt0, 1: FGAbelian(0), 2: FGAbelian(0), 3: FGAbelian(0)},
-        squaring=[[2]],
-    )
+        raise FormsError("karoubi tables exist for Z[1/2] and F<q>")
+    return KaroubiTable(ring, k1, witt0)
 
 
 class KaroubiReport:
@@ -881,13 +817,14 @@ class KaroubiReport:
                 "derived": {k: str(v) for k, v in self.derived.items()}}
 
 
-def karoubi_check(table, expected_ko1=None):
+def karoubi_check(table):
     """Check the fundamental-sequence constraints and assemble KO_1.
 
     Verifies the Witt vanishing W^i = 0 for i = 2, 3 mod 4, the forgetful
     GW^- -> K_0 being the index-two inclusion, injectivity of the
     hyperbolic map, the squaring composite on K_1 for a trivial involution,
-    and derives the short exact sequence giving KO_1.
+    and derives the short exact sequence giving KO_1, whose order must
+    match ko1_euclidean of the table's ring.
     """
     derived = {}
 
@@ -921,7 +858,7 @@ def karoubi_check(table, expected_ko1=None):
     ko1 = FGAbelian.direct_sum(FGAbelian.cyclic(2), usc_group)
     derived["KO1"] = ko1
     derived["KO1_order"] = 2 * usc_order
-    if expected_ko1 is not None and 2 * usc_order != expected_ko1.order:
+    if 2 * usc_order != ko1_euclidean(table.ring).order:
         return KaroubiReport(False, "KO1 mismatch with ko1_euclidean", derived)
     return KaroubiReport(True, None, derived)
 

@@ -452,7 +452,8 @@ def _entry_exact_div(num, den):
 # over Z: it pivots on the least |entry| of the remaining block and clears
 # that row and column with nearest-integer quotients, so every remainder is
 # at most half the pivot and each re-pick at least halves it (Cohen, GTM 138,
-# section 2.4).  Kernels, ranks and lattice indices read off its (U, D, V).
+# section 2.4).  Kernels and ranks read off its (U, D, V); lattice indices
+# are the products of the pivots of hermite_column_form.
 # ---------------------------------------------------------------------------
 
 

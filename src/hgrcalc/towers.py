@@ -11,8 +11,11 @@ uncountable); vanishing certificates are the deliverable.
 from math import prod
 
 from . import HgrcalcError
-from .polynomial import (hermite_column_form, mat_apply, mat_identity,
-                         mat_mul, mat_shape, mat_transpose, smith_normal_form)
+from .polynomial import (hermite_column_form, invariant_factors, mat_apply,
+                         mat_identity, mat_mul, mat_shape, mat_transpose)
+# the bench workloads and the tests reach the Smith form as
+# towers.smith_normal_form, next to towers.hermite_column_form
+from .polynomial import smith_normal_form
 
 
 class TowerError(HgrcalcError):
@@ -35,8 +38,10 @@ class FGAbelian:
     """coker of an integer matrix: ngens generators, relations as columns.
 
     A group is not changed after it is made: the Hermite form of its
-    relations is computed once, on first use, and read by `order` and
-    `contains`; only `invariant_factors` reads a Smith form, also once.
+    relations is computed once, on first use, and read by `order`,
+    `contains` and `invariant_factors`; the last takes the Smith form of
+    that Hermite form, which spans the same lattice with at most `ngens`
+    columns.
     """
 
     def __init__(self, ngens, relations=None):
@@ -51,7 +56,6 @@ class FGAbelian:
             if not all(isinstance(x, int) for x in col):
                 raise TowerError("relations must have integer entries")
         self._hnf = None
-        self._snf = None
 
     @classmethod
     def free(cls, rank):
@@ -95,10 +99,7 @@ class FGAbelian:
         """(free_rank, [torsion invariant factors > 1])."""
         if self.ngens == 0:
             return (0, [])
-        if self._snf is None:
-            self._snf = smith_normal_form(self.relation_matrix())[1]
-        d = self._snf
-        facs = [d[t][t] for t in range(min(mat_shape(d))) if d[t][t]]
+        facs = invariant_factors(self.hermite_form())
         free_rank = self.ngens - len(facs)
         torsion = [f for f in facs if f != 1]
         return (free_rank, torsion)

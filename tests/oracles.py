@@ -198,6 +198,16 @@ def _dependent(vectors, field_elements):
     return r < len(rows)
 
 
+def transvection_matrix(ring, u, lam):
+    """The dense matrix I - lam*(u u^T)J of x -> x + lam*omega(x,u)*u, for
+    J block-diagonal in [[0,1],[-1,0]], written out entry by entry."""
+    n2 = len(u)
+    # the row u^T J: (u^T J)_{2t} = -u_{2t+1} and (u^T J)_{2t+1} = u_{2t}
+    ut_j = [-u[j + 1] if j % 2 == 0 else u[j - 1] for j in range(n2)]
+    return [[(ring.one() if i == j else ring.zero()) - lam * u[i] * ut_j[j]
+             for j in range(n2)] for i in range(n2)]
+
+
 def _mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     return [[sum_start(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]

@@ -22,13 +22,13 @@ def swap_factors(x):
 
 class TestFormalClass:
     def test_rank_is_multiplicative_on_words(self):
-        rel = gw_relations(2, 0)
+        rel = gw_relations(2)
         assert rel.rank_of(FC("U2n", "U")) == 4 * 2
         assert rel.rank_of(FC("H+")) == 2
         assert rel.rank_of(3 * FC("H") - FC("U")) == 4
 
     def test_zero(self):
-        rel = gw_relations(1, 0)
+        rel = gw_relations(1)
         nf, trace = expand(FormalClass.zero(), rel)
         assert nf == FormalClass.zero()
         assert trace == []
@@ -49,23 +49,23 @@ class TestFormalClass:
 
 class TestExpand:
     def test_complement_pair(self):
-        rel = gw_relations(3, 0)
+        rel = gw_relations(3)
         nf, trace = expand(FC("U2n") + FC("U2n_perp"), rel)
         assert nf == 6 * FC("H")
         assert any(step["rule"].startswith("complement") for step in trace)
 
     def test_h_box_h(self):
-        rel = gw_relations(1, 0)
+        rel = gw_relations(1)
         nf, _ = expand(FC("H", "H"), rel)
         assert nf == 2 * FC("H+")
 
     def test_unknown_symbol(self):
-        rel = gw_relations(1, 0)
+        rel = gw_relations(1)
         with pytest.raises(ClassCalcError):
             expand(FC("mystery"), rel)
 
     def test_rank_preserved_along_trace(self):
-        rel = gw_relations(2, 1)
+        rel = gw_relations(2)
         x = FC("U2n_perp", "U_perp") + 3 * FC("H", "H")
         before = rel.rank_of(x)
         nf, _ = expand(x, rel)
@@ -75,7 +75,7 @@ class TestExpand:
         # expansion is deterministic, and shuffling the input terms does
         # not change the normal form
         rng = random.Random(3)
-        rel = gw_relations(2, -1)
+        rel = gw_relations(2)
         words = [("U2n_perp", "U"), ("H", "U_perp"), ("H", "H"),
                  ("U2n", "H"), ("H+",)]
         base = FormalClass({w: rng.randrange(-3, 4) or 1 for w in words})
@@ -88,7 +88,7 @@ class TestExpand:
             assert nf == reference
 
     def test_k0_unit_absorption(self):
-        rel = k0_relations(2, 0)
+        rel = k0_relations(2)
         nf, _ = expand(FC("O", "U'1"), rel)
         assert nf == FC("U'1")
         nf, _ = expand(FC("O", "O"), rel)

@@ -231,8 +231,10 @@ class TestGW:
         assert json.loads(out)["order"] == 4
 
     def test_ko1_integers_fails(self, capsys):
+        # a ring KO_1 is not computed over is a refused input, not a failed
+        # verification
         code, out, _ = run_cli(capsys, "gw", "ko1", "--ring", "Z", "--json")
-        assert code == 1
+        assert code == 2
         assert "2 not invertible" in json.loads(out)["error"]
 
     def test_karoubi(self, capsys):
@@ -504,6 +506,8 @@ LIBRARY_ERRORS = [
                         '"tail": "eventually-constant"}'],
     ["tower", "--spec", '{"levels": [{"gens": 1, "relations": [[0.5]]}], '
                         '"maps": [], "tail": "eventually-constant"}'],
+    ["gw", "ko1", "--ring", "Z"],
+    ["gw", "ko1", "--ring", "Q[x]"],
 ]
 LIBRARY_ERROR_IDS = [
     "diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
@@ -515,7 +519,7 @@ LIBRARY_ERROR_IDS = [
     "ko1-field-digit-limit", "pontryagin-not-an-object",
     "pontryagin-string-rank", "tower-not-an-object", "tower-no-levels",
     "tower-template-without-map", "tower-float-gens",
-    "tower-float-relation"]
+    "tower-float-relation", "ko1-Z", "ko1-Qx"]
 
 
 @pytest.mark.parametrize("argv", LIBRARY_ERRORS, ids=LIBRARY_ERROR_IDS)

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from hgrcalc.forms import (BilinearForm, DegenerateFormError, FiniteField,
                            FIELD_ORDER_BOUND, FormsError, QX,
                            RealClosedField, SpReductionError, SympFactor,
-                           ZHALF, ZZ, diagonalize, fq_karoubi_table,
-                           karoubi_check, ko1_euclidean, sp_reduce_unimodular,
-                           standard_symplectic_gram, symplectic_basis,
-                           unit_square_classes, zhalf_karoubi_table)
+                           ZHALF, ZZ, diagonalize, karoubi_check,
+                           karoubi_table, ko1_euclidean, sp_reduce_unimodular,
+                           standard_symplectic_gram, symplectic_basis)
 from hgrcalc.coeffs import (GWBASE, INTEGERS, RATIONALS, SQUARE_CLASS_BOUND,
                            CoeffError)
 from hgrcalc.polynomial import mat_apply, mat_mul, mat_transpose
@@ -213,7 +212,8 @@ class TestSpReduce:
         factors = sp_reduce_unimodular([3, 5, 7, 2])
         j = standard_symplectic_gram(4, ZZ)
         for f in factors:
-            assert mat_mul(mat_mul(mat_transpose(f.matrix), j), f.matrix) == j
+            e = oracles.transvection_matrix(ZZ, f.u, f.lam)
+            assert mat_mul(mat_mul(mat_transpose(e), j), e) == j
 
     @pytest.mark.parametrize("n2", [4, 6])
     def test_random_integer_vectors(self, n2):
@@ -299,10 +299,10 @@ class TestSpReduce:
         lam = data.draw(elements, label="lam")
         f = SympFactor(ring, u, lam, n2)
         zero = ring.zero()
-        assert f.apply(v) == mat_apply(f.matrix, v, zero)
+        e = oracles.transvection_matrix(ring, u, lam)
+        assert f.apply(v) == mat_apply(e, v, zero)
         j = standard_symplectic_gram(n2, ring)
-        assert mat_mul(mat_mul(mat_transpose(f.matrix), j, zero), f.matrix,
-                       zero) == j
+        assert mat_mul(mat_mul(mat_transpose(e), j, zero), e, zero) == j
 
     def test_factor_length_must_match(self):
         with pytest.raises(FormsError):
@@ -324,23 +324,22 @@ class TestSpReduce:
 
 class TestUnitSquareClasses:
     def test_integers(self):
-        usc = unit_square_classes(ZZ)
-        assert usc.order == 2
-        assert usc.representatives == [1, -1]
+        assert ZZ.unit_square_classes() == [1, -1]
 
     def test_z_half(self):
-        usc = unit_square_classes(ZHALF)
-        assert usc.order == 4
-        assert set(usc.representatives) == {1, -1, 2, -2}
+        classes = ZHALF.unit_square_classes()
+        assert len(classes) == 4
+        assert set(classes) == {1, -1, 2, -2}
 
     def test_f9(self):
         ring = FiniteField(9)
-        usc = unit_square_classes(ring)
-        assert usc.order == 2
+        one, nonsquare = ring.unit_square_classes()
+        assert one == ring.one()
+        assert not ring.is_square(nonsquare)
 
     def test_qx_refused(self):
         with pytest.raises(FormsError):
-            unit_square_classes(QX)
+            QX.unit_square_classes()
 
 
 class TestKO1:
@@ -364,23 +363,23 @@ class TestKO1:
 
     def test_order_relation(self):
         for ring in (ZHALF, FiniteField(3), FiniteField(9)):
-            usc = unit_square_classes(ring)
-            assert ko1_euclidean(ring).order == 2 * usc.order
+            res = ko1_euclidean(ring)
+            assert res.order == 2 * len(ring.unit_square_classes())
+            assert 2 ** res.rank_two_elementary == res.order
 
 
 class TestKaroubi:
     def test_zhalf_instance_passes(self):
-        table = zhalf_karoubi_table()
-        report = karoubi_check(table, expected_ko1=ko1_euclidean(ZHALF))
+        table = karoubi_table(ZHALF)
+        assert table.ring is ZHALF
+        report = karoubi_check(table)
         assert report.ok, report.violated
         assert report.derived["KO1_order"] == 8
         assert report.derived["U1"].order() == 2
 
     def test_fq_instance_passes(self):
         for q in (3, 5, 7, 9):
-            table = fq_karoubi_table(q)
-            report = karoubi_check(table,
-                                   expected_ko1=ko1_euclidean(FiniteField(q)))
+            report = karoubi_check(karoubi_table(FiniteField(q)))
             assert report.ok, (q, report.violated)
             assert report.derived["KO1_order"] == 4
 
@@ -395,24 +394,38 @@ class TestKaroubi:
             field.elements()) is not None
         assert hyperbolic == (q % 4 == 1)
         want = [2, 2] if hyperbolic else [4]
-        assert fq_karoubi_table(q).witt[0].invariant_factors() == (0, want)
+        assert karoubi_table(field).witt[0].invariant_factors() == (0, want)
+
+    @pytest.mark.parametrize("ring", [ZZ, QX], ids=["Z", "Q[x]"])
+    def test_other_rings_refused(self, ring):
+        with pytest.raises(FormsError, match="exist for Z\\[1/2\\] and F<q>"):
+            karoubi_table(ring)
+
+    def test_ko1_cross_check_fails(self):
+        # a K_1 with trivial square classes gives KO_1 of order 2, not the
+        # order 4 that ko1_euclidean finds for F_3
+        table = karoubi_table(FiniteField(3))
+        table.k1 = FGAbelian(1, [[1]])
+        report = karoubi_check(table)
+        assert not report.ok
+        assert report.violated == "KO1 mismatch with ko1_euclidean"
 
     def test_nonzero_w2_fails(self):
-        table = zhalf_karoubi_table()
+        table = karoubi_table(ZHALF)
         table.witt[2] = FGAbelian.cyclic(2)
         report = karoubi_check(table)
         assert not report.ok
         assert report.violated == "W^i vanishing"
 
     def test_surjective_forgetful_fails(self):
-        table = zhalf_karoubi_table()
+        table = karoubi_table(ZHALF)
         table.map_gwminus_to_k0 = [[1]]  # GW- -> K0 onto: violates 2Z in Z
         report = karoubi_check(table)
         assert not report.ok
         assert report.violated == "2Z ⊂ Z"
 
     def test_wrong_squaring_fails(self):
-        table = zhalf_karoubi_table()
+        table = karoubi_table(ZHALF)
         table.squaring = [[1, 0], [0, 2]]
         report = karoubi_check(table)
         assert not report.ok

@@ -130,6 +130,21 @@ class TestFGAbelian:
         group = FGAbelian(rows, mat_transpose(a))
         assert group.contains(v) == (solve_integer(a, v) is not None)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_invariant_factors_match_the_smith_form(self, data):
+        # read off the Hermite form, against the Smith diagonal of the
+        # generators x relations matrix itself
+        rows = data.draw(st.integers(1, 8))
+        cols = data.draw(st.integers(1, 16))
+        entry = st.integers(-20, 20)
+        a = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+        _, d, _ = smith_normal_form(a)
+        diagonal = [d[t][t] for t in range(min(rows, cols)) if d[t][t]]
+        want = (rows - len(diagonal), [x for x in diagonal if x != 1])
+        assert FGAbelian(rows, mat_transpose(a)).invariant_factors() == want
+
     def test_contains_checks_the_length(self):
         with pytest.raises(TowerError):
             FGAbelian.cyclic(6).contains([1, 0])
