@@ -323,7 +323,7 @@ def cmd_tower(args):
         raise UsageError("--spec: bad tower data (%s)" % err)
     except towers.TowerError as err:
         raise UsageError("--spec: %s" % err)
-    res = towers.check_mittag_leffler(tower, args.window)
+    res = towers.check_mittag_leffler(tower)
     payload = res.to_json()
     human = ["%s: %s" % (res.kind, res.reason)]
     if args.depth is not None:
@@ -475,7 +475,6 @@ def build_parser():
     p = sub.add_parser("tower", help="Mittag-Leffler analysis of a tower")
     p.add_argument("--spec", metavar="JSON", required=True,
                    help="{levels: [{gens, relations}], maps: [..], tail}")
-    p.add_argument("--window", type=int, default=4)
     p.add_argument("--depth", type=_nonnegative_int, default=None,
                    help="also compute the surjective-tower limit at depth")
     common(p)

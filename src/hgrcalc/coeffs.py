@@ -187,9 +187,6 @@ class IntegerRing:
     def unit_inverse(self, x):
         return x  # +-1 are self-inverse
 
-    def unit_square_classes(self):
-        return [1, -1]
-
 
 # Squarefree parts are found by trial division up to the cube root, so
 # |numerator * denominator| is capped to keep that loop short.

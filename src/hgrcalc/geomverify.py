@@ -23,20 +23,12 @@ class GeomError(HgrcalcError):
 T_RING = PolyRing(("t",))
 
 
-def _t():
-    return T_RING.gen(0)
-
-
-def _c(x):
-    return T_RING.const(Fraction(x))
-
-
 def interpolating_path():
     """The 4x4 path M(t) with M(0) = I and M(1) the sign-permutation matrix.
 
     Rows and columns follow the source: entries in Q[t].
     """
-    t = _t()
+    t = T_RING.gen(0)
     one = T_RING.one()
     z = T_RING.zero()
     t2 = t * t
@@ -51,16 +43,15 @@ def interpolating_path():
 
 def endpoint_matrix():
     """M(1): the displayed permutation-sign matrix."""
-    return [[_c(v) for v in row] for row in
-            [[0, 0, -1, 0],
-             [0, 0, 0, -1],
-             [1, 0, 0, 0],
-             [0, 1, 0, 0]]]
+    return [[0, 0, -1, 0],
+            [0, 0, 0, -1],
+            [1, 0, 0, 0],
+            [0, 1, 0, 0]]
 
 
 def factorization_matrices():
     """The three displayed elementary factors whose product is M(1)."""
-    rows = [
+    return [
         [[1, 0, 0, 0],
          [0, 1, 0, -1],
          [1, 0, 1, 0],
@@ -74,7 +65,13 @@ def factorization_matrices():
          [1, 0, 1, 0],
          [0, 0, 0, 1]],
     ]
-    return [[[_c(v) for v in row] for row in m] for m in rows]
+
+
+def _form_residual(m, b):
+    """M^T B M - B over Q[t] for a matrix M over Z or Q[t] and a rational
+    form B: zero exactly when M preserves B identically."""
+    zero = T_RING.zero()
+    return mat_sub(mat_mul(mat_mul(mat_transpose(m), b, zero), m, zero), b)
 
 
 def evaluate_at(m, value):
@@ -91,7 +88,6 @@ def solve_invariant_forms(m):
     the columns of V past the rank span the kernel.
     """
     n = len(m)
-    zero = T_RING.zero()
 
     def unit_form(i, j, sign):
         # 1 at (i, j) and sign at (j, i); on the diagonal just 1
@@ -107,13 +103,9 @@ def solve_invariant_forms(m):
     def invariant_space(basis):
         # the kernel of the constraints: one per (entry, power of t) of
         # M^T B M - B, cleared of denominators (scaling keeps the kernel)
-        residuals = []
+        residuals = [_form_residual(m, b) for b in basis]
         keys = set()
-        for b in basis:
-            bm = [[T_RING.const(x) for x in row] for row in b]
-            mtbm = mat_mul(mat_mul(mat_transpose(m), bm, zero), m, zero)
-            res = mat_sub(mtbm, bm)
-            residuals.append(res)
+        for res in residuals:
             keys.update((i, j, exps) for i in range(n) for j in range(n)
                         for exps in res[i][j].terms)
         # with no constraint at all a zero row keeps the column count
@@ -164,12 +156,9 @@ class PathReport:
 def verify_M_path():
     """M(0) = I, M(1) = M_1, det M(t) = 1, and invariance of the solved forms."""
     m = interpolating_path()
-    zero = T_RING.zero()
     checks = {}
-    ident = mat_identity(4, Fraction(1), Fraction(0))
-    checks["M(0) = I"] = evaluate_at(m, 0) == ident
-    m1 = evaluate_at(m, 1)
-    checks["M(1) = M1"] = m1 == evaluate_at(endpoint_matrix(), 0)
+    checks["M(0) = I"] = evaluate_at(m, 0) == mat_identity(4)
+    checks["M(1) = M1"] = evaluate_at(m, 1) == endpoint_matrix()
     det = bareiss_det(m, zero=T_RING.zero(), one=T_RING.one())
     checks["det M(t) = 1"] = det == T_RING.one()
     forms = solve_invariant_forms(m)
@@ -177,9 +166,8 @@ def verify_M_path():
     checks["skew invariant form exists"] = bool(forms["skew"])
     for kind in ("symmetric", "skew"):
         for idx, b in enumerate(forms[kind]):
-            bm = [[T_RING.const(x) for x in row] for row in b]
-            lhs = mat_mul(mat_mul(mat_transpose(m), bm, zero), m, zero)
-            checks["M(t) preserves %s form %d" % (kind, idx)] = lhs == bm
+            checks["M(t) preserves %s form %d" % (kind, idx)] = not any(
+                map(any, _form_residual(m, b)))
     report = PathReport(checks)
     report.invariant_forms = forms
     return report
@@ -189,23 +177,18 @@ def verify_M1_factorization():
     """Product of the three displayed factors equals M(1); each factor is
     elementary (determinant one) and preserves the solved invariant forms."""
     factors = factorization_matrices()
-    m1 = endpoint_matrix()
-    zero = T_RING.zero()
     checks = {}
     prod = factors[0]
     for f in factors[1:]:
-        prod = mat_mul(prod, f, zero)
-    checks["factor product = M1"] = prod == m1
+        prod = mat_mul(prod, f)
+    checks["factor product = M1"] = prod == endpoint_matrix()
     forms = solve_invariant_forms(interpolating_path())
     for fi, f in enumerate(factors):
-        det = bareiss_det(f, zero=T_RING.zero(), one=T_RING.one())
-        checks["factor %d has det 1" % fi] = det == T_RING.one()
+        checks["factor %d has det 1" % fi] = bareiss_det(f) == 1
         for kind in ("symmetric", "skew"):
             for bi, b in enumerate(forms[kind]):
-                bm = [[T_RING.const(x) for x in row] for row in b]
-                lhs = mat_mul(mat_mul(mat_transpose(f), bm, zero), f, zero)
                 checks["factor %d preserves %s form %d" % (fi, kind, bi)] = \
-                    lhs == bm
+                    not any(map(any, _form_residual(f, b)))
     return PathReport(checks)
 
 

@@ -297,7 +297,7 @@ def _monomial_schur(exps, rows, cols):
     return out
 
 
-def poly_json(poly, coeff_str=str):
+def poly_json(poly):
     """Canonical JSON form: graded-lex sorted [{exponents, coeff}]."""
-    return [{"exponents": list(e), "coeff": coeff_str(c)}
+    return [{"exponents": list(e), "coeff": str(c)}
             for e, c in poly.sorted_terms()]

@@ -151,19 +151,19 @@ class FGAbelian:
 
 
 TAIL_POLICIES = ("eventually-constant", "template-repeating", "finite-prefix-only")
-# each window step takes one product and one Hermite form per level, on
-# entries that grow with the image index, so a window's cost grows faster
-# than its length
-WINDOW_BOUND = 256
-# the Hermite forms are generators x (generators + relations); a doubling
-# template of 8 generators on 4 levels, with 16 relations each, takes
-# about 0.4 s at the largest window as one CLI call (Python 3.11, 2 vCPUs)
+# the Hermite forms are generators x (generators + relations), and a
+# template walks its repeated level at most 62 steps under these bounds
+# (see ENTRY_BOUND); a doubling template of 8 generators on 4 levels, with
+# 16 relations each, and one of 4 dense 8 x 8 maps with entries in
+# [-40, 40] take 0.08 s and 0.13 s as one CLI call (Python 3.11, 2 vCPUs)
 GENS_BOUND = 8
 RELATIONS_BOUND = 16
 LEVELS_BOUND = 4
 # a step multiplies an image index by at most the index of the level's
-# first image, below (sqrt(8) * 40)^8 < 2^55 by Hadamard's bound, so every
-# index of a 256-step window prints within the 4300-digit int-to-str limit
+# first image, below (sqrt(8) * 40)^8 < 2^55 by Hadamard's bound; a torsion
+# order is below that bound too, so a template is decided within
+# 8 + 55 - 1 = 62 steps and every printed index stays within the
+# 4300-digit int-to-str limit
 ENTRY_BOUND = 40
 
 
@@ -260,17 +260,34 @@ class MLResult:
         return {"kind": self.kind, "reason": self.reason, "data": self.data}
 
 
-def check_mittag_leffler(tower, window):
-    """Mittag-Leffler analysis of the image chains Im(A_{k+j} -> A_k).
+def check_mittag_leffler(tower):
+    """Mittag-Leffler decision for the image chains Im(A_{k+j} -> A_k).
 
-    Certificate when every inspected chain stabilizes (or the tail policy
-    forces it: finite level groups, or surjective repeated maps); refutation
-    when a repeating template forces strictly growing image indices through
-    the whole window; inconclusive otherwise.
+    Certificate when the level groups are all finite or the supplied maps
+    all surjective, and otherwise when every chain stabilizes, with
+    `stabilized_at[k]` the least j >= 1 with chain(k, j+1) == chain(k, j):
+
+    - eventually-constant: always, as level k's chain is constant from
+      step len(maps) - k on;
+    - template-repeating: exactly when the chain of the repeated level T
+      stabilizes, which it does by step N (below) or never; level k < T
+      is then stable at most T - k steps after level T.  Otherwise the
+      refutation gives the indices of level T's chain through step N + 1;
+    - finite-prefix-only: inconclusive, since the prefix says nothing of
+      the levels beyond it.
+
+    The bound: let F be the repeated map of A = level T, of free rank d
+    and torsion t, B_j = F^j(A), and N = d + floor(log2 |t|).  Once
+    B_{s+1} = B_s the chain is constant, as B_{s+2} = F(B_{s+1}) = F(B_s).
+    If B_{j+1} != B_j, then its image in A/t = Z^d or B_j ∩ t shrinks
+    strictly, since H ⊆ K with the same image and the same intersection
+    with t are equal.  The images G^j(Z^d), for the map G that F induces,
+    drop rank at most d times; once the rank holds, G is invertible on
+    their rational span W and each step has index |det G|_W| there, the
+    same at every step, so the images are stable from that step or never.
+    B_j ∩ t shrinks strictly at most Omega(|t|) <= floor(log2 |t|) times.
+    So a chain that stabilizes has at most N strict steps before it does.
     """
-    if not 1 <= window <= WINDOW_BOUND:
-        raise TowerError("window must be between 1 and %d" % WINDOW_BOUND)
-
     # finite groups force stabilization of any decreasing chain; this needs
     # the tail policy to pin the groups beyond the prefix
     if tower.tail != "finite-prefix-only":
@@ -288,54 +305,49 @@ def check_mittag_leffler(tower, window):
                         "constant at the full group",
                         {"levels_checked": len(tower.maps)})
 
-    stabilized_at = {}
-    for k in range(len(tower.levels)):
-        stable = None
-        for j in range(2, window + 1):
-            form = chain(k, j)
+    def stable_step(k, last):
+        # the least j <= last with chain(k, j + 1) == chain(k, j), if any
+        for j in range(1, last + 1):
+            form = chain(k, j + 1)
             if form is None:
-                break
-            if form == chain(k, j - 1):
-                stable = j - 1
-                break
-        stabilized_at[k] = stable
+                return None
+            if form == chain(k, j):
+                return j
+        return None
 
-    if all(s is not None for s in stabilized_at.values()):
-        # under a repeating template, one stable step propagates forever:
-        # Im(F^{j+1}) = F(Im F^j), so equality persists
-        reason = ("image chains stabilize" if tower.tail != "finite-prefix-only"
-                  else "image chains stabilize within the supplied prefix")
-        return MLResult("certificate", reason, {"stabilized_at": stabilized_at})
-
-    if tower.tail == "template-repeating" and stabilized_at[0] is None:
-        # level 0's chain decreases strictly through the whole window
-        idx = [_lattice_index(chain(0, j)) for j in range(1, window + 1)]
-        if None not in idx and all(a < b for a, b in zip(idx, idx[1:])):
+    last_level = len(tower.levels) - 1
+    if tower.tail == "finite-prefix-only":
+        return MLResult("inconclusive",
+                        "a finite prefix does not determine the tower beyond it",
+                        {"stabilized_at": {k: stable_step(k, last_level)
+                                           for k in range(last_level + 1)}})
+    if tower.tail == "eventually-constant":
+        bounds = [max(len(tower.maps) - k, 1) for k in range(last_level + 1)]
+    else:
+        free_rank, torsion = tower.levels[last_level].invariant_factors()
+        bound = free_rank + prod(torsion).bit_length() - 1
+        stable = stable_step(last_level, max(bound, 1))
+        if stable is None:
             return MLResult(
                 "refutation",
-                "image indices at level 0 grow strictly through the window",
-                {"indices": idx})
-        # a free group whose image spans shrink strictly under the template
-        return MLResult(
-            "refutation",
-            "image chain at level 0 is strictly decreasing under the "
-            "repeating template",
-            {"chain_length": window})
-
-    return MLResult("inconclusive",
-                    "no stabilization within the window and no forcing tail policy",
-                    {"stabilized_at": stabilized_at})
+                "the repeated level's image chain does not stabilize by the "
+                "bound its group gives, so it never does",
+                {"level": last_level, "bound": bound,
+                 "indices": [_lattice_index(chain(last_level, j))
+                             for j in range(1, bound + 2)]})
+        bounds = [stable + last_level - k for k in range(last_level + 1)]
+    return MLResult("certificate", "image chains stabilize",
+                    {"stabilized_at": {k: stable_step(k, b)
+                                       for k, b in enumerate(bounds)}})
 
 
 class LimResult:
-    def __init__(self, group, depth, lim1_zero):
+    def __init__(self, group, depth):
         self.group = group
         self.depth = depth
-        self.lim1_zero = lim1_zero
 
     def __repr__(self):
-        return "LimResult(depth=%d, %r, lim1=0: %s)" % (
-            self.depth, self.group, self.lim1_zero)
+        return "LimResult(depth=%d, %r, lim1=0)" % (self.depth, self.group)
 
 
 def lim_of_surjective(tower, depth):
@@ -351,7 +363,7 @@ def lim_of_surjective(tower, depth):
     for k in range(min(depth, len(tower.maps) + 1)):
         if tower.level(k).modulo(tower.map(k)).order() != 1:
             raise TowerError("map at level %d is not surjective" % k)
-    return LimResult(tower.level(depth), depth, True)
+    return LimResult(tower.level(depth), depth)
 
 
 def milnor_assemble(tower, certificate, elements, depth=None):

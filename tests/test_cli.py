@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -285,14 +286,41 @@ class TestTowerCmd:
         assert data["kind"] == "certificate"
         assert data["lim"]["group"] == "Z"
 
-    def test_window_over_the_bound_refused(self, capsys):
+    @pytest.mark.parametrize("spec, stabilized_at", [
+        # Z/32 + Z under diag(2, 1) stabilizes at step 5
+        ({"levels": [{"gens": 2, "relations": [[32, 0]]}],
+          "maps": [[[2, 0], [0, 1]]], "tail": "template-repeating"}, {"0": 5}),
+        # the nilpotent shift on Z^4 reaches 0 at step 4
+        ({"levels": [{"gens": 4}],
+          "maps": [[[int(j == i + 1) for j in range(4)] for i in range(4)]],
+          "tail": "template-repeating"}, {"0": 4}),
+        # an eventually-constant tower is always Mittag-Leffler
+        ({"levels": [{"gens": 1}] * 4, "maps": [[[2]]] * 4,
+          "tail": "eventually-constant"}, {"0": 4, "1": 3, "2": 2, "3": 1}),
+        # the level over the repeated one reads its torsion, one step later
+        ({"levels": [{"gens": 1, "relations": [[8]]},
+                     {"gens": 2, "relations": [[8, 0]]}],
+          "maps": [[[1, 0]], [[2, 0], [0, 1]]], "tail": "template-repeating"},
+         {"0": 4, "1": 3}),
+    ], ids=["torsion", "nilpotent-shift", "eventually-constant",
+            "levels-over-the-template"])
+    def test_certified_at_the_first_stable_step(self, capsys, spec,
+                                                stabilized_at):
+        code, out, _ = run_cli(capsys, "tower", "--spec", json.dumps(spec),
+                               "--json")
+        assert code == 0
+        assert json.loads(out) == {"kind": "certificate",
+                                   "reason": "image chains stabilize",
+                                   "data": {"stabilized_at": stabilized_at}}
+
+    def test_window_option_refused(self, capsys):
+        # the step bound comes from the tower, so there is no window to set
         spec = json.dumps({"levels": [{"gens": 1}], "maps": [[[2]]],
                            "tail": "template-repeating"})
-        with alarm(2):
-            code, _, err = run_cli(capsys, "tower", "--spec", spec,
-                                   "--window", "100000")
-        assert code == 2
-        assert "between 1 and %d" % towers.WINDOW_BOUND in err
+        with pytest.raises(SystemExit) as exc:
+            main(["tower", "--spec", spec, "--window", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window 4" in capsys.readouterr().err
 
     @staticmethod
     def doubling_spec(gens, levels, relations):
@@ -311,8 +339,7 @@ class TestTowerCmd:
     def test_spec_over_a_bound_refused(self, capsys, gens, levels, relations):
         spec = self.doubling_spec(gens, levels, relations)
         with alarm(2):
-            code, _, err = run_cli(capsys, "tower", "--spec", spec,
-                                   "--window", str(towers.WINDOW_BOUND))
+            code, _, err = run_cli(capsys, "tower", "--spec", spec)
         assert code == 2
         assert err == ("usage error: --spec: at most %d levels, each with at "
                        "most %d generators and %d relations\n"
@@ -329,7 +356,7 @@ class TestTowerCmd:
 
     @pytest.mark.parametrize("where", ["maps", "relations"])
     def test_spec_entry_over_the_bound_refused(self, capsys, where):
-        # 4000-digit entries made each window step multiply numbers of
+        # 4000-digit entries made each chain step multiply numbers of
         # millions of digits
         big = int("9" * 4000)
         level = {"gens": 2}
@@ -340,16 +367,16 @@ class TestTowerCmd:
         spec = json.dumps({"levels": [level], "maps": maps,
                            "tail": "template-repeating"})
         with alarm(2):
-            code, out, err = run_cli(capsys, "tower", "--spec", spec,
-                                     "--window", str(towers.WINDOW_BOUND))
+            code, out, err = run_cli(capsys, "tower", "--spec", spec)
         assert code == 2
         assert out == ""
         assert err == ("usage error: --spec: map and relation entries must be "
                        "at most %d in absolute value\n" % towers.ENTRY_BOUND)
 
     def test_spec_entries_at_the_bound(self, capsys):
-        # every entry at +-ENTRY_BOUND, on the largest levels and window;
-        # the printed indices stay under the int-to-str digit limit
+        # every entry at +-ENTRY_BOUND, on the largest levels; the group
+        # Z/40 + Z^7 gives the bound 7 + 5 = 12, and the printed indices
+        # stay under the int-to-str digit limit
         e, n = towers.ENTRY_BOUND, towers.GENS_BOUND
         m = [[e if j == i else -e if j == i + 1 else 0 for j in range(n)]
              for i in range(n)]
@@ -359,12 +386,13 @@ class TestTowerCmd:
                            "maps": [m] * towers.LEVELS_BOUND,
                            "tail": "template-repeating"})
         with alarm(5):
-            code, out, _ = run_cli(capsys, "tower", "--spec", spec, "--window",
-                                   str(towers.WINDOW_BOUND), "--json")
+            code, out, _ = run_cli(capsys, "tower", "--spec", spec, "--json")
         assert code == 1
         data = json.loads(out)
         assert data["kind"] == "refutation"
-        assert len(data["data"]["indices"]) == towers.WINDOW_BOUND
+        assert data["data"]["level"] == towers.LEVELS_BOUND - 1
+        assert data["data"]["bound"] == 12
+        assert len(data["data"]["indices"]) == 13
 
     def test_repeated_map_of_the_wrong_shape_refused(self, capsys):
         # the template's map from Z^2 to Z cannot repeat on Z^2; the chain
@@ -609,6 +637,28 @@ class TestImportFootprint:
         assert "dataclasses" not in loaded
 
 
+def readme_cli_calls():
+    """The `hgrcalc` lines of the README's CLI block as argv lists, with
+    backslash continuations joined and comments dropped."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        block = f.read().split("\n## CLI\n", 1)[1].split("```\n")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("hgrcalc ")]
+
+
+def test_readme_cli_block_runs(capsys):
+    # every example exits 0, but the tower one, a refutation, exits 1
+    calls = readme_cli_calls()
+    assert len(calls) == 17
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == (1 if argv[0] == "tower" else 0), argv
+        assert out and err == "", argv
+
+
 # One call per subcommand in a fresh interpreter: each command's own
 # imports, run end to end.
 FRESH_CALLS = [
@@ -720,7 +770,6 @@ def cli_argv(draw):
         option("--invert", SMALL)
     elif command == "tower":
         json_option("--spec", SPECS, True)
-        option("--window", SMALL)
         option("--depth", SMALL)
     else:
         argv.append(draw(st.sampled_from(["m-path", "m1-factorization",

@@ -323,9 +323,6 @@ class TestSpReduce:
 
 
 class TestUnitSquareClasses:
-    def test_integers(self):
-        assert ZZ.unit_square_classes() == [1, -1]
-
     def test_z_half(self):
         classes = ZHALF.unit_square_classes()
         assert len(classes) == 4

@@ -16,7 +16,7 @@ class TestMPath:
         m = interpolating_path()
         ident = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
         assert evaluate_at(m, 0) == ident
-        assert evaluate_at(m, 1) == evaluate_at(endpoint_matrix(), 0)
+        assert evaluate_at(m, 1) == endpoint_matrix()
 
     def test_determinant_identically_one(self):
         det = bareiss_det(interpolating_path(),
@@ -126,13 +126,11 @@ class TestFactorization:
         prod = factors[0]
         for f in factors[1:]:
             prod = mat_mul(prod, f)
-        m1 = endpoint_matrix()
-        assert all(prod[i][j] == m1[i][j] for i in range(4) for j in range(4))
+        assert prod == endpoint_matrix()
 
     def test_each_factor_determinant_one(self):
         for f in factorization_matrices():
-            det = bareiss_det(f, zero=T_RING.zero(), one=T_RING.one())
-            assert det == T_RING.one()
+            assert bareiss_det(f) == 1
 
     def test_full_report(self):
         report = verify_M1_factorization()

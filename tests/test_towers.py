@@ -1,13 +1,13 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hgrcalc.grassring import present, restriction
 from hgrcalc.symfun import Partition
-from deadline import alarm
 from hgrcalc import towers
-from hgrcalc.towers import (TAIL_POLICIES, WINDOW_BOUND, FGAbelian, MLResult,
+from hgrcalc.towers import (TAIL_POLICIES, FGAbelian, MLResult,
                             Tower, TowerError, check_mittag_leffler,
                             hermite_column_form, lim_of_surjective,
                             milnor_assemble, smith_normal_form)
@@ -166,35 +166,42 @@ def constant_tower(group, length=3, tail="eventually-constant"):
 class TestMittagLeffler:
     def test_constant_tower_certificate(self):
         t = constant_tower(FGAbelian.free(1))
-        res = check_mittag_leffler(t, window=3)
+        res = check_mittag_leffler(t)
         assert res.kind == "certificate"
 
     def test_times_two_refuted(self):
+        # Z has free rank 1 and no torsion, so the bound is one step
         t = Tower([FGAbelian.free(1)], [[[2]]], tail="template-repeating")
-        res = check_mittag_leffler(t, window=4)
+        res = check_mittag_leffler(t)
         assert res.kind == "refutation"
+        assert res.data == {"level": 0, "bound": 1, "indices": [2, 4]}
 
-    def test_window_bound(self):
-        t = Tower([FGAbelian.free(1)], [[[2]]], tail="template-repeating")
-        with alarm(5):
-            res = check_mittag_leffler(t, window=WINDOW_BOUND)
-            assert res.kind == "refutation"
-            assert len(res.data["indices"]) == WINDOW_BOUND
-            for window in (0, WINDOW_BOUND + 1, 100000):
-                with pytest.raises(TowerError):
-                    check_mittag_leffler(t, window=window)
+    def test_step_bound_is_reached(self):
+        # Z/2^20 + Z has the bound N = 1 + 20 = 21; under diag(2, 1) the
+        # torsion shrinks at each of the first 20 steps, and under
+        # diag(1, 2) the free part shrinks forever
+        group = FGAbelian(2, [[2 ** 20, 0]])
+        res = check_mittag_leffler(Tower([group], [[[2, 0], [0, 1]]],
+                                         tail="template-repeating"))
+        assert res.data == {"stabilized_at": {0: 20}}
+        res = check_mittag_leffler(Tower([group], [[[1, 0], [0, 2]]],
+                                         tail="template-repeating"))
+        assert res.kind == "refutation"
+        assert res.data == {"level": 0, "bound": 21,
+                            "indices": [2 ** j for j in range(1, 23)]}
 
     def test_finite_template_certified(self):
         for matrix in ([[3]], [[2]], [[5]], [[0]]):
             t = Tower([FGAbelian.cyclic(8)], [matrix], tail="template-repeating")
-            res = check_mittag_leffler(t, window=2)
+            res = check_mittag_leffler(t)
             assert res.kind == "certificate", matrix
 
     def test_finite_prefix_is_inconclusive_without_stabilization(self):
         t = Tower([FGAbelian.free(1), FGAbelian.free(1)], [[[2]]],
                   tail="finite-prefix-only")
-        res = check_mittag_leffler(t, window=4)
+        res = check_mittag_leffler(t)
         assert res.kind == "inconclusive"
+        assert res.data == {"stabilized_at": {0: None, 1: None}}
 
     def test_ill_formed_map_rejected(self):
         # Z/4 -> Z/8 by generator -> generator sends the relation 4 to 4,
@@ -227,7 +234,7 @@ class TestMittagLeffler:
         # coordinate projections Z^2 -> Z
         t = Tower([FGAbelian.free(1), FGAbelian.free(2)], [[[1, 0]]],
                   tail="eventually-constant")
-        res = check_mittag_leffler(t, window=2)
+        res = check_mittag_leffler(t)
         assert res.kind == "certificate"
 
 
@@ -270,6 +277,8 @@ def random_tower(rng):
 
 class TestImageChains:
     def test_matches_the_composite_route(self):
+        # against the oracle at a window past every step the decision can
+        # walk: N steps on the repeated level and one more per level above
         rng = random.Random(1301)
         seen = set()
         done = 0
@@ -278,33 +287,59 @@ class TestImageChains:
             if tower is None:
                 continue
             done += 1
-            window = rng.randint(1, 6)
-            res = check_mittag_leffler(tower, window)
-            want = mittag_leffler_by_composites(tower, window)
-            assert (res.kind, res.reason, res.data) == want, (
-                [(g.ngens, g.relations) for g in tower.levels], tower.maps,
-                tower.tail, window)
+            last = len(tower.levels) - 1
+            free_rank, torsion = tower.levels[last].invariant_factors()
+            window = free_rank + prod(torsion).bit_length() + last + 2
+            res = check_mittag_leffler(tower)
+            kind, reason, data = mittag_leffler_by_composites(tower, window)
+            where = ([(g.ngens, g.relations) for g in tower.levels],
+                     tower.maps, tower.tail)
+            if kind == "certificate":
+                assert (res.kind, res.reason, res.data) == (kind, reason,
+                                                            data), where
+            elif tower.tail == "template-repeating":
+                assert res.kind == "refutation", where
+                assert data["stabilized_at"][last] is None, where
+            else:
+                assert tower.tail == "finite-prefix-only", where
+                assert res.kind == "inconclusive", where
+                assert res.data == data, where
             seen.add((tower.tail, res.kind))
             seen.add(("torsion", any(g.relations for g in tower.levels)))
-        # torsion levels occur, and every tail gives each kind it can give
-        assert ("torsion", True) in seen
-        for tail in TAIL_POLICIES:
-            assert {kind for t, kind in seen if t == tail} >= (
-                {"certificate", "refutation", "inconclusive"}
-                if tail == "template-repeating" else {"certificate", "inconclusive"})
+            if "stabilized_at" in res.data and res.kind == "certificate":
+                seen.add(("walked", tower.tail))
+        # torsion levels occur, both tails that walk the chains certify by
+        # walking, and every tail gives each kind it can give
+        assert {("torsion", True), ("walked", "template-repeating"),
+                ("walked", "eventually-constant")} <= seen
+        assert {(t, k) for t, k in seen if t in TAIL_POLICIES} == {
+            ("template-repeating", "certificate"),
+            ("template-repeating", "refutation"),
+            ("eventually-constant", "certificate"),
+            ("finite-prefix-only", "certificate"),
+            ("finite-prefix-only", "inconclusive")}
 
-    @pytest.mark.parametrize("levels, maps, tail, window", [
-        ([FGAbelian.free(1)], [[[2]]], "template-repeating", 40),
+    # the surjectivity test stops at the first map, level 0's, which is
+    # not onto; then the decision walks:
+    # - doubling: level 0 (Z, so N = 1) through step N + 1 = 2;
+    # - torsion-template: the repeated level 2 (Z^2, N = 2) through step
+    #   3, after (0, 1);
+    # - finite-prefix: every (level, step) the prefix holds, (0, 1), (0, 2)
+    #   and (1, 1);
+    # - eventually-constant: level 0 through step 3 = len(maps) + 1, which
+    #   takes (1, 1), (1, 2) and the tail's (2, 1) along
+    @pytest.mark.parametrize("levels, maps, tail, hermite", [
+        ([FGAbelian.free(1)], [[[2]]], "template-repeating", 2),
         ([FGAbelian(2, [[0, 6]]), FGAbelian(2, [[0, 6]]), FGAbelian.free(2)],
          [[[2, 0], [0, 1]], [[3, 1], [0, 2]], [[2, 1], [0, 1]]],
-         "template-repeating", 12),
+         "template-repeating", 4),
         ([FGAbelian.free(2)] * 3, [[[2, 0], [0, 1]], [[1, 1], [0, 3]]],
-         "finite-prefix-only", 5),
+         "finite-prefix-only", 3),
         ([FGAbelian(2, [[4, 0]])] * 2, [[[1, 0], [0, 2]]] * 2,
-         "eventually-constant", 8),
+         "eventually-constant", 6),
     ], ids=["doubling", "torsion-template", "finite-prefix", "eventually-constant"])
     def test_one_hermite_form_per_level_and_step(self, monkeypatch, levels,
-                                                 maps, tail, window):
+                                                 maps, tail, hermite):
         tower = Tower(levels, maps, tail=tail)
         for g in tower.levels:
             g.order()  # the level groups' own forms are cached first
@@ -320,12 +355,10 @@ class TestImageChains:
                             counting("hermite", towers.hermite_column_form))
         monkeypatch.setattr(towers, "smith_normal_form",
                             counting("smith", towers.smith_normal_form))
-        check_mittag_leffler(tower, window)
+        check_mittag_leffler(tower)
         assert calls["smith"] == 0
-        # levels 0 .. len(levels) - 1 and the tail's own level
-        assert 0 < calls["hermite"] <= (len(tower.levels) + 1) * window
-        if len(tower.levels) == 1:
-            assert calls["hermite"] == window
+        # one Hermite form per (level, step)
+        assert calls["hermite"] == hermite
 
 
 class TestLimOfSurjective:
@@ -333,7 +366,6 @@ class TestLimOfSurjective:
         t = constant_tower(FGAbelian.free(2), length=4)
         res = lim_of_surjective(t, depth=3)
         assert res.group.invariant_factors() == (2, [])
-        assert res.lim1_zero
 
     def test_error_names_level(self):
         zero_map = [[0]]
@@ -387,13 +419,13 @@ class TestLimOfSurjective:
 class TestMilnorAssemble:
     def test_constant_family(self):
         t = constant_tower(FGAbelian.free(1), length=3)
-        cert = check_mittag_leffler(t, window=2)
+        cert = check_mittag_leffler(t)
         out = milnor_assemble(t, cert, [[5], [5], [5]], depth=2)
         assert out == [5]
 
     def test_incompatible_family(self):
         t = constant_tower(FGAbelian.free(1), length=3)
-        cert = check_mittag_leffler(t, window=2)
+        cert = check_mittag_leffler(t)
         with pytest.raises(TowerError) as err:
             milnor_assemble(t, cert, [[5], [5], [6]])
         assert "level 1" in str(err.value)
@@ -416,7 +448,7 @@ class TestMilnorAssemble:
                 m[i][j] = v
             maps.append(m)
         t = Tower(levels, maps, tail="finite-prefix-only")
-        cert = check_mittag_leffler(t, window=3)
+        cert = check_mittag_leffler(t)
         assert cert.kind == "certificate"
         # the p1 coordinate family: one in the s_(1) slot at every level
         family = []
