@@ -28,11 +28,12 @@ from .polynomial import (Poly, PolyRing, bareiss_det, mat_add,
 
 
 def _signed(e, m):
-    """(-1)^e * m for an integer, a polynomial or a matrix of polynomials."""
+    """(-1)^e * m for an integer, a polynomial or a matrix of polynomials;
+    a matrix's zero entries are kept, not rebuilt."""
     if not e % 2:
         return m
     if isinstance(m, list):
-        return [[-x for x in row] for row in m]
+        return [[-x if x else x for x in row] for row in m]
     return -m
 
 
@@ -63,7 +64,7 @@ class FreeComplex:
 
     def _coerce(self, x):
         if isinstance(x, Poly):
-            if x.ring != self.ring:
+            if x.ring is not self.ring and x.ring != self.ring:
                 raise ChainError("entry from a different polynomial ring")
             return x
         return self.ring.const(Fraction(x))

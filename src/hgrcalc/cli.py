@@ -23,6 +23,10 @@ COEFFS = ("Integers", "Rationals", "GWBase")  # descriptor names
 # largest rank of a --bundle and of their Cartan sum: the split case
 # expands rank/2 elementary symmetric functions, quadratic in rank/2
 BUNDLE_RANK_BOUND = 2000
+# largest dimension of a --matrix, and largest |numerator| and |denominator|
+# of its entries: the O(n^3) reductions at these bounds take under a second
+MATRIX_DIMENSION_BOUND = 32
+MATRIX_ENTRY_BOUND = 10 ** 6
 
 
 def _emit(args, payload, human_lines):
@@ -183,13 +187,21 @@ def _parse_gram(text):
         raise UsageError("--matrix: expected a nonempty array of rows")
     if any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
         raise UsageError("--matrix: must be square")
+    if len(rows) > MATRIX_DIMENSION_BOUND:
+        raise UsageError("--matrix: dimension %d is over the bound %d"
+                         % (len(rows), MATRIX_DIMENSION_BOUND))
     # a string such as "1e3000000" would make Fraction build a huge integer
     if any(isinstance(x, str) for row in rows for x in row):
         raise UsageError("--matrix: entries must be JSON numbers, not strings")
     try:
-        return [[Fraction(str(x)) for x in row] for row in rows]
+        gram = [[Fraction(str(x)) for x in row] for row in rows]
     except ValueError as err:  # inf, nan and entries that are not numbers
         raise UsageError("--matrix: %s" % err)
+    if any(abs(x.numerator) > MATRIX_ENTRY_BOUND
+           or x.denominator > MATRIX_ENTRY_BOUND for row in gram for x in row):
+        raise UsageError("--matrix: entry numerators and denominators must "
+                         "be at most %d in absolute value" % MATRIX_ENTRY_BOUND)
+    return gram
 
 
 def _descriptor(kind, name):

@@ -12,9 +12,9 @@ from math import isqrt
 
 from . import HgrcalcError
 from .coeffs import IntegerRing, RationalsField, primitive_integers
-from .polynomial import (Poly, PolyRing, invariant_factors, mat_apply,
-                         mat_identity, mat_mul, mat_scal, mat_shape,
-                         mat_transpose)
+from .polynomial import (Poly, PolyRing, dot, invariant_factors,
+                         mat_apply, mat_identity, mat_mul, mat_scal,
+                         mat_shape, mat_transpose)
 from .towers import FGAbelian
 
 
@@ -322,10 +322,15 @@ class BilinearForm:
             raise FormsError("Gram matrix does not match declared kind %s" % kind)
         self.n = n
 
+    def gram_column(self, w):
+        """G w: its dot product with any v is value(v, w).  Computing it
+        costs O(n^2); the reductions below compute one per vector they
+        keep pairing, so each further pairing costs one O(n) dot product."""
+        return mat_apply(self.gram, w, self.field.zero())
+
     def value(self, v, w):
-        """v^T G w, as the row v times the column G w."""
-        zero = self.field.zero()
-        return mat_apply([v], mat_apply(self.gram, w, zero), zero)[0]
+        """v^T G w, as the dot product of v with gram_column(w); O(n^2)."""
+        return dot(v, self.gram_column(w), self.field.zero())
 
 
 class Diagonalization:
@@ -345,27 +350,30 @@ def diagonalize(form):
 
     Returns exact diagonal entries with the change of basis; a degenerate
     input raises DegenerateFormError carrying the radical dimension.
+    Each remaining vector w keeps its Gram column G w, updated along with
+    w, so every length and pairing is one O(n) dot product and the whole
+    reduction, the pivot search included, takes O(n^3) operations.
     """
     if form.kind != "symmetric":
         raise FormsError("diagonalize expects a symmetric form")
     F = form.field
     n = form.n
-    vecs = mat_identity(n, F.one(), F.zero())  # basis vectors as rows
+    zero = F.zero()
+    vecs = mat_identity(n, F.one(), zero)  # basis vectors as rows
+    cols = mat_transpose(form.gram)  # G e_i, the columns of G
     out = []
     while vecs:
         # find a vector of nonzero length, mixing if needed
-        pivot = None
-        for i, v in enumerate(vecs):
-            if form.value(v, v):
-                pivot = i
-                break
+        pivot = next((i for i, (v, g) in enumerate(zip(vecs, cols))
+                      if dot(v, g, zero)), None)
         if pivot is None:
             mixed = False
             for i in range(len(vecs)):
                 for j in range(i + 1, len(vecs)):
-                    if form.value(vecs[i], vecs[j]):
+                    if dot(vecs[i], cols[j], zero):
                         # char != 2: v_i + v_j has length 2*g(v_i, v_j)
                         vecs[i] = [a + b for a, b in zip(vecs[i], vecs[j])]
+                        cols[i] = [a + b for a, b in zip(cols[i], cols[j])]
                         pivot = i
                         mixed = True
                         break
@@ -375,13 +383,14 @@ def diagonalize(form):
                 raise DegenerateFormError(
                     "form is degenerate; radical has dimension %d" % len(vecs),
                     radical_dimension=len(vecs))
-        v = vecs.pop(pivot)
-        inv_len = F.inv(form.value(v, v))
-        reduced = []
-        for w in vecs:
-            c = form.value(v, w) * inv_len
-            reduced.append([a - c * b for a, b in zip(w, v)])
-        vecs = reduced
+        v, gv = vecs.pop(pivot), cols.pop(pivot)
+        inv_len = F.inv(dot(v, gv, zero))
+        for k, w in enumerate(vecs):
+            # g(v, w) = (G v) . w since G is symmetric
+            c = dot(gv, w, zero) * inv_len
+            if c:
+                vecs[k] = [a - c * b if b else a for a, b in zip(w, v)]
+                cols[k] = [a - c * b if b else a for a, b in zip(cols[k], gv)]
         out.append(v)
     # normalize over Q-like fields: clear denominators columnwise
     cleaned = [[Fraction(x) for x in primitive_integers(v)]
@@ -390,9 +399,9 @@ def diagonalize(form):
     entries = [form.value(v, v) for v in cleaned]
     classes = [F.square_class(e) for e in entries]
     # exactness guarantee
-    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, F.zero()),
-                    p_matrix, F.zero())
-    diagonal = [[entries[i] if i == j else F.zero() for j in range(n)]
+    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, zero),
+                    p_matrix, zero)
+    diagonal = [[entries[i] if i == j else zero for j in range(n)]
                 for i in range(n)]
     if check != diagonal:
         raise FormsError("internal error: P^T G P mismatch")
@@ -401,7 +410,12 @@ def diagonalize(form):
 
 def symplectic_basis(form):
     """Change of basis taking a nondegenerate skew form to the standard
-    block-diagonal form with blocks [[0,1],[-1,0]]."""
+    block-diagonal form with blocks [[0,1],[-1,0]].
+
+    omega(x, u) = x^T G u = -(G x) . u for skew G, so each vector of a pair
+    costs one Gram column and each pairing with it one O(n) dot product:
+    O(n^3) operations in all.
+    """
     if form.kind != "skew":
         raise FormsError("symplectic_basis expects a skew form")
     F = form.field
@@ -409,26 +423,25 @@ def symplectic_basis(form):
     if n % 2:
         raise DegenerateFormError("degenerate skew form (odd rank)",
                                   radical_dimension=1)
-    vecs = mat_identity(n, F.one(), F.zero())
+    zero = F.zero()
+    vecs = mat_identity(n, F.one(), zero)
     pairs = []
     while vecs:
         v = vecs.pop(0)
-        partner = None
-        for i, w in enumerate(vecs):
-            c = form.value(v, w)
-            if c:
-                partner = i
-                break
+        row_v = [-x for x in form.gram_column(v)]  # omega(v, u) = row_v . u
+        partner = next((i for i, w in enumerate(vecs)
+                        if dot(row_v, w, zero)), None)
         if partner is None:
             raise DegenerateFormError("degenerate skew form",
                                       radical_dimension=1 + len(vecs))
         w = vecs.pop(partner)
-        c = form.value(v, w)
-        w = [F.inv(c) * x for x in w]  # omega(v, w) = 1
+        scale = F.inv(dot(row_v, w, zero))
+        w = [scale * x for x in w]  # omega(v, w) = 1
+        row_w = [-x for x in form.gram_column(w)]
         new_vecs = []
         for u in vecs:
-            a = form.value(v, u)
-            b = form.value(w, u)
+            a = dot(row_v, u, zero)
+            b = dot(row_w, u, zero)
             # u - a*w + b*v is orthogonal to both v and w
             adj = [x - a * y + b * z for x, y, z in zip(u, w, v)]
             new_vecs.append(adj)
@@ -436,8 +449,8 @@ def symplectic_basis(form):
         pairs.extend([v, w])
     p_matrix = mat_transpose(pairs)
     # verify P^T G P = standard J
-    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, F.zero()),
-                    p_matrix, F.zero())
+    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, zero),
+                    p_matrix, zero)
     if check != standard_symplectic_gram(n, F):
         raise FormsError("internal error: symplectic reduction mismatch")
     return p_matrix

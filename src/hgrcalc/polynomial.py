@@ -18,9 +18,10 @@ class PolyRing:
 
     Weights feed the grading (deg of a monomial = sum weight_i * exp_i) and
     the graded-lexicographic term order used for printing and serialization.
+    The ring holds its one zero polynomial: every `zero()` is that object.
     """
 
-    __slots__ = ("gens", "weights")
+    __slots__ = ("gens", "weights", "_zero")
 
     def __init__(self, gens, weights=None):
         self.gens = tuple(gens)
@@ -29,8 +30,11 @@ class PolyRing:
         self.weights = tuple(weights)
         if len(self.weights) != len(self.gens):
             raise ValueError("one weight per generator required")
+        self._zero = Poly(self, {})
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, PolyRing) and self.gens == other.gens
                 and self.weights == other.weights)
 
@@ -41,7 +45,7 @@ class PolyRing:
         return "PolyRing(%s)" % ", ".join(self.gens)
 
     def zero(self):
-        return Poly(self, {})
+        return self._zero
 
     def const(self, c):
         return Poly(self, {(0,) * len(self.gens): c})
@@ -75,7 +79,9 @@ class Combination:
     hash and scaling.  A subclass gives its product, its printing and the
     scalars it accepts (`_scalar`, and `_coerce` for sums).  Every result is
     built by `_new`, which drops zero coefficients, so no loop has to
-    cancel a sum in place.
+    cancel a sum in place.  Elements are values: nothing edits `terms`
+    after construction, so one object (a ring's zero) may stand in many
+    places at once.
     """
 
     __slots__ = ("ring", "terms")
@@ -111,6 +117,8 @@ class Combination:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -223,6 +231,8 @@ class Poly(Combination):
 
     def map_to(self, ring, gen_map):
         """Reinterpret in another ring; gen_map sends old index -> new index."""
+        if not self.terms:
+            return ring.zero()
         res = {}
         get = res.get
         width = len(ring.gens)
@@ -338,9 +348,13 @@ def _exact_coeff_div(a, b):
 # ---------------------------------------------------------------------------
 # Matrix helpers, the library's only matrix code.  Matrices are plain lists
 # of lists whose entries belong to any commutative ring (ints, Fractions,
-# Poly, field elements).  Products skip zero entries of both factors, so an
-# entry that no product reaches is the `zero` argument.  `zero` and `one`
-# default to the integers and must be passed for other entry rings.
+# Poly, field elements).  Entries are values that no code edits in place
+# (the one dict written after construction is the fresh one of
+# GWElement.__init__), so a single `zero` object fills every zero entry, a
+# PolyRing's zero() included.  Products cost their nonzero pairs: mat_mul
+# lists the nonzero entries of each row of b once, and an entry that no
+# product reaches is the `zero` argument itself.  `zero` and `one` default
+# to the integers and must be passed for other entry rings.
 # ---------------------------------------------------------------------------
 
 
@@ -377,29 +391,30 @@ def mat_mul(a, b, zero=0):
     if ca != rb:
         raise ValueError("matrix shapes %sx%s and %sx%s do not compose"
                          % (ra, ca, rb, cb))
+    nonzero = [[(j, y) for j, y in enumerate(row_b) if y] for row_b in b]
     out = []
     for row_a in a:
         row = [zero] * cb
-        for x, row_b in zip(row_a, b):
-            if not x:
-                continue
-            for j, y in enumerate(row_b):
-                if y:
+        for x, pairs in zip(row_a, nonzero):
+            if x:
+                for j, y in pairs:
                     row[j] = row[j] + x * y
         out.append(row)
     return out
 
 
+def dot(x, y, zero=0):
+    """The sum of x_i * y_i over the i where both are nonzero."""
+    acc = zero
+    for a, b in zip(x, y):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
 def mat_apply(a, v, zero=0):
     """The matrix-vector product a * v."""
-    out = []
-    for row in a:
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
+    return [dot(row, v, zero) for row in a]
 
 
 def mat_transpose(a):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -250,6 +251,33 @@ class TestGW:
         assert code == 0
         data = json.loads(out)
         assert data["matrix"] == [["1", "0"], ["0", "1/2"]]
+
+    def test_square_class_bound_within_the_matrix_bounds(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gw", "diagonalize", "--matrix",
+            "[[10000,1,0,0],[1,10000,1,0],[0,1,10000,1],[0,0,1,10000]]")
+        assert code == 2 and out == ""
+        assert "square class" in err
+
+    @pytest.mark.parametrize("verb, field", [("diagonalize", "F999999937"),
+                                             ("symplectic-basis", "Q")])
+    def test_matrix_at_the_bounds(self, capsys, verb, field):
+        # 32 x 32 with entries up to 10^6 in absolute value: under a second
+        # as one CLI call
+        rng = random.Random(32)
+        g = [[0] * 32 for _ in range(32)]
+        for i in range(32):
+            for j in range(i, 32):
+                x = rng.randint(-10 ** 6, 10 ** 6)
+                if verb == "diagonalize":
+                    g[i][j] = g[j][i] = x
+                elif i != j:
+                    g[i][j], g[j][i] = x, -x
+        with alarm(10):
+            code, out, _ = run_cli(capsys, "gw", verb, "--field", field,
+                                   "--matrix", json.dumps(g), "--json")
+        assert code == 0
+        assert len(json.loads(out)["matrix"]) == 32
 
 
 class TestKoszulCmd:
@@ -516,7 +544,10 @@ LIBRARY_ERRORS = [
     ["gw", "ko1", "--ring", "Fx"],
     ["gw", "karoubi", "--ring", "Fx"],
     ["gw", "diagonalize", "--matrix", "[[1e400]]"],
-    ["gw", "diagonalize", "--matrix", "[[1000000000000000000000,0],[0,1]]"],
+    # within the --matrix bounds; only the last pivot, about 10^28, is over
+    # the square-class bound
+    ["gw", "diagonalize", "--matrix",
+     "[[10000,1,0,0],[1,10000,1,0],[0,1,10000,1],[0,0,1,10000]]"],
     ["gw", "diagonalize", "--matrix", '[["1e5000"]]'],
     ["gw", "diagonalize", "--matrix", "[[%s]]" % ("1" * 5000)],
     ["gw", "diagonalize", "--matrix", '[["1e3000000"]]'],
@@ -536,6 +567,10 @@ LIBRARY_ERRORS = [
                         '"maps": [], "tail": "eventually-constant"}'],
     ["gw", "ko1", "--ring", "Z"],
     ["gw", "ko1", "--ring", "Q[x]"],
+    ["gw", "diagonalize", "--matrix", json.dumps(
+        [[int(i == j) for j in range(33)] for i in range(33)])],
+    ["gw", "symplectic-basis", "--matrix", "[[0,1000001],[-1000001,0]]"],
+    ["gw", "diagonalize", "--matrix", "[[1,0],[0,0.0000001]]"],
 ]
 LIBRARY_ERROR_IDS = [
     "diagonalize-no-matrix", "ko1-F6", "quadratic-section-r0",
@@ -547,7 +582,8 @@ LIBRARY_ERROR_IDS = [
     "ko1-field-digit-limit", "pontryagin-not-an-object",
     "pontryagin-string-rank", "tower-not-an-object", "tower-no-levels",
     "tower-template-without-map", "tower-float-gens",
-    "tower-float-relation", "ko1-Z", "ko1-Qx"]
+    "tower-float-relation", "ko1-Z", "ko1-Qx", "diagonalize-dimension-bound",
+    "symplectic-basis-entry-bound", "diagonalize-denominator-bound"]
 
 
 @pytest.mark.parametrize("argv", LIBRARY_ERRORS, ids=LIBRARY_ERROR_IDS)

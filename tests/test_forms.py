@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hgrcalc.forms import (BilinearForm, DegenerateFormError, FiniteField,
-                           FIELD_ORDER_BOUND, FormsError, QX,
+from hgrcalc.forms import (BilinearForm, DegenerateFormError, FFElement,
+                           FiniteField, FIELD_ORDER_BOUND, FormsError, QX,
                            RealClosedField, SpReductionError, SympFactor,
                            ZHALF, ZZ, diagonalize, karoubi_check,
                            karoubi_table, ko1_euclidean, sp_reduce_unimodular,
@@ -190,6 +190,55 @@ class TestSymplecticBasis:
                 want = standard_symplectic_gram(n)
                 got = mat_mul(mat_mul(mat_transpose(p), g), p)
                 assert got == want
+
+
+def _random_gram(n, kind, rng):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = rng.randint(-50, 50) if kind == "symmetric" or i != j else 0
+            g[i][j], g[j][i] = x, x if kind == "symmetric" else -x
+    return g
+
+
+class TestReductionCost:
+    """Both reductions take O(n^3) field multiplications, their P^T G P
+    checks included: doubling n multiplies the count by 8 for n^3 and by 16
+    for n^4.  The n^4 terms of a reduction that recomputes G w for every
+    pairing are small while the vectors are sparse, so the sizes are 16 and
+    32 (at 8 and 16 such a diagonalize still reads about 9.3)."""
+
+    @staticmethod
+    def multiplications(monkeypatch, reduce, kind, n):
+        field = FiniteField(101)
+        rng = random.Random(n)
+        while True:
+            form = BilinearForm(_random_gram(n, kind, rng), kind, field)
+            try:
+                reduce(form)
+                break
+            except DegenerateFormError:
+                continue
+        count = [0]
+        mul = FFElement.__mul__
+
+        def counting(x, y):
+            count[0] += 1
+            return mul(x, y)
+
+        with monkeypatch.context() as m:
+            m.setattr(FFElement, "__mul__", counting)
+            m.setattr(FFElement, "__rmul__", counting)
+            reduce(form)
+        return count[0]
+
+    @pytest.mark.parametrize("reduce, kind", [(diagonalize, "symmetric"),
+                                              (symplectic_basis, "skew")],
+                             ids=["diagonalize", "symplectic-basis"])
+    def test_cubic_in_n(self, monkeypatch, reduce, kind):
+        small, large = (self.multiplications(monkeypatch, reduce, kind, n)
+                        for n in (16, 32))
+        assert large <= 10 * small, (small, large)
 
 
 class TestSpReduce:

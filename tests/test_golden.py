@@ -4,10 +4,13 @@ These pin the graded-lexicographic term and partition orders that golden
 files downstream depend on.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from hgrcalc.cli import main
 
@@ -91,6 +94,34 @@ def test_hgr_ring_golden_bytes(capsys):
     code, out = capture(capsys, "hgr-ring", "--r", "1", "--n", "2", "--json")
     assert code == 0
     assert out == GOLDEN_RING_12
+
+
+# sha256 of the --json output of matrix-layer calls: the Koszul complex with
+# its homotopy, one diagonalization over Q and over F7 (a zero diagonal, so
+# the first pivot comes from mixing two basis vectors) and one symplectic
+# basis
+GOLDEN_DIGESTS = [
+    (("koszul", "--n", "4", "--invert", "2"),
+     "c5db4448e000e318f7972970b4985db96515a255d86c0db9545632b05032593e"),
+    (("gw", "diagonalize", "--matrix",
+      "[[0,1,2,3],[1,0,1,2],[2,1,0,1],[3,2,1,0]]"),
+     "9d939f304557651f4e2264e9737944832eb82875974288758b4c60fe48f97ea6"),
+    (("gw", "diagonalize", "--field", "F7", "--matrix",
+      "[[0,1,2,3],[1,0,1,2],[2,1,0,1],[3,2,1,0]]"),
+     "eece9ed2fab733ed548cd21eda7a26a882224cc4adc7ff40940cc67b680c789e"),
+    (("gw", "symplectic-basis", "--matrix",
+      "[[0,2,1,-1],[-2,0,3,1],[-1,-3,0,4],[1,-1,-4,0]]"),
+     "6890fe41c698089de427874703f196f460aa0e5a0995f98082b7452d2b4c6edb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS,
+                         ids=["koszul", "diagonalize-q", "diagonalize-f7",
+                              "symplectic-basis"])
+def test_matrix_layer_golden_digests(capsys, argv, digest):
+    code, out = capture(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_identical_invocations_byte_identical(capsys):

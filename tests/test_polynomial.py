@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from deadline import alarm
+from hgrcalc.chainduality import koszul, koszul_tensor_isometry
 from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE
-from hgrcalc.forms import FiniteField
+from hgrcalc.forms import FiniteField, sp_reduce_unimodular
+from hgrcalc.forms import QX as QX_RING
 from hgrcalc.polynomial import (Poly, PolyRing, bareiss_det,
                                 hermite_column_form, invariant_factors,
                                 mat_identity, mat_mul, mat_transpose,
@@ -211,6 +213,33 @@ class TestOrderingAndOutput:
         assert repr(R2.zero()) == "0"
 
 
+class TestSharedZero:
+    """Each ring has one zero object, and no computation edits it."""
+
+    def test_one_zero_per_ring(self):
+        r = PolyRing(("a", "b"))
+        assert r.zero() is r.zero()
+        assert r.zero() is r.monomial((1, 0), 0)
+        assert r.zero() == PolyRing(("a", "b")).zero()
+
+    def test_map_to_keeps_the_zero(self):
+        target = PolyRing(("u", "v", "w"))
+        assert R2.zero().map_to(target, {0: 2, 1: 0}) is target.zero()
+
+    def test_zero_untouched_by_the_matrix_layer(self):
+        ksym = koszul(4)
+        tensor, merged, _ = koszul_tensor_isometry(1, 2)
+        v = [QX_RING.from_coeffs(c) for c in ([1, 1], [0, 2], [3], [1, 0, 1])]
+        assert sp_reduce_unimodular(v, QX_RING)
+        for r in (ksym.complex.ring, tensor.complex.ring,
+                  merged.complex.ring, QX_RING.ring):
+            assert r.zero() is r.zero()
+            assert r.zero().terms == {}
+        # the zero entries of the Koszul differentials are the ring's zero
+        d = ksym.complex.diff(2)
+        assert any(x is ksym.complex.ring.zero() for row in d for x in row)
+
+
 F9 = FiniteField(9)
 QX = PolyRing(("x",))
 
@@ -255,7 +284,7 @@ class TestMatMul:
         for i, row in enumerate(got):
             for j, entry in enumerate(row):
                 if not any(x and b[k][j] for k, x in enumerate(a[i])):
-                    assert entry == zero and type(entry) is type(zero)
+                    assert entry is zero
 
     def test_shapes_must_compose(self):
         with pytest.raises(ValueError):
