@@ -29,12 +29,25 @@ from .polynomial import (Poly, PolyRing, bareiss_det, mat_add,
 
 def _signed(e, m):
     """(-1)^e * m for an integer, a polynomial or a matrix of polynomials;
-    a matrix's zero entries are kept, not rebuilt."""
+    a matrix's zero entries are kept, and each distinct entry is negated
+    once, so entries shared in m stay shared."""
     if not e % 2:
         return m
-    if isinstance(m, list):
-        return [[-x if x else x for x in row] for row in m]
-    return -m
+    if not isinstance(m, list):
+        return -m
+    negatives = {}  # id of an entry of m -> its negative
+    out = []
+    for row in m:
+        signed = []
+        for x in row:
+            if x.terms:
+                y = negatives.get(id(x))
+                if y is None:
+                    y = negatives[id(x)] = -x
+                x = y
+            signed.append(x)
+        out.append(signed)
+    return out
 
 
 class ChainError(HgrcalcError):
@@ -78,10 +91,9 @@ class FreeComplex:
         return (min(self.ranks), max(self.ranks))
 
     def diff(self, k):
-        rows, cols = self.rank(k - 1), self.rank(k)
         if k in self.diffs:
             return self.diffs[k]
-        return mat_zero(rows, cols, self.ring.zero())
+        return mat_zero(self.rank(k - 1), self.rank(k), self.ring.zero())
 
     def validate(self):
         lo, hi = self.support()
@@ -142,17 +154,22 @@ class SymmetricComplex:
             raise ChainError("form is not symmetric under the convention")
 
     def form(self, k):
-        x = self.complex
-        rows, cols = x.rank(self.degree - k), x.rank(k)
         if k in self.phi:
             return self.phi[k]
-        return mat_zero(rows, cols, x.ring.zero())
+        x = self.complex
+        return mat_zero(x.rank(self.degree - k), x.rank(k), x.ring.zero())
 
     def map_to(self, ring, gen_map):
         """The same complex and form over ring, generator i renamed to
         gen_map[i] in every differential and form entry."""
+        images = {}  # id of an entry -> its image: each distinct entry once
+
         def lift(m):
-            return [[x.map_to(ring, gen_map) for x in row] for row in m]
+            for row in m:
+                for x in row:
+                    if id(x) not in images:
+                        images[id(x)] = x.map_to(ring, gen_map)
+            return [[images[id(x)] for x in row] for row in m]
 
         x = self.complex
         cx = FreeComplex(ring, x.ranks,
@@ -176,12 +193,13 @@ class SymmetricComplex:
             if not x.rank(n - k + 1):
                 continue  # both sides land in the zero module
             if x.rank(n - k):
+                # the sign on phi_k, whose entries are fewer than the product's
                 lhs = mat_mul(mat_transpose(x.diff(n - k + 1)),
-                              self.form(k), ring.zero())
+                              _signed(k, self.form(k)), ring.zero())
             else:
                 lhs = mat_zero(x.rank(n - k + 1), x.rank(k), ring.zero())
             rhs = mat_mul(self.form(k - 1), x.diff(k), ring.zero())
-            if _signed(k, lhs) != rhs:
+            if lhs != rhs:
                 return k
         return None
 
@@ -250,13 +268,16 @@ def koszul(n):
     ranks = {k: len(basis) for k, basis in labels.items()}
     index = {k: {s: i for i, s in enumerate(basis)}
              for k, basis in labels.items()}
+    # each entry is one of +-x_j and +-1, built once and shared: elements
+    # are values, so no entry is edited through another
+    gens = [[_signed(e, ring.gen(j)) for j in range(n)] for e in (0, 1)]
+    ones = [_signed(e, ring.one()) for e in (0, 1)]
     diffs = {}
     for k in range(1, n + 1):
         m = mat_zero(ranks[k - 1], ranks[k], ring.zero())
         for col, subset in enumerate(labels[k]):
             for pos, j in enumerate(sorted(subset)):
-                m[index[k - 1][subset - {j}]][col] = \
-                    _signed(pos, ring.gen(j - 1))
+                m[index[k - 1][subset - {j}]][col] = gens[pos % 2][j - 1]
         diffs[k] = m
     cx = FreeComplex(ring, ranks, diffs, labels=labels)
     everything = frozenset(range(1, n + 1))
@@ -265,7 +286,7 @@ def koszul(n):
         m = mat_zero(ranks[n - k], ranks[k], ring.zero())
         for col, subset in enumerate(labels[k]):
             m[index[n - k][everything - subset]][col] = \
-                _signed(sum(subset) - k * (k + 1) // 2 + k, ring.one())
+                ones[(sum(subset) - k * (k + 1) // 2 + k) % 2]
         phi[k] = m
     return SymmetricComplex(cx, n, phi)
 
@@ -348,18 +369,20 @@ def tensor_pair(msym, nsym):
     ranks = {k: len(lab) for k, lab in labels.items()}
     index = {k: {t: i for i, t in enumerate(lab)} for k, lab in labels.items()}
 
+    # each entry of d and of the form is reached by at most one term: the
+    # labels (p-1, a, q, j), (p, i, q-1, b) and (r-p, a, s-q, b) a column
+    # reaches are distinct
+    zero = ring.zero()
     diffs = {}
     for k in range(lo + 1, hi + 1):
-        m = mat_zero(ranks[k - 1], ranks[k], ring.zero())
+        m = mat_zero(ranks[k - 1], ranks[k], zero)
         for col, (p, i, q, j) in enumerate(labels[k]):
             for a, row in enumerate(mx.diffs.get(p, ())):
-                if row[i]:
-                    at = index[k - 1][(p - 1, a, q, j)]
-                    m[at][col] = m[at][col] + row[i]
+                if row[i] is not zero:
+                    m[index[k - 1][(p - 1, a, q, j)]][col] = row[i]
             for b, row in enumerate(nx.diffs.get(q, ())):
-                if row[j]:
-                    at = index[k - 1][(p, i, q - 1, b)]
-                    m[at][col] = m[at][col] + _signed(p, row[j])
+                if row[j] is not zero:
+                    m[index[k - 1][(p, i, q - 1, b)]][col] = _signed(p, row[j])
         diffs[k] = m
 
     cx = FreeComplex(ring, ranks, diffs, labels=labels)
@@ -368,16 +391,15 @@ def tensor_pair(msym, nsym):
     for k in range(lo, hi + 1):
         if not ranks.get(n - k):
             continue
-        m = mat_zero(ranks[n - k], ranks[k], ring.zero())
+        m = mat_zero(ranks[n - k], ranks[k], zero)
         for col, (p, i, q, j) in enumerate(labels[k]):
             fn = nsym.form(q)   # rows: N_{s-q}
             for a, row_m in enumerate(msym.form(p)):   # rows: M_{r-p}
-                if not row_m[i]:
+                if row_m[i] is zero:
                     continue
                 for b, row_n in enumerate(fn):
-                    if row_n[j]:
-                        at = index[n - k][(r - p, a, s - q, b)]
-                        m[at][col] = m[at][col] + \
+                    if row_n[j] is not zero:
+                        m[index[n - k][(r - p, a, s - q, b)]][col] = \
                             _signed(q * (r - p), row_m[i] * row_n[j])
         phi[k] = m
     return SymmetricComplex(cx, n, phi)

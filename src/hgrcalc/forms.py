@@ -517,11 +517,19 @@ class RationalPolynomialRing:
 
     def from_coeffs(self, coeffs):
         """Polynomial from little-endian rational coefficients."""
-        acc = self.ring.zero()
-        for i, c in enumerate(coeffs):
-            if c:
-                acc = acc + self.ring.gen(0, i, Fraction(c))
-        return acc
+        return self._poly([Fraction(c) for c in coeffs])
+
+    def _poly(self, coeffs):
+        """The polynomial with these little-endian coefficients, as given."""
+        terms = {(e,): c for e, c in enumerate(coeffs) if c}
+        return Poly(self.ring, terms) if terms else self.ring.zero()
+
+    def _coeffs(self, x):
+        """The little-endian coefficient list of x, zeros as int 0."""
+        out = [0] * (self.degree(x) + 1)
+        for (e,), c in x.terms.items():
+            out[e] = c
+        return out
 
     def degree(self, x):
         if x.is_zero():
@@ -537,17 +545,21 @@ class RationalPolynomialRing:
         return q
 
     def divmod(self, a, b):
+        """(q, r) with a = q*b + r and deg r < deg b: long division on one
+        dense coefficient list, which ends holding r."""
         if b.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = self.ring.zero()
-        r = a
-        db = self.degree(b)
-        lb = self.lead(b)
-        while not r.is_zero() and self.degree(r) >= db:
-            t = self.ring.gen(0, self.degree(r) - db, self.lead(r) / lb)
-            q = q + t
-            r = r - t * b
-        return q, r
+        r, bs = self._coeffs(a), self._coeffs(b)
+        db, lb = len(bs) - 1, bs[-1]
+        q = [0] * max(len(r) - db, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[k + db]
+            if c:
+                q[k] = c = c / lb
+                for i, y in enumerate(bs):
+                    if y:
+                        r[k + i] -= c * y
+        return self._poly(q), self._poly(r[:db])
 
     def gcd_all(self, xs):
         g = self.ring.zero()

@@ -91,9 +91,13 @@ class Combination:
         self.terms = {k: c for k, c in terms.items() if c}
 
     def _new(self, terms):
-        """An element of the same type and ring with these terms."""
+        """An element of the same type and ring with these terms.  It takes
+        over `terms`, a fresh dict no other code holds, and copies it only
+        to drop a zero coefficient."""
         x = object.__new__(type(self))
-        Combination.__init__(x, self.ring, terms)
+        x.ring = self.ring
+        x.terms = (terms if all(terms.values())
+                   else {k: c for k, c in terms.items() if c})
         return x
 
     def _coerce(self, other):
@@ -156,7 +160,7 @@ class Poly(Combination):
     __slots__ = ()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly) and isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         return Combination.__eq__(self, other)
 
@@ -353,8 +357,10 @@ def _exact_coeff_div(a, b):
 # GWElement.__init__), so a single `zero` object fills every zero entry, a
 # PolyRing's zero() included.  Products cost their nonzero pairs: mat_mul
 # lists the nonzero entries of each row of b once, and an entry that no
-# product reaches is the `zero` argument itself.  `zero` and `one` default
-# to the integers and must be passed for other entry rings.
+# product reaches is the `zero` argument itself.  Under a Poly zero each
+# output entry sums its products' terms into one dict and becomes one Poly,
+# or `zero` itself when they cancel.  `zero` and `one` default to the
+# integers and must be passed for other entry rings.
 # ---------------------------------------------------------------------------
 
 
@@ -391,6 +397,8 @@ def mat_mul(a, b, zero=0):
     if ca != rb:
         raise ValueError("matrix shapes %sx%s and %sx%s do not compose"
                          % (ra, ca, rb, cb))
+    if isinstance(zero, Poly):
+        return _poly_mat_mul(a, b, zero, cb)
     nonzero = [[(j, y) for j, y in enumerate(row_b) if y] for row_b in b]
     out = []
     for row_a in a:
@@ -399,6 +407,60 @@ def mat_mul(a, b, zero=0):
             if x:
                 for j, y in pairs:
                     row[j] = row[j] + x * y
+        out.append(row)
+    return out
+
+
+def _poly_mat_mul(a, b, zero, cols):
+    """mat_mul under a Poly zero: c1*c2 is summed at e1+e2 straight from
+    the operands' terms into one dict per output entry.  Scalar entries are
+    constants of zero's ring; a nonzero Poly of another ring raises
+    ValueError."""
+    ring = zero.ring
+    unit = (0,) * len(ring.gens)
+
+    def operand(x):
+        """x's (e, c) pairs, a scalar being c at the zero exponent; None
+        for zero."""
+        if not isinstance(x, Poly):
+            return [(unit, x)] if x else None
+        t = x.terms
+        if not t:
+            return None
+        if x.ring is not ring and x.ring != ring:
+            raise ValueError("elements of different rings: %r and %r"
+                             % (ring, x.ring))
+        return t.items()
+
+    rows_b = []
+    for row_b in b:
+        pairs = []
+        for j, y in enumerate(row_b):
+            if y is not zero:
+                ys = operand(y)
+                if ys is not None:
+                    pairs.append((j, ys))
+        rows_b.append(pairs)
+    out = []
+    for row_a in a:
+        row = [None] * cols  # a term dict per reached entry
+        for x, pairs in zip(row_a, rows_b):
+            if x is zero or not pairs:
+                continue
+            xs = operand(x)
+            if xs is None:
+                continue
+            for j, ys in pairs:
+                d = row[j]
+                if d is None:
+                    d = row[j] = {}
+                for e1, c1 in xs:
+                    for e2, c2 in ys:
+                        e = tuple(map(add, e1, e2))
+                        s = d.get(e)
+                        d[e] = c1 * c2 if s is None else s + c1 * c2
+        for j, d in enumerate(row):  # no Poly for a cancelled entry
+            row[j] = zero._new(d) if d and any(d.values()) else zero
         out.append(row)
     return out
 

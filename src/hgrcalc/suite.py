@@ -65,19 +65,19 @@ def _variable_ring(m):
     return PolyRing(tuple("x%d" % i for i in range(1, m + 1)))
 
 
-def _elementary_in_vars(i, m):
-    ring = _variable_ring(m)
-    if i == 0:
-        return ring.one()
-    if i < 0 or i > m:
-        return ring.zero()
-    acc = ring.zero()
-    for subset in combinations(range(m), i):
-        e = [0] * m
-        for j in subset:
-            e[j] = 1
-        acc = acc + ring.monomial(e)
-    return acc
+def _elementary_in_vars(ring):
+    """[e_0, .., e_m] in the m variables of ring."""
+    m = len(ring.gens)
+    out = [ring.one()]
+    for i in range(1, m + 1):
+        terms = {}
+        for subset in combinations(range(m), i):
+            e = [0] * m
+            for j in subset:
+                e[j] = 1
+            terms[tuple(e)] = 1
+        out.append(Poly(ring, terms))
+    return out
 
 
 def _ssyt_polynomial(shape, m):
@@ -129,19 +129,32 @@ def _partitions_of(w):
 
 
 def criterion_schur_oracle():
+    rings = {m: _variable_ring(m) for m in (1, 2, 3, 4)}
+    elementary = {m: _elementary_in_vars(ring) for m, ring in rings.items()}
+    monomials = {}  # (m, exps) -> prod_i e_{i+1}^exps[i], for this call only
+
+    def e_monomial(m, exps):
+        """One product past the next lower monomial, which drops one factor
+        of the last e_i present."""
+        mono = monomials.get((m, exps))
+        if mono is None:
+            last = max((i for i, e in enumerate(exps) if e), default=None)
+            if last is None:
+                mono = rings[m].one()
+            else:
+                lower = exps[:last] + (exps[last] - 1,) + exps[last + 1:]
+                mono = e_monomial(m, lower) * elementary[m][last + 1]
+            monomials[m, exps] = mono
+        return mono
+
     for w in range(0, 9):
         for shape in _partitions_of(w):
             for m in (1, 2, 3, 4):
                 lam = symfun.Partition(shape)
                 in_e = symfun.schur_in_elementary(lam, m)
-                ring = _variable_ring(m)
-                expanded = ring.zero()
+                expanded = rings[m].zero()
                 for exps, coeff in in_e.terms.items():
-                    term = ring.const(coeff)
-                    for i, e in enumerate(exps):
-                        for _ in range(e):
-                            term = term * _elementary_in_vars(i + 1, m)
-                    expanded = expanded + term
+                    expanded = expanded + coeff * e_monomial(m, exps)
                 want = _ssyt_polynomial(shape, m)
                 if expanded != want:
                     return _result(4, "schur-tableau-oracle", False,

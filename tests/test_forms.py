@@ -371,6 +371,60 @@ class TestSpReduce:
         assert sp_reduce_unimodular([Fraction(1), 0, 0, 0]) == []
 
 
+def _qx_division_pairs():
+    """Seeded (a, b) over Q[x]: random pairs, then a zero remainder,
+    deg a < deg b, a constant b and a = 0."""
+    rng = random.Random(11)
+
+    def rand(deg):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(deg + 1)]
+        c[-1] = c[-1] or Fraction(1)
+        return QX.from_coeffs(c)
+
+    pairs = [(rand(rng.randint(0, 9)), rand(rng.randint(0, 5)))
+             for _ in range(60)]
+    b = rand(3)
+    pairs += [(rand(4) * b, b), (rand(2), rand(5)), (rand(6), rand(0)),
+              (QX.zero(), b)]
+    return pairs
+
+
+class TestQXDivision:
+    def test_quotient_and_remainder(self):
+        for a, b in _qx_division_pairs():
+            q, r = QX.divmod(a, b)
+            assert q * b + r == a
+            assert QX.degree(r) < QX.degree(b)
+            assert all(e >= 0 for (e,) in q.terms)
+            assert q.ring is QX.ring and r.ring is QX.ring
+
+    def test_edge_cases(self):
+        b = QX.from_coeffs([1, -2, 0, 3])
+        q, r = QX.divmod(QX.from_coeffs([2, 5, 7, 1, 4]) * b, b)
+        assert q == QX.from_coeffs([2, 5, 7, 1, 4]) and r.is_zero()
+        a = QX.from_coeffs([1, 2])
+        assert QX.divmod(a, b) == (QX.zero(), a)
+        q, r = QX.divmod(b, QX.from_coeffs([Fraction(2, 3)]))
+        assert q == b * Fraction(3, 2) and r.is_zero()
+        with pytest.raises(ZeroDivisionError):
+            QX.divmod(a, QX.zero())
+
+    def test_matches_sympy_div(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("x")
+
+        def to_sympy(p):
+            return sum((sympy.Rational(c.numerator, c.denominator) * t ** e
+                        for (e,), c in p.terms.items()), sympy.Integer(0))
+
+        for a, b in _qx_division_pairs():
+            q, r = QX.divmod(a, b)
+            want_q, want_r = sympy.div(to_sympy(a), to_sympy(b), t)
+            assert sympy.expand(to_sympy(q) - want_q) == 0
+            assert sympy.expand(to_sympy(r) - want_r) == 0
+
+
 class TestUnitSquareClasses:
     def test_z_half(self):
         classes = ZHALF.unit_square_classes()

@@ -11,7 +11,7 @@ from hgrcalc.chainduality import koszul, koszul_tensor_isometry
 from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE
 from hgrcalc.forms import FiniteField, sp_reduce_unimodular
 from hgrcalc.forms import QX as QX_RING
-from hgrcalc.polynomial import (Poly, PolyRing, bareiss_det,
+from hgrcalc.polynomial import (Combination, Poly, PolyRing, bareiss_det,
                                 hermite_column_form, invariant_factors,
                                 mat_identity, mat_mul, mat_transpose,
                                 smith_normal_form)
@@ -242,12 +242,25 @@ class TestSharedZero:
 
 F9 = FiniteField(9)
 QX = PolyRing(("x",))
+QT = PolyRing(("t",))
+LAURENT = PolyRing(("u", "v"))
+
+
+def laurent_entry(k):
+    """sign(k) * (|k| u^-1 + u^(|k|-2) v^-1 / |k|): two terms, negative
+    exponents, and make(-k) = -make(k), so sums of products can cancel."""
+    n = abs(k)
+    p = Poly(LAURENT, {(-1, 0): n, (n - 2, -1): Fraction(1, n)})
+    return p if k > 0 else -p
+
 
 # entry ring -> (its zero, a nonzero element for each nonzero int k)
 ENTRY_RINGS = {
     "int": (0, lambda k: k),
     "fraction": (Fraction(0), lambda k: Fraction(k, 3)),
     "poly": (QX.zero(), lambda k: QX.gen(0, abs(k) % 2, Fraction(k, 2))),
+    "laurent": (LAURENT.zero(), laurent_entry),
+    "int-under-qt": (QT.zero(), lambda k: k),
     "ff9": (F9.zero(), lambda k: F9.elements()[k % 9]),
 }
 
@@ -285,10 +298,86 @@ class TestMatMul:
             for j, entry in enumerate(row):
                 if not any(x and b[k][j] for k, x in enumerate(a[i])):
                     assert entry is zero
+                if isinstance(zero, Poly):
+                    # entries of zero's ring, cancelled ones the zero itself
+                    assert isinstance(entry, Poly) and entry.ring == zero.ring
+                    assert entry or entry is zero
+
+    def test_cancelled_entries_are_the_zero(self):
+        u = LAURENT.gen(0)
+        inv = LAURENT.gen(0, -1)
+        zero = LAURENT.zero()
+        got = mat_mul([[u + inv, u], [inv, zero]],
+                      [[u, zero], [-(u + inv), inv]], zero)
+        assert got[0][0] is zero
+        assert got[0][1] == LAURENT.one()
+        assert got[1][0] == LAURENT.one() and got[1][1] is zero
+        t = QT.gen(0)
+        got = mat_mul([[1, 2], [3, 0]], [[2, 0], [-1, 0]], QT.zero())
+        assert got == [[QT.zero(), QT.zero()], [QT.const(6), QT.zero()]]
+        assert all(x is QT.zero() for x in got[0] + got[1][1:])
+        assert mat_mul([[t, 1]], [[1], [-t]], QT.zero())[0][0] is QT.zero()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_entry_of_another_ring_is_refused(self, side):
+        # a nonzero entry of another ring raises; a zero one adds nothing
+        zero = QX.zero()
+        x = QX.gen(0)
+        for other in (QT.gen(0), QT.zero()):
+            a, b = [[x, other]], [[x], [x]]
+            if side == "right":
+                a, b = [[x, x]], [[x], [other]]
+            if other:
+                with pytest.raises(ValueError):
+                    mat_mul(a, b, zero)
+            else:
+                assert mat_mul(a, b, zero) == [[x * x]]
 
     def test_shapes_must_compose(self):
         with pytest.raises(ValueError):
             mat_mul([[1, 2]], [[1, 2]])
+
+
+class TestMatMulCost:
+    """Under a Poly zero mat_mul builds one Poly per nonzero entry of the
+    result and no product or sum of polynomials."""
+
+    @staticmethod
+    def counts(monkeypatch, a, b, zero):
+        count = {"mul": 0, "add": 0, "built": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                count[name] += 1
+                return fn(*args)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(Poly, "__mul__", counting("mul", Poly.__mul__))
+            m.setattr(Combination, "__add__",
+                      counting("add", Combination.__add__))
+            m.setattr(Poly, "__radd__", counting("add", Poly.__radd__))
+            m.setattr(Combination, "_new", counting("built", Combination._new))
+            m.setattr(Combination, "__init__",
+                      counting("built", Combination.__init__))
+            got = mat_mul(a, b, zero)
+        return got, count
+
+    @pytest.mark.parametrize("case", ["d2-d3", "form-diff"])
+    def test_koszul_products(self, monkeypatch, case):
+        ksym = koszul(5)
+        cx = ksym.complex
+        zero = cx.ring.zero()
+        if case == "d2-d3":
+            a, b = cx.diff(2), cx.diff(3)
+        else:
+            a, b = ksym.form(2), cx.diff(3)
+        got, count = self.counts(monkeypatch, a, b, zero)
+        assert got == oracles._mat_mul(a, b)
+        nonzero = sum(x is not zero for row in got for x in row)
+        assert count["mul"] == 0 and count["add"] == 0, count
+        assert count["built"] <= nonzero, (count, nonzero)
+        assert (nonzero == 0) == (case == "d2-d3")
 
 
 @st.composite
