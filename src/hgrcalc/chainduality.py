@@ -17,6 +17,11 @@ forms must agree with the merged Koszul form on the nose.
 
 With the dual sign (-1)^k the double dual carries negated differentials, so
 the identification X ~ X^vv uses (-1)^k, not the identity.
+
+No further sign is stated: `swap_sign` transports a tensor form along the
+factor swap and returns the sign it observes, (-1)^{rs} for forms of
+degrees r and s.  For the Koszul forms, the Thom classes of A^r and A^s,
+that sign is the switch <-1>^{rs} on T^r ^ T^s.
 """
 
 from fractions import Fraction
@@ -483,30 +488,15 @@ def koszul_tensor_isometry(a, b):
     return t, merged, iso
 
 
-class SwapReport:
-    """Outcome of transporting N@M's form along the factor swap."""
+def swap_sign(msym, nsym):
+    """The sign by which the factor swap M@N -> N@M multiplies the form.
 
-    def __init__(self, degrees, observed_sign, ok):
-        self.degrees = degrees
-        self.observed_sign = observed_sign
-        self.expected_sign = _signed(degrees[0] * degrees[1], 1)
-        self.ok = ok and self.observed_sign == self.expected_sign
-
-    def involution_power(self):
-        """How many sign involutions the transport applied: rs mod 2."""
-        return 1 if self.observed_sign < 0 else 0
-
-    def __repr__(self):
-        return "SwapReport(r=%d, s=%d, sign=%+d, ok=%s)" % (
-            self.degrees[0], self.degrees[1], self.observed_sign, self.ok)
-
-
-def swap_sign_check(msym, nsym):
-    """Transport tensor_pair(N,M)'s form along the factor swap and compare.
-
-    The swap sends m_p @ n_q to (-1)^{pq} n_q @ m_p; the transported form
-    must equal the sign-involution twist eps^{rs} of M@N's form, i.e.
-    (-1)^{rs} times it on the nose.
+    The swap sends m_p @ n_q to (-1)^{pq} n_q @ m_p.  The form of
+    tensor_pair(N, M) is pulled back along it and compared on the nose with
+    the form of tensor_pair(M, N); the result is +1 or -1, the class <1> or
+    <-1> of the switch.  For forms of degrees r and s it is (-1)^{rs}.  A
+    pullback that is neither plus nor minus the form raises ChainError
+    naming the first degree where it is neither.
     """
     r, s = msym.degree, nsym.degree
     t2 = tensor_pair(nsym, msym)
@@ -523,9 +513,11 @@ def swap_sign_check(msym, nsym):
 
     iso = _relabel(t1.complex, t2.complex, swap, "factor swap")
     pulled = iso.pullback_form(t2, r + s)
-    reference = {k: t1.form(k) for k in pulled}
-    if pulled == reference:
-        return SwapReport((r, s), 1, True)
-    if pulled == {k: _signed(1, m) for k, m in reference.items()}:
-        return SwapReport((r, s), -1, True)
-    return SwapReport((r, s), 1, False)
+    exponents = (0, 1)  # the signs (-1)^e still consistent with every degree
+    for k in sorted(pulled):
+        form = t1.form(k)
+        exponents = [e for e in exponents if pulled[k] == _signed(e, form)]
+        if not exponents:
+            raise ChainError("the swapped form is neither plus nor minus the "
+                             "form at degree %d" % k)
+    return _signed(exponents[0], 1)

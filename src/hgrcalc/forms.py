@@ -546,11 +546,12 @@ class RationalPolynomialRing:
 
     def divmod(self, a, b):
         """(q, r) with a = q*b + r and deg r < deg b: long division on one
-        dense coefficient list, which ends holding r."""
+        dense coefficient list, which ends holding r.  The divisor's lead is
+        a Fraction, so integer coefficients never divide to a float."""
         if b.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         r, bs = self._coeffs(a), self._coeffs(b)
-        db, lb = len(bs) - 1, bs[-1]
+        db, lb = len(bs) - 1, Fraction(bs[-1])
         q = [0] * max(len(r) - db, 0)
         for k in range(len(q) - 1, -1, -1):
             c = r[k + db]
@@ -573,13 +574,13 @@ class RationalPolynomialRing:
             a, b = b, r
         if a.is_zero():
             return a
-        return a * (1 / self.lead(a))  # monic normalization
+        return a * (1 / Fraction(self.lead(a)))  # monic normalization
 
     def is_unit(self, x):
         return (not x.is_zero()) and self.degree(x) == 0
 
     def unit_inverse(self, x):
-        return self.ring.const(1 / x.constant_term())
+        return self.ring.const(1 / Fraction(x.constant_term()))
 
     def unit_square_classes(self):
         raise FormsError("Q[x] has infinitely many unit square classes")
@@ -786,9 +787,7 @@ class KaroubiTable:
     GW^- -> K_0 with image 2Z (the rank of a symplectic form) and the
     hyperbolic map out of K_0, of which only injectivity is checked; the
     groups GW^+ and GW^- are not held.  Only K_1 and W^0 depend on the ring.
-    `witt` maps the cohomological index mod 4 to the group; `squaring` is
-    the composite K_1 -> K_1 (x -> x - t(xbar)^-1, which is x -> x^2 for
-    the trivial involution every instance carries, i.e. doubling).
+    `witt` maps the cohomological index mod 4 to the group.
     """
 
     def __init__(self, ring, k1, witt0):
@@ -799,7 +798,6 @@ class KaroubiTable:
         self.map_hyperbolic = [[1], [1]]
         self.witt = {0: witt0, 1: FGAbelian(0), 2: FGAbelian(0),
                      3: FGAbelian(0)}
-        self.squaring = mat_identity(k1.ngens, 2)
 
 
 def karoubi_table(ring):
@@ -847,9 +845,11 @@ def karoubi_check(table):
 
     Verifies the Witt vanishing W^i = 0 for i = 2, 3 mod 4, the forgetful
     GW^- -> K_0 being the index-two inclusion, injectivity of the
-    hyperbolic map, the squaring composite on K_1 for a trivial involution,
-    and derives the short exact sequence giving KO_1, whose order must
-    match ko1_euclidean of the table's ring.
+    hyperbolic map, and derives the short exact sequence giving KO_1, whose
+    order must match ko1_euclidean of the table's ring.  The unit square
+    classes are K_1 modulo the composite K_1 -> K_1, x -> x - t(xbar)^-1,
+    which for the trivial involution every instance carries is x -> x^2:
+    doubling, mat_identity(k1.ngens, 2) on K_1's generators.
     """
     derived = {}
 
@@ -870,12 +870,8 @@ def karoubi_check(table):
     if _kernel_rank(table.map_hyperbolic) != 0:
         return KaroubiReport(False, "hyperbolic injectivity", derived)
 
-    # squaring composite on K_1 is doubling for the trivial involution
-    if table.squaring != mat_identity(table.k1.ngens, 2):
-        return KaroubiReport(False, "squaring composite", derived)
-
     # derive KO_1 from 1 -> R^x/R^x2 -> KO_1 -> Z/2 -> 0 (split)
-    usc_group = table.k1.modulo(table.squaring)
+    usc_group = table.k1.modulo(mat_identity(table.k1.ngens, 2))
     usc_order = usc_group.order()
     if usc_order is None:
         return KaroubiReport(False, "unit square classes not finite", derived)

@@ -4,15 +4,14 @@ A presentation A(pt)[p_1..p_r]/(h_{n-r+1},..,h_n) carries the Schur basis
 indexed by partitions in the r x (n-r) box; every element has a unique
 normal form over that basis.  Restrictions between presentations act as
 box truncation on Schur coordinates.  The inverse-limit rings are
-polynomials in `symfun.elementary_ring(r)` truncated at a weight, and a
-free eps-commutative bigraded algebra serves as a sign-rule harness.
-Elements of all three are `polynomial.Combination`s.
+polynomials in `symfun.elementary_ring(r)` truncated at a weight.  Elements
+of both are `polynomial.Combination`s.
 """
 
 from math import comb
 
 from . import HgrcalcError
-from .coeffs import GWBASE, GWElement, GW_EPS, GW_ONE, INTEGERS
+from .coeffs import INTEGERS
 from .polynomial import Combination, Poly
 from . import symfun
 from .symfun import Partition, EMPTY, enumerate_box_partitions, sort_key
@@ -258,126 +257,3 @@ class LimitRing:
 def limit_ring(r, truncation):
     """The inverse-limit ring in p_1..p_r, truncated at the given weight."""
     return LimitRing(r, truncation)
-
-
-# ---------------------------------------------------------------------------
-# Free eps-commutative bigraded algebra: the sign-rule harness.
-# ---------------------------------------------------------------------------
-
-
-class EpsAlgebra:
-    """Free eps-commutative algebra over GWBase on bigraded generators.
-
-    Homogeneous generators a, b of bidegrees (p,q), (p',q') satisfy
-    a*b = (-1)^{pp'} eps^{qq'} b*a with eps^2 = 1.  Generators of odd
-    first degree square to zero, so normal-ordered monomials form a basis.
-
-    Bidegrees with p even and q odd are rejected: the sign rule forces
-    (1-eps)-torsion on the square of such a generator, so no free algebra
-    with a monomial basis exists for them.
-    """
-
-    def __init__(self, generators):
-        self.names = tuple(name for name, _ in generators)
-        self.bidegrees = tuple(tuple(bd) for _, bd in generators)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        for name, (p, q) in zip(self.names, self.bidegrees):
-            if p % 2 == 0 and q % 2 == 1:
-                raise ParameterError(
-                    "generator %s has bidegree (even, odd); its square would be "
-                    "(1-eps)-torsion, breaking the monomial basis" % name)
-
-    def __eq__(self, other):
-        return (isinstance(other, EpsAlgebra) and self.names == other.names
-                and self.bidegrees == other.bidegrees)
-
-    def __hash__(self):
-        return hash((self.names, self.bidegrees))
-
-    def zero(self):
-        return EpsElement(self, {})
-
-    def one(self):
-        return EpsElement(self, {(): GW_ONE})
-
-    def scalar(self, c):
-        return self.one().scale(c)
-
-    def gen(self, name):
-        i = self.index[name]
-        return EpsElement(self, {((i, 1),): GW_ONE})
-
-    def swap_sign(self, i, j):
-        """The GWBase scalar (-1)^{p_i p_j} eps^{q_i q_j} for one transposition."""
-        p1, q1 = self.bidegrees[i]
-        p2, q2 = self.bidegrees[j]
-        sign = GWElement.from_int(-1 if (p1 * p2) % 2 else 1)
-        if (q1 * q2) % 2:
-            sign = sign * GW_EPS
-        return sign
-
-    def _mono_mul(self, m1, m2):
-        """Normal-order the concatenation m1 * m2; returns (monomial, sign) or None."""
-        factors = list(m1)
-        sign = GW_ONE
-        for g, e in m2:
-            # bubble (g, e) left past factors with larger generator index
-            pos = len(factors)
-            while pos > 0 and factors[pos - 1][0] > g:
-                gi, ei = factors[pos - 1]
-                if (e * ei) % 2:  # swap signs square to 1
-                    sign = sign * self.swap_sign(g, gi)
-                pos -= 1
-            if pos > 0 and factors[pos - 1][0] == g:
-                ge, ee = factors[pos - 1]
-                newe = ee + e
-                p, _q = self.bidegrees[g]
-                if p % 2 and newe >= 2:
-                    return None  # odd generators square to zero
-                factors[pos - 1] = (g, newe)
-            else:
-                p, _q = self.bidegrees[g]
-                if p % 2 and e >= 2:
-                    return None
-                factors.insert(pos, (g, e))
-        return tuple(factors), sign
-
-
-class EpsElement(Combination):
-    """A GWBase combination of normal-ordered monomials of an EpsAlgebra."""
-
-    __slots__ = ()
-
-    def _scalar(self, c):
-        return GWBASE.coerce(c)
-
-    def __mul__(self, other):
-        if not isinstance(other, EpsElement):
-            return self.scale(other)
-        res = {}
-        get = res.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = self.ring._mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                mono, sign = prod
-                c = c1 * c2 * sign
-                s = get(mono)
-                res[mono] = c if s is None else s + c
-        return self._new(res)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            mono = "*".join(
-                "%s^%d" % (self.ring.names[i], e) if e > 1 else self.ring.names[i]
-                for i, e in m)
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]):
-                cs = "(%s)" % cs
-            bits.append(cs if not mono else "%s*%s" % (cs, mono))
-        return " + ".join(bits)

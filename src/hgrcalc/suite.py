@@ -12,7 +12,7 @@ from math import comb, gcd
 
 from . import chainduality, classcalc, forms, geomverify, grassring
 from . import pontryagin, symfun, towers
-from .coeffs import GWBASE, GWElement, GW_EPS, GW_ONE
+from .coeffs import GWBASE, GW_EPS, GW_ONE
 from .polynomial import Poly, PolyRing
 
 
@@ -297,13 +297,9 @@ def criterion_koszul_suite():
             except chainduality.ChainError as err:
                 return _result(10, "koszul-suite", False,
                                "homotopy n=%d x%d: %s" % (n, i, err))
-    rep = chainduality.swap_sign_check(chainduality.koszul(1),
-                                       chainduality.koszul(1))
-    if not rep.ok or rep.involution_power() != 1:
-        return _result(10, "koszul-suite", False, "swap sign: %r" % rep)
     return _result(10, "koszul-suite", True,
                    "Theta symmetric n <= 4; koszul(1)^2 = koszul(2) isometry; "
-                   "ds+sd = id n <= 3; swap sign = eps")
+                   "ds+sd = id n <= 3")
 
 
 def criterion_matrix_suite():
@@ -371,53 +367,33 @@ def criterion_tower_suite():
 
 
 def criterion_eps_algebra():
-    alg = grassring.EpsAlgebra([
-        ("x", (1, 0)), ("y", (1, 0)), ("u", (1, 1)), ("v", (1, 1)),
-        ("a", (4, 2)), ("b", (3, 1)), ("c", (2, 2)),
-    ])
+    """The switch on T^r ^ T^s acts as <-1>^{rs}.
+
+    The Thom class of A^r is the Koszul form koszul(r).  The factor swap of
+    koszul(r) @ koszul(s) multiplies the form by the sign `swap_sign`
+    observes, read as a class of GWBase (+1 as <1>, -1 as eps = <-1>) and
+    compared with eps^{rs}.
+    """
     if GW_EPS * GW_EPS != GW_ONE:
         return _result(13, "eps-algebra", False, "eps^2 != 1")
-    rng = random.Random(77001)
-
-    def random_element():
-        acc = alg.zero()
-        for _ in range(rng.randrange(1, 4)):
-            term = alg.scalar(rng.randrange(-2, 3) or 1)
-            for _ in range(rng.randrange(0, 3)):
-                term = term * alg.gen(rng.choice(alg.names))
-            if rng.random() < 0.25:
-                term = term.scale(GW_EPS)
-            acc = acc + term
-        return acc
-
-    checks = 0
-    while checks < 1000:
-        kind = rng.randrange(3)
-        if kind == 0:
-            a, b, c = random_element(), random_element(), random_element()
-            if (a * b) * c != a * (b * c):
-                return _result(13, "eps-algebra", False, "associativity")
-        elif kind == 1:
-            g1 = rng.choice(alg.names)
-            g2 = rng.choice(alg.names)
-            a, b = alg.gen(g1), alg.gen(g2)
-            p1, q1 = alg.bidegrees[alg.index[g1]]
-            p2, q2 = alg.bidegrees[alg.index[g2]]
-            sign = GWElement.from_int((-1) ** (p1 * p2))
-            if (q1 * q2) % 2:
-                sign = sign * GW_EPS
-            if a * b != (b * a).scale(sign):
+    thom = {r: chainduality.koszul(r) for r in (1, 2, 3)}
+    for r in thom:
+        for s in thom:
+            try:
+                sign = chainduality.swap_sign(thom[r], thom[s])
+            except chainduality.ChainError as err:
                 return _result(13, "eps-algebra", False,
-                               "sign rule at %s %s" % (g1, g2))
-        else:
-            bieven = alg.gen("a") if rng.random() < 0.5 else alg.gen("c")
-            other = random_element()
-            if bieven * other != other * bieven:
-                return _result(13, "eps-algebra", False, "bieven centrality")
-        checks += 1
+                               "r=%d, s=%d: %s" % (r, s, err))
+            want = GW_ONE
+            for _ in range(r * s):
+                want = want * GW_EPS
+            if (GW_ONE if sign == 1 else GW_EPS) != want:
+                return _result(13, "eps-algebra", False,
+                               "r=%d, s=%d: the swap multiplies the form by "
+                               "%+d, not by eps^%d" % (r, s, sign, r * s))
     return _result(13, "eps-algebra", True,
-                   "1000 randomized associativity, sign-rule and centrality "
-                   "checks over GWBase")
+                   "the swap of koszul(r) @ koszul(s) acts as eps^(rs) = "
+                   "<-1>^(rs) for 1 <= r, s <= 3; eps^2 = 1")
 
 
 def criterion_determinism(reported):

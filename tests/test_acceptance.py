@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from hgrcalc import forms, pontryagin, suite
+from hgrcalc import chainduality, forms, pontryagin, suite
 
 
 RESULTS = {fn.__name__: fn() for fn in suite.CRITERIA}
@@ -77,6 +77,34 @@ def test_recurrence_failure_names_the_case(monkeypatch):
     result = suite.criterion_recurrence()
     assert not result["ok"]
     assert result["detail"] == "fails at k=5 r=2"
+
+
+def _keeps_the_form_at_1_3(real, msym, nsym):
+    # the swap of koszul(1) @ koszul(3) keeps the form, where eps^3 flips it
+    if (msym.degree, nsym.degree) == (1, 3):
+        return 1
+    return real(msym, nsym)
+
+
+def _neither_sign(real, msym, nsym):
+    raise chainduality.ChainError("the swapped form is neither plus nor "
+                                  "minus the form at degree 2")
+
+
+@pytest.mark.parametrize("broken, detail", [
+    (_keeps_the_form_at_1_3,
+     "r=1, s=3: the swap multiplies the form by +1, not by eps^3"),
+    # the ChainError's degree reaches the detail
+    (_neither_sign, "r=1, s=1: the swapped form is neither plus nor minus "
+                    "the form at degree 2"),
+], ids=["sign", "degree"])
+def test_eps_algebra_failure_names_the_case(monkeypatch, broken, detail):
+    real = chainduality.swap_sign
+    monkeypatch.setattr(chainduality, "swap_sign",
+                        lambda msym, nsym: broken(real, msym, nsym))
+    result = suite.criterion_eps_algebra()
+    assert not result["ok"]
+    assert result["detail"] == detail
 
 
 def test_criterion_14_determinism_in_process():

@@ -4,7 +4,7 @@ import pytest
 
 from hgrcalc.chainduality import (ChainError, ChainIso, FreeComplex,
                                   SymmetricComplex, contracting_homotopy,
-                                  koszul, koszul_tensor_isometry, swap_sign_check,
+                                  koszul, koszul_tensor_isometry, swap_sign,
                                   tensor_pair)
 from hgrcalc.polynomial import PolyRing, mat_transpose, mat_zero
 
@@ -239,37 +239,24 @@ class TestTensor:
             assert pulled[deg] == left.form(deg), deg
 
 
-class TestSwapSign:
-    def test_degree_zero_pair(self):
-        rep = swap_sign_check(unit_complex(), unit_complex())
-        assert rep.ok
-        assert rep.observed_sign == 1
-        assert rep.involution_power() == 0
+@pytest.mark.parametrize("r, s", [(r, s) for r in range(4) for s in range(4)])
+def test_swap_sign(r, s):
+    # degree 0 is the unit complex <1>, degree n > 0 the Koszul form
+    def thom(n):
+        return koszul(n) if n else unit_complex()
 
-    def test_two_rank_one_koszuls(self):
-        rep = swap_sign_check(koszul(1), koszul(1))
-        assert rep.ok
-        assert rep.observed_sign == -1
-        assert rep.involution_power() == 1
+    assert swap_sign(thom(r), thom(s)) == (-1) ** (r * s)
 
-    def test_mixed_degrees(self):
-        rep = swap_sign_check(koszul(1), unit_complex())
-        assert rep.ok
-        assert rep.observed_sign == 1
 
-    def test_degree_two_by_one(self):
-        rep = swap_sign_check(koszul(2), koszul(1))
-        assert rep.ok
-        assert rep.expected_sign == 1  # rs = 2 even
+def test_swap_sign_names_the_degree_it_fails_at(monkeypatch):
+    # a pullback doubled in degree 1 is neither plus nor minus the form there
+    real = ChainIso.pullback_form
 
-    def test_degree_two_by_two(self):
-        rep = swap_sign_check(koszul(2), koszul(2))
-        assert rep.ok
-        assert rep.observed_sign == 1
+    def doubled(self, sym, degree):
+        out = real(self, sym, degree)
+        out[1] = [[x + x for x in row] for row in out[1]]
+        return out
 
-    def test_degree_three_by_one(self):
-        rep = swap_sign_check(koszul(3), koszul(1))
-        assert rep.ok
-        assert rep.observed_sign == -1  # rs = 3 odd
-        assert rep.expected_sign == -1
-        assert rep.involution_power() == 1
+    monkeypatch.setattr(ChainIso, "pullback_form", doubled)
+    with pytest.raises(ChainError, match="form at degree 1$"):
+        swap_sign(koszul(1), koszul(1))

@@ -14,12 +14,10 @@ import pytest
 
 from hgrcalc.classcalc import FormalClass
 from hgrcalc.coeffs import GWBASE, GWElement, GW_EPS, GW_ONE, INTEGERS, RATIONALS
-from hgrcalc.grassring import EpsAlgebra, limit_ring, present
+from hgrcalc.grassring import limit_ring, present
 from hgrcalc.polynomial import PolyRing
 
 XY = PolyRing(("x", "y"))
-EPS_ALGEBRA = EpsAlgebra([("u", (1, 0)), ("v", (1, 0)), ("a", (4, 2)),
-                          ("w", (1, 1))])
 LIMIT = limit_ring(3, 4)
 
 
@@ -40,16 +38,6 @@ def random_grass(ring, coeff):
             x = x + ring.schur(lam).scale(coeff(rng))
         return x
     return make
-
-
-def random_eps(rng):
-    x = EPS_ALGEBRA.zero()
-    for _ in range(3):
-        term = EPS_ALGEBRA.scalar(rng.randint(-2, 2))
-        for _ in range(rng.randrange(3)):
-            term = term * EPS_ALGEBRA.gen(rng.choice(EPS_ALGEBRA.names))
-        x = x + term.scale(rng.choice((GW_ONE, GW_EPS)))
-    return x
 
 
 def random_formal(rng):
@@ -80,7 +68,6 @@ TYPES = {
     "grass-integers": (random_grass(present(2, 4), ints), mul),
     "grass-rationals": (random_grass(present(2, 4, RATIONALS), rationals), mul),
     "grass-gwbase": (random_grass(present(2, 4, GWBASE), gw), mul),
-    "eps": (random_eps, mul),
     "formal": (random_formal, lambda x, y: x.tensor(y)),
     "gw": (gw, mul),
     "limit": (random_limit, lambda x, y: LIMIT.truncate(x * y)),
@@ -116,8 +103,6 @@ def _cancelling_products():
         ring = present(1, 2, coeff)
         s1, one = ring.p(1), ring.one()
         yield "grass-" + coeff.name, (s1 + one) * (s1 - one), -one
-    u, v = EPS_ALGEBRA.gen("u"), EPS_ALGEBRA.gen("v")
-    yield "eps", u * v + v * u, EPS_ALGEBRA.zero()
     a, aa, ab, b = (FormalClass.of(*w) for w in ("A", "AA", "AB", "B"))
     yield ("formal", (a + aa).tensor(ab - b),
            FormalClass.of(*"AAAB") - FormalClass.of(*"AB"))

@@ -99,7 +99,8 @@ def test_hgr_ring_golden_bytes(capsys):
 # sha256 of the --json output of matrix-layer calls: the Koszul complex with
 # its homotopy, one diagonalization over Q and over F7 (a zero diagonal, so
 # the first pivot comes from mixing two basis vectors) and one symplectic
-# basis
+# basis; and of the acceptance battery, whose details name what each
+# criterion checked
 GOLDEN_DIGESTS = [
     (("koszul", "--n", "4", "--invert", "2"),
      "c5db4448e000e318f7972970b4985db96515a255d86c0db9545632b05032593e"),
@@ -112,12 +113,14 @@ GOLDEN_DIGESTS = [
     (("gw", "symplectic-basis", "--matrix",
       "[[0,2,1,-1],[-2,0,3,1],[-1,-3,0,4],[1,-1,-4,0]]"),
      "6890fe41c698089de427874703f196f460aa0e5a0995f98082b7452d2b4c6edb"),
+    (("suite",),
+     "44012e44537223e44384ea5b414084c1aac21eff5386461d0251345631080612"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS,
                          ids=["koszul", "diagonalize-q", "diagonalize-f7",
-                              "symplectic-basis"])
+                              "symplectic-basis", "suite"])
 def test_matrix_layer_golden_digests(capsys, argv, digest):
     code, out = capture(capsys, *argv, "--json")
     assert code == 0

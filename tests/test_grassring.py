@@ -6,8 +6,7 @@ import pytest
 import oracles
 from deadline import alarm
 from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE, GWBASE, INTEGERS
-from hgrcalc.grassring import (EpsAlgebra, ParameterError, limit_ring,
-                               present, restriction)
+from hgrcalc.grassring import ParameterError, limit_ring, present, restriction
 from hgrcalc.symfun import Partition, EMPTY
 
 
@@ -294,74 +293,12 @@ class TestLimitRing:
             assert proj.coords == {P(2): 1}
 
 
-def random_eps_element(algebra, rng, max_terms=3):
-    acc = algebra.zero()
-    names = algebra.names
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        term = algebra.scalar(rng.randrange(-2, 3) or 1)
-        for _ in range(rng.randrange(0, 3)):
-            term = term * algebra.gen(rng.choice(names))
-        if rng.random() < 0.3:
-            term = term.scale(GW_EPS)
-        acc = acc + term
-    return acc
+def test_eps_squares_to_one():
+    assert GW_EPS * GW_EPS == GW_ONE
 
 
-class TestEpsAlgebra:
-    def setup_method(self):
-        self.alg = EpsAlgebra([
-            ("x", (1, 0)), ("y", (1, 0)), ("u", (1, 1)), ("v", (1, 1)),
-            ("a", (4, 2)), ("b", (3, 1)), ("c", (0, 2)),
-        ])
-
-    def test_even_odd_bidegree_rejected(self):
-        with pytest.raises(ParameterError):
-            EpsAlgebra([("t", (2, 1))])
-
-    def test_odd_odd_sign(self):
-        x, y = self.alg.gen("x"), self.alg.gen("y")
-        assert x * y == -(y * x)
-
-    def test_eps_weighted_sign(self):
-        u, v = self.alg.gen("u"), self.alg.gen("v")
-        assert u * v == (v * u).scale(-GW_ONE).scale(GW_EPS)
-
-    def test_bieven_central(self):
-        a = self.alg.gen("a")
-        for name in self.alg.names:
-            g = self.alg.gen(name)
-            assert a * g == g * a
-
-    def test_odd_squares_vanish(self):
-        x = self.alg.gen("x")
-        assert x * x == self.alg.zero()
-
-    def test_eps_squares_to_one(self):
-        assert GW_EPS * GW_EPS == GW_ONE
-
-    def test_beta8_invertible(self):
-        from hgrcalc.coeffs import GW_BETA8
-        beta_inv = GWElement.scalar(1, 0, beta_power=-1)
-        assert GW_BETA8 * beta_inv == GW_ONE
-        assert beta_inv * GW_BETA8 * GW_BETA8 == GW_BETA8
-
-    def test_randomized_associativity_and_commutation(self):
-        rng = random.Random(1202)
-        for _ in range(300):
-            a = random_eps_element(self.alg, rng)
-            b = random_eps_element(self.alg, rng)
-            c = random_eps_element(self.alg, rng)
-            assert (a * b) * c == a * (b * c)
-
-    def test_homogeneous_sign_rule(self):
-        rng = random.Random(77)
-        names = self.alg.names
-        for _ in range(200):
-            g1, g2 = rng.choice(names), rng.choice(names)
-            a, b = self.alg.gen(g1), self.alg.gen(g2)
-            (p1, q1) = self.alg.bidegrees[self.alg.index[g1]]
-            (p2, q2) = self.alg.bidegrees[self.alg.index[g2]]
-            sign = GWElement.from_int((-1) ** (p1 * p2))
-            if (q1 * q2) % 2:
-                sign = sign * GW_EPS
-            assert a * b == (b * a).scale(sign)
+def test_beta8_invertible():
+    from hgrcalc.coeffs import GW_BETA8
+    beta_inv = GWElement.scalar(1, 0, beta_power=-1)
+    assert GW_BETA8 * beta_inv == GW_ONE
+    assert beta_inv * GW_BETA8 * GW_BETA8 == GW_BETA8
