@@ -18,10 +18,12 @@ forms must agree with the merged Koszul form on the nose.
 With the dual sign (-1)^k the double dual carries negated differentials, so
 the identification X ~ X^vv uses (-1)^k, not the identity.
 
-No further sign is stated: `swap_sign` transports a tensor form along the
-factor swap and returns the sign it observes, (-1)^{rs} for forms of
-degrees r and s.  For the Koszul forms, the Thom classes of A^r and A^s,
-that sign is the switch <-1>^{rs} on T^r ^ T^s.
+No further sign is stated.  One function moves forms: `transport_sign`
+pulls a form back along a signed relabelling of basis labels and returns
+the sign it observes.  Along the Koszul merge it must be +1; along the
+factor swap (`swap_sign`) it is (-1)^{rs} for forms of degrees r and s.
+For the Koszul forms, the Thom classes of A^r and A^s, that sign is the
+switch <-1>^{rs} on T^r ^ T^s.
 """
 
 from fractions import Fraction
@@ -118,12 +120,6 @@ class FreeComplex:
         return all(self.diff(k) == other.diff(k)
                    for k in range(lo, hi + 2))
 
-    def shift(self, n):
-        """(X[n])_k = X_{k-n} with differentials scaled by (-1)^n."""
-        ranks = {k + n: r for k, r in self.ranks.items()}
-        diffs = {k + n: _signed(n, m) for k, m in self.diffs.items()}
-        return FreeComplex(self.ring, ranks, diffs)
-
     def __repr__(self):
         lo, hi = self.support()
         ranks = ", ".join("%d:%d" % (k, self.rank(k)) for k in range(lo, hi + 1))
@@ -163,25 +159,6 @@ class SymmetricComplex:
             return self.phi[k]
         x = self.complex
         return mat_zero(x.rank(self.degree - k), x.rank(k), x.ring.zero())
-
-    def map_to(self, ring, gen_map):
-        """The same complex and form over ring, generator i renamed to
-        gen_map[i] in every differential and form entry."""
-        images = {}  # id of an entry -> its image: each distinct entry once
-
-        def lift(m):
-            for row in m:
-                for x in row:
-                    if id(x) not in images:
-                        images[id(x)] = x.map_to(ring, gen_map)
-            return [[images[id(x)] for x in row] for row in m]
-
-        x = self.complex
-        cx = FreeComplex(ring, x.ranks,
-                         {k: lift(m) for k, m in x.diffs.items()},
-                         labels=x.labels)
-        return SymmetricComplex(cx, self.degree,
-                                {k: lift(m) for k, m in self.phi.items()})
 
     def chain_defect(self):
         """First degree where phi fails to be a chain map, or None.
@@ -352,6 +329,22 @@ def _adjoin_rings(r1, r2):
             {i: n1 + i for i in range(len(r2.gens))})
 
 
+def _lifter(ring, gen_map):
+    """lift(m): the matrix m over ring, generator i of its entries renamed
+    to gen_map[i].  Each distinct entry is mapped once across all calls, so
+    the entries of every m must outlive the lifter."""
+    images = {}  # id of an entry -> its image
+
+    def lift(m):
+        for row in m:
+            for x in row:
+                if id(x) not in images:
+                    images[id(x)] = x.map_to(ring, gen_map)
+        return [[images[id(x)] for x in row] for row in m]
+
+    return lift
+
+
 def tensor_pair(msym, nsym):
     """Tensor of symmetric complexes with the Koszul-sign differential and
     the block form scaled by nu(p,q) = (-1)^{q(r-p)}.
@@ -361,9 +354,13 @@ def tensor_pair(msym, nsym):
     ordered by p, then i, then j.
     """
     r, s = msym.degree, nsym.degree
-    ring, map_m, map_n = _adjoin_rings(msym.complex.ring, nsym.complex.ring)
-    msym, nsym = msym.map_to(ring, map_m), nsym.map_to(ring, map_n)
     mx, nx = msym.complex, nsym.complex
+    ring, map_m, map_n = _adjoin_rings(mx.ring, nx.ring)
+    lift_m, lift_n = _lifter(ring, map_m), _lifter(ring, map_n)
+    mdiffs = {p: lift_m(m) for p, m in mx.diffs.items()}
+    ndiffs = {q: lift_n(m) for q, m in nx.diffs.items()}
+    mphi = {p: lift_m(m) for p, m in msym.phi.items()}
+    nphi = {q: lift_n(m) for q, m in nsym.phi.items()}
     lo = min(mx.ranks) + min(nx.ranks)
     hi = max(mx.ranks) + max(nx.ranks)
     labels = {k: [] for k in range(lo, hi + 1)}
@@ -382,10 +379,10 @@ def tensor_pair(msym, nsym):
     for k in range(lo + 1, hi + 1):
         m = mat_zero(ranks[k - 1], ranks[k], zero)
         for col, (p, i, q, j) in enumerate(labels[k]):
-            for a, row in enumerate(mx.diffs.get(p, ())):
+            for a, row in enumerate(mdiffs.get(p, ())):
                 if row[i] is not zero:
                     m[index[k - 1][(p - 1, a, q, j)]][col] = row[i]
-            for b, row in enumerate(nx.diffs.get(q, ())):
+            for b, row in enumerate(ndiffs.get(q, ())):
                 if row[j] is not zero:
                     m[index[k - 1][(p, i, q - 1, b)]][col] = _signed(p, row[j])
         diffs[k] = m
@@ -398,8 +395,8 @@ def tensor_pair(msym, nsym):
             continue
         m = mat_zero(ranks[n - k], ranks[k], zero)
         for col, (p, i, q, j) in enumerate(labels[k]):
-            fn = nsym.form(q)   # rows: N_{s-q}
-            for a, row_m in enumerate(msym.form(p)):   # rows: M_{r-p}
+            fn = nphi.get(q, ())   # rows: N_{s-q}
+            for a, row_m in enumerate(mphi.get(p, ())):   # rows: M_{r-p}
                 if row_m[i] is zero:
                     continue
                 for b, row_n in enumerate(fn):
@@ -410,114 +407,92 @@ def tensor_pair(msym, nsym):
     return SymmetricComplex(cx, n, phi)
 
 
-class ChainIso:
-    """Degreewise invertible chain map between complexes over one ring."""
+def transport_sign(source, target, image, gen_map):
+    """The sign e = +1 or -1 with iota^* psi = e * phi, for the signed
+    relabelling iota from source (form phi) to target (form psi).
 
-    def __init__(self, source, target, components):
-        self.source = source
-        self.target = target
-        self.components = components  # k -> matrix target_k x source_k
-
-    def verify_chain_map(self):
-        ring = self.target.ring
-        lo, hi = self.source.support()
-        for k in range(lo, hi + 1):
-            if not self.source.rank(k) or not self.source.rank(k - 1):
-                continue
-            lhs = mat_mul(self.components[k - 1], self.source.diff(k),
-                          ring.zero())
-            rhs = mat_mul(self.target.diff(k), self.components[k],
-                          ring.zero())
-            if lhs != rhs:
-                return False
-        return True
-
-    def pullback_form(self, sym, degree):
-        """(iota^* psi)_k = (iota_{n-k})^T psi_k iota_k."""
-        ring = self.target.ring
-        out = {}
-        for k in self.source.ranks:
-            m = mat_mul(sym.form(k), self.components[k], ring.zero())
-            m = mat_mul(mat_transpose(self.components[degree - k]), m,
-                        ring.zero())
-            out[k] = m
-        return out
-
-
-def _relabel(source, target, image, name):
-    """The ChainIso sending source basis label l to c * (label l' of
-    target), where image(l) = (l', c), verified to be a chain map."""
-    ring = target.ring
-    components = {}
-    for k, lab in source.labels.items():
-        index = {t: i for i, t in enumerate(target.labels.get(k, ()))}
-        m = mat_zero(len(index), len(lab), ring.zero())
-        for col, t in enumerate(lab):
+    Both complexes are labelled and their forms have one degree n.
+    image(l) = (l', c) sends source label l to c times target label l' of
+    the same homological degree, c an integer; gen_map sends generator i of
+    source's ring to generator gen_map[i] of target's, into which each
+    distinct entry of source is lifted once.  iota must be a chain map,
+    d_k iota_k = iota_{k-1} d_k, and the pullback is
+    (iota^* psi)_k = (iota_{n-k})^T psi_k iota_k, compared on the nose.
+    Raises ChainError at the first degree where iota is not a chain map, or
+    where the pullback is neither plus nor minus the form.
+    """
+    sx, tx = source.complex, target.complex
+    n = source.degree
+    zero = tx.ring.zero()
+    lift = _lifter(tx.ring, gen_map)
+    iota = {}  # k -> matrix target_k x source_k, integer entries
+    for k in sx.ranks:
+        index = {t: i for i, t in enumerate(tx.labels.get(k, ()))}
+        m = mat_zero(len(index), sx.rank(k))
+        for col, t in enumerate(sx.labels[k]):
             at, c = image(t)
             m[index[at]][col] = c
-        components[k] = m
-    iso = ChainIso(source, target, components)
-    if not iso.verify_chain_map():
-        raise ChainError("%s failed to be a chain map" % name)
-    return iso
+        iota[k] = m
+    for k in sorted(sx.ranks):
+        if k - 1 in sx.ranks:
+            lhs = mat_mul(iota[k - 1], lift(sx.diff(k)), zero)
+            if lhs != mat_mul(tx.diff(k), iota[k], zero):
+                raise ChainError("the relabelling is not a chain map at "
+                                 "degree %d" % k)
+    exponents = (0, 1)  # the signs (-1)^e still consistent with every degree
+    for k in sorted(sx.ranks):
+        if n - k not in sx.ranks:
+            continue  # the form vanishes on X_k
+        pulled = mat_mul(mat_transpose(iota[n - k]),
+                         mat_mul(target.form(k), iota[k], zero), zero)
+        form = lift(source.form(k))
+        exponents = [e for e in exponents if pulled == _signed(e, form)]
+        if not exponents:
+            raise ChainError("the pulled-back form is neither plus nor minus "
+                             "the form at degree %d" % k)
+    return _signed(exponents[0], 1)
 
 
 def koszul_tensor_isometry(a, b):
     """koszul(a) @ koszul(b) against koszul(a+b): the canonical label merge
-    (S, T) -> S u (T + a) is a chain isometry, verified exactly.
+    (S, T) -> S u (T + a) is a chain isometry, verified exactly by
+    `transport_sign`.
 
-    Returns (tensor, merged_in_tensor_ring, iso) with iso a ChainIso whose
-    pullback of the merged form equals the tensor form on the nose.
+    Returns (tensor, merged, merge): merged is koszul(a+b) in its own ring
+    and merge the label map from the tensor's labels to merged's.
     """
     ka, kb = koszul(a), koszul(b)
-    t = tensor_pair(ka, kb)
-    ring = t.complex.ring
-    # both rings have a+b unit-weight generators in matching order
-    merged = koszul(a + b).map_to(ring, {i: i for i in range(a + b)})
+    tensor = tensor_pair(ka, kb)
+    merged = koszul(a + b)
     la, lb = ka.complex.labels, kb.complex.labels
 
     def merge(label):
         p, i, q, j = label
-        return la[p][i] | {x + a for x in lb[q][j]}, ring.one()
+        return la[p][i] | {x + a for x in lb[q][j]}, 1
 
-    iso = _relabel(t.complex, merged.complex, merge, "koszul merge")
-    pulled = iso.pullback_form(merged, a + b)
-    for k in t.complex.ranks:
-        if pulled[k] != t.form(k):
-            raise ChainError("koszul merge failed to be an isometry at %d" % k)
-    return t, merged, iso
+    # both rings have a+b unit-weight generators in matching order
+    if transport_sign(tensor, merged, merge,
+                      {i: i for i in range(a + b)}) != 1:
+        raise ChainError("koszul merge multiplies the form by -1")
+    return tensor, merged, merge
 
 
 def swap_sign(msym, nsym):
     """The sign by which the factor swap M@N -> N@M multiplies the form.
 
-    The swap sends m_p @ n_q to (-1)^{pq} n_q @ m_p.  The form of
-    tensor_pair(N, M) is pulled back along it and compared on the nose with
-    the form of tensor_pair(M, N); the result is +1 or -1, the class <1> or
-    <-1> of the switch.  For forms of degrees r and s it is (-1)^{rs}.  A
-    pullback that is neither plus nor minus the form raises ChainError
-    naming the first degree where it is neither.
+    The swap sends m_p @ n_q to (-1)^{pq} n_q @ m_p; `transport_sign` pulls
+    the form of tensor_pair(N, M) back along it.  The result is +1 or -1,
+    the class <1> or <-1> of the switch; for forms of degrees r and s it is
+    (-1)^{rs}.
     """
-    r, s = msym.degree, nsym.degree
-    t2 = tensor_pair(nsym, msym)
-    ring = t2.complex.ring
     nm = len(msym.complex.ring.gens)
     nn = len(nsym.complex.ring.gens)
     gen_map = {i: nn + i for i in range(nm)}
     gen_map.update({nm + j: j for j in range(nn)})
-    t1 = tensor_pair(msym, nsym).map_to(ring, gen_map)
 
     def swap(label):
         p, i, q, j = label
-        return (q, j, p, i), _signed(p * q, ring.one())
+        return (q, j, p, i), _signed(p * q, 1)
 
-    iso = _relabel(t1.complex, t2.complex, swap, "factor swap")
-    pulled = iso.pullback_form(t2, r + s)
-    exponents = (0, 1)  # the signs (-1)^e still consistent with every degree
-    for k in sorted(pulled):
-        form = t1.form(k)
-        exponents = [e for e in exponents if pulled[k] == _signed(e, form)]
-        if not exponents:
-            raise ChainError("the swapped form is neither plus nor minus the "
-                             "form at degree %d" % k)
-    return _signed(exponents[0], 1)
+    return transport_sign(tensor_pair(msym, nsym), tensor_pair(nsym, msym),
+                          swap, gen_map)

@@ -27,6 +27,23 @@ BUNDLE_RANK_BOUND = 2000
 # of its entries: the O(n^3) reductions at these bounds take under a second
 MATRIX_DIMENSION_BOUND = 32
 MATRIX_ENTRY_BOUND = 10 ** 6
+# largest work of a schur call, the weight w of --partition times the
+# number of e-monomials of weight w in e_1..e_gens (the Schur classes the
+# Kostka inversion computes): within it s_(62) in 2 generators and s_(14)
+# in 14 take 0.4-0.7 s; s_(17) in 17 (work 5049) takes 3.2 s and s_(268)
+# in 2 (work 36180) 12 s.  Longer exponent vectors cost too: s_(14) in 32
+# generators takes 0.9 s
+SCHUR_WORK_BOUND = 2000
+SCHUR_GENS_BOUND = 32
+# largest rank C(n, r) of a hgr-ring or restriction ring: C(18, 9) = 48620
+# and the (6, 22) ring take under a second, C(20, 10) = 184756 takes 4.2 s
+GRASS_RANK_BOUND = 50000
+# largest koszul --n: is_nondegenerate runs Bareiss on the C(n, k)-square
+# form blocks over Poly; n = 7 takes 0.5 s, n = 8 takes 2.8 s
+KOSZUL_N_BOUND = 7
+# largest verify quadratic-section --r: the ring has r(r+3)/2 generators;
+# r = 48 takes 0.7 s, r = 64 takes 2.1 s
+QUADRATIC_SECTION_BOUND = 48
 
 
 def _emit(args, payload, human_lines):
@@ -43,6 +60,18 @@ def _bidegree_note(w):
     return "weight %d = bidegree (%d, %d)" % (w, 4 * w, 2 * w)
 
 
+def _schur_work(w, gens):
+    """w times the number of partitions of w into at most gens parts; just
+    w once that alone is over SCHUR_WORK_BOUND."""
+    if w > SCHUR_WORK_BOUND:
+        return w
+    ways = [1] + [0] * w  # ways[m]: partitions of m into parts <= part
+    for part in range(1, min(gens, w) + 1):
+        for m in range(part, w + 1):
+            ways[m] += ways[m - part]
+    return w * ways[w]
+
+
 def cmd_schur(args):
     from . import grassring, symfun
     try:
@@ -50,6 +79,13 @@ def cmd_schur(args):
                                      if p != "")) if args.partition else symfun.EMPTY
     except ValueError as err:
         raise UsageError("--partition: %s" % err)
+    if args.gens > SCHUR_GENS_BOUND:
+        raise UsageError("--gens %d is over the bound %d"
+                         % (args.gens, SCHUR_GENS_BOUND))
+    if _schur_work(lam.weight(), args.gens) > SCHUR_WORK_BOUND:
+        raise UsageError("--partition: weight %d in %d generators is over "
+                         "the work bound %d"
+                         % (lam.weight(), args.gens, SCHUR_WORK_BOUND))
     poly = symfun.schur_in_elementary(lam, args.gens)
     payload = {
         "partition": lam.to_json(),
@@ -65,9 +101,21 @@ def cmd_schur(args):
     return 0
 
 
+def _check_grass_rank(option, r, n):
+    """Refuse a ring A(HGr(r, n)) of rank C(n, r) over GRASS_RANK_BOUND;
+    the binomials are built up only until they pass it."""
+    rank = 1
+    for i in range(min(r, n - r)):
+        rank = rank * (n - i) // (i + 1)  # C(n, i + 1)
+        if rank > GRASS_RANK_BOUND:
+            raise UsageError("%s: rank C(%d, %d) is over the bound %d"
+                             % (option, n, r, GRASS_RANK_BOUND))
+
+
 def cmd_hgr_ring(args):
     if args.r > args.n:
         raise UsageError("r exceeds n")
+    _check_grass_rank("--r/--n", args.r, args.n)
     from . import coeffs, grassring
     coeff = next(c for c in (coeffs.INTEGERS, coeffs.RATIONALS, coeffs.GWBASE)
                  if c.name == args.coeff)
@@ -83,6 +131,8 @@ def cmd_hgr_ring(args):
 
 
 def cmd_restriction(args):
+    _check_grass_rank("--source-r/--source-n", args.source_r, args.source_n)
+    _check_grass_rank("--target-r/--target-n", args.target_r, args.target_n)
     from . import grassring
     src = grassring.present(args.source_r, args.source_n)
     tgt = grassring.present(args.target_r, args.target_n)
@@ -277,6 +327,9 @@ def cmd_gw(args):
 
 
 def cmd_koszul(args):
+    if args.n > KOSZUL_N_BOUND:
+        raise UsageError("--n %d is over the bound %d"
+                         % (args.n, KOSZUL_N_BOUND))
     from . import chainduality
     k = chainduality.koszul(args.n)
     payload = k.to_json()
@@ -359,6 +412,9 @@ def cmd_verify(args):
     elif args.target == "m1-factorization":
         report = geomverify.verify_M1_factorization()
     elif args.target == "quadratic-section":
+        if args.r > QUADRATIC_SECTION_BOUND:
+            raise UsageError("--r %d is over the bound %d"
+                             % (args.r, QUADRATIC_SECTION_BOUND))
         ok = geomverify.quadratic_section_identity(args.r)
         report = geomverify.PathReport({"identity r=%d" % args.r: ok})
     else:  # symplectic-lift

@@ -197,9 +197,6 @@ class FiniteField:
         """The element whose coefficients are the base-p digits of n."""
         return FFElement(self, _base_digits(n, self.p, self.k))
 
-    def elements(self):
-        return [self._element(n) for n in range(self.q)]
-
     def _pow(self, x, e):
         out = self.one()
         while e:

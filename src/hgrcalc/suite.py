@@ -7,7 +7,6 @@ independent of the code paths it checks.
 """
 
 import random
-from itertools import combinations
 from math import comb, gcd
 
 from . import chainduality, classcalc, forms, geomverify, grassring
@@ -65,21 +64,6 @@ def _variable_ring(m):
     return PolyRing(tuple("x%d" % i for i in range(1, m + 1)))
 
 
-def _elementary_in_vars(ring):
-    """[e_0, .., e_m] in the m variables of ring."""
-    m = len(ring.gens)
-    out = [ring.one()]
-    for i in range(1, m + 1):
-        terms = {}
-        for subset in combinations(range(m), i):
-            e = [0] * m
-            for j in subset:
-                e[j] = 1
-            terms[tuple(e)] = 1
-        out.append(Poly(ring, terms))
-    return out
-
-
 def _ssyt_polynomial(shape, m):
     ring = _variable_ring(m)
     shape = tuple(shape)
@@ -130,7 +114,8 @@ def _partitions_of(w):
 
 def criterion_schur_oracle():
     rings = {m: _variable_ring(m) for m in (1, 2, 3, 4)}
-    elementary = {m: _elementary_in_vars(ring) for m, ring in rings.items()}
+    elementary = {m: [ring.one()] + pontryagin.elementary_in(
+        [ring.gen(i) for i in range(m)], ring) for m, ring in rings.items()}
     monomials = {}  # (m, exps) -> prod_i e_{i+1}^exps[i], for this call only
 
     def e_monomial(m, exps):

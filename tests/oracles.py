@@ -8,6 +8,7 @@ implementations they check.
 from itertools import combinations, product
 
 from hgrcalc import towers
+from hgrcalc.forms import FFElement
 from hgrcalc.polynomial import (Poly, PolyRing, mat_apply, mat_shape,
                                 smith_normal_form)
 from hgrcalc.symfun import Partition, schur_in_elementary
@@ -108,6 +109,13 @@ def brute_force_partitions_in_box(r, cols):
             if all(tup[i] >= tup[i + 1] for i in range(length - 1)):
                 found.add(tup)
     return found
+
+
+def all_elements(field):
+    """Every element of the finite field, the one with base-p digits n
+    (least significant first) at position n."""
+    return [FFElement(field, digits[::-1])
+            for digits in product(range(field.p), repeat=field.k)]
 
 
 def gram_congruent_search(g1, g2, field_elements):

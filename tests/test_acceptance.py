@@ -87,16 +87,16 @@ def _keeps_the_form_at_1_3(real, msym, nsym):
 
 
 def _neither_sign(real, msym, nsym):
-    raise chainduality.ChainError("the swapped form is neither plus nor "
-                                  "minus the form at degree 2")
+    raise chainduality.ChainError("the pulled-back form is neither plus "
+                                  "nor minus the form at degree 2")
 
 
 @pytest.mark.parametrize("broken, detail", [
     (_keeps_the_form_at_1_3,
      "r=1, s=3: the swap multiplies the form by +1, not by eps^3"),
     # the ChainError's degree reaches the detail
-    (_neither_sign, "r=1, s=1: the swapped form is neither plus nor minus "
-                    "the form at degree 2"),
+    (_neither_sign, "r=1, s=1: the pulled-back form is neither plus nor "
+                    "minus the form at degree 2"),
 ], ids=["sign", "degree"])
 def test_eps_algebra_failure_names_the_case(monkeypatch, broken, detail):
     real = chainduality.swap_sign

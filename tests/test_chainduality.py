@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from hgrcalc.chainduality import (ChainError, ChainIso, FreeComplex,
-                                  SymmetricComplex, contracting_homotopy,
-                                  koszul, koszul_tensor_isometry, swap_sign,
-                                  tensor_pair)
-from hgrcalc.polynomial import PolyRing, mat_transpose, mat_zero
+from hgrcalc.chainduality import (ChainError, FreeComplex, SymmetricComplex,
+                                  contracting_homotopy, koszul,
+                                  koszul_tensor_isometry, swap_sign,
+                                  tensor_pair, transport_sign)
+from hgrcalc.polynomial import PolyRing, mat_transpose
 
 
 def dual(cx):
@@ -15,6 +15,14 @@ def dual(cx):
     diffs = {k: [[-x if k % 2 else x for x in row]
                  for row in mat_transpose(cx.diff(1 - k))]
              for k in ranks if cx.rank(1 - k)}
+    return FreeComplex(cx.ring, ranks, diffs)
+
+
+def shift(cx, n):
+    """X[n]: (X[n])_k = X_{k-n}, differentials scaled by (-1)^n."""
+    ranks = {k + n: r for k, r in cx.ranks.items()}
+    diffs = {k + n: [[-x if n % 2 else x for x in row] for row in m]
+             for k, m in cx.diffs.items()}
     return FreeComplex(cx.ring, ranks, diffs)
 
 
@@ -72,10 +80,10 @@ class TestFreeComplex:
 
     def test_shift(self):
         cx = two_term_x()
-        sh = cx.shift(1)
+        sh = shift(cx, 1)
         assert sh.ranks == {1: 1, 2: 1}
         assert sh.diff(2)[0][0] == -cx.ring.gen(0)
-        assert cx.shift(2).diff(3)[0][0] == cx.ring.gen(0)
+        assert shift(cx, 2).diff(3)[0][0] == cx.ring.gen(0)
 
 
 class TestKoszul:
@@ -91,7 +99,7 @@ class TestKoszul:
     def test_rank_one_shifted_dual_differential(self):
         # the target K^v[1] carries the differential -x
         k = koszul(1)
-        target = dual(k.complex).shift(1)
+        target = shift(dual(k.complex), 1)
         assert target.ranks == {0: 1, 1: 1}
         assert target.diff(1)[0][0] == -k.complex.ring.gen(0)
 
@@ -118,21 +126,6 @@ class TestKoszul:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_d_squared_zero(self, n):
         koszul(n).complex.validate()
-
-    def test_map_to_renames_generators(self):
-        k = koszul(2)
-        ring = PolyRing(("a", "b", "c"))
-        moved = k.map_to(ring, {0: 2, 1: 0})
-        assert moved.degree == 2
-        assert moved.complex.ring == ring
-        assert moved.complex.ranks == k.complex.ranks
-        assert moved.complex.labels == k.complex.labels
-        assert [e.pretty() for e in moved.complex.diff(1)[0]] == ["c", "a"]
-        for deg in k.complex.ranks:
-            assert moved.form(deg) == [[x.map_to(ring, {0: 2, 1: 0})
-                                        for x in row] for row in k.form(deg)]
-            assert [[x.pretty() for x in row] for row in moved.form(deg)] == \
-                [[x.pretty() for x in row] for row in k.form(deg)]
 
     def test_asymmetric_form_rejected(self):
         k = koszul(1)
@@ -169,9 +162,12 @@ class TestTensor:
             assert t.form(deg) == k.form(deg)
 
     def test_koszul_merge_one_one(self):
-        t, merged, iso = koszul_tensor_isometry(1, 1)
+        t, merged, merge = koszul_tensor_isometry(1, 1)
         assert t.degree == 2
         assert merged.complex.ranks == {0: 1, 1: 2, 2: 1}
+        # merged is koszul(2) in its own ring; merge is the label map
+        assert merged.complex.ring.gens == ("x1", "x2")
+        assert merge((1, 0, 1, 0)) == (frozenset({1, 2}), 1)
 
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3),
                                      (3, 1)])
@@ -213,30 +209,20 @@ class TestTensor:
 
     def test_associativity_on_rank_one_koszuls(self):
         k = koszul(1)
-        left = tensor_pair(tensor_pair(k, k), k)
-        right = tensor_pair(k, tensor_pair(k, k))
-        ring = right.complex.ring
-        assert left.complex.ring.gens == ring.gens
-        # canonical reassociation on labels, no signs
-        components = {}
-        for deg, lab in left.complex.labels.items():
-            right_lab = right.complex.labels[deg]
-            index = {t: i for i, t in enumerate(right_lab)}
-            m = mat_zero(len(right_lab), len(lab), ring.zero())
-            for col, (pq, ij, r_, k_) in enumerate(lab):
-                # decode: left factor of `left` is itself a tensor
-                p, i, q, j = tensor_pair(k, k).complex.labels[pq][ij]
-                inner = tensor_pair(k, tensor_pair(k, k))
-                # position of (q, j, r_, k_) inside the right inner tensor
-                inner_lab = tensor_pair(k, k).complex.labels[q + r_]
-                pos = inner_lab.index((q, j, r_, k_))
-                m[index[(p, i, q + r_, pos)]][col] = ring.one()
-            components[deg] = m
-        iso = ChainIso(left.complex, right.complex, components)
-        assert iso.verify_chain_map()
-        pulled = iso.pullback_form(right, 3)
-        for deg in left.complex.ranks:
-            assert pulled[deg] == left.form(deg), deg
+        kk = tensor_pair(k, k)
+        left = tensor_pair(kk, k)
+        right = tensor_pair(k, kk)
+        assert left.complex.ring.gens == right.complex.ring.gens
+        inner = kk.complex.labels
+
+        def reassociate(label):
+            # (m_p @ m_q) @ m_r -> m_p @ (m_q @ m_r), no signs
+            pq, ij, r, c = label
+            p, i, q, j = inner[pq][ij]
+            return (p, i, q + r, inner[q + r].index((q, j, r, c))), 1
+
+        assert transport_sign(left, right, reassociate,
+                              {i: i for i in range(3)}) == 1
 
 
 @pytest.mark.parametrize("r, s", [(r, s) for r in range(4) for s in range(4)])
@@ -248,15 +234,30 @@ def test_swap_sign(r, s):
     assert swap_sign(thom(r), thom(s)) == (-1) ** (r * s)
 
 
-def test_swap_sign_names_the_degree_it_fails_at(monkeypatch):
-    # a pullback doubled in degree 1 is neither plus nor minus the form there
-    real = ChainIso.pullback_form
+def _swap(signed):
+    """The factor swap of K(1) @ K(1), with or without its sign (-1)^{pq},
+    and the generator map that exchanges the two variables."""
+    def image(label):
+        p, i, q, j = label
+        return (q, j, p, i), (-1) ** (p * q) if signed else 1
 
-    def doubled(self, sym, degree):
-        out = real(self, sym, degree)
-        out[1] = [[x + x for x in row] for row in out[1]]
-        return out
+    return image, {0: 1, 1: 0}
 
-    monkeypatch.setattr(ChainIso, "pullback_form", doubled)
-    with pytest.raises(ChainError, match="form at degree 1$"):
-        swap_sign(koszul(1), koszul(1))
+
+def test_transport_sign_names_the_degree_the_form_fails_at():
+    # against the doubled form the pullback is neither plus nor minus the
+    # form, from the first degree on
+    t = tensor_pair(koszul(1), koszul(1))
+    doubled = SymmetricComplex(t.complex, t.degree,
+                               {k: [[x + x for x in row] for row in m]
+                                for k, m in t.phi.items()})
+    with pytest.raises(ChainError, match="form at degree 0$"):
+        transport_sign(t, doubled, *_swap(signed=True))
+
+
+def test_transport_sign_names_the_degree_it_is_no_chain_map_at():
+    # without (-1)^{pq} the swap misses the Koszul sign of d(m_1 @ n_1)
+    t = tensor_pair(koszul(1), koszul(1))
+    with pytest.raises(ChainError, match="not a chain map at degree 2$"):
+        transport_sign(t, t, *_swap(signed=False))
+    assert transport_sign(t, t, *_swap(signed=True)) == -1

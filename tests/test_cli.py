@@ -59,6 +59,20 @@ class TestSchur:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1].strip() == "e1^1000"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--partition", "15", "--gens", "15"],
+         "--partition: weight 15 in 15 generators is over the work bound 2000"),
+        (["--partition", "63", "--gens", "2"],
+         "--partition: weight 63 in 2 generators is over the work bound 2000"),
+        (["--partition", "1", "--gens", "33"], "--gens 33 is over the bound 32"),
+    ], ids=["weight", "weight-in-two", "gens"])
+    def test_over_the_bound_refused(self, capsys, argv, message):
+        # s_(15) in 15 generators took 0.9 s and s_(20) in 20 took 21 s
+        with alarm(2):
+            code, _, err = run_cli(capsys, "schur", *argv)
+        assert code == 2
+        assert err == "usage error: %s\n" % message
+
     def test_negative_gens_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["schur", "--gens", "-1"])
@@ -79,6 +93,14 @@ class TestHgrRing:
         code, _, err = run_cli(capsys, "hgr-ring", "--r", "3", "--n", "2")
         assert code == 2
         assert "r exceeds n" in err
+
+    def test_rank_over_the_bound_refused(self, capsys):
+        # rank C(20, 10) = 184756 took 4.2 s, (12, 24) over 30 s
+        with alarm(2):
+            code, _, err = run_cli(capsys, "hgr-ring", "--r", "10", "--n", "20")
+        assert code == 2
+        assert err == ("usage error: --r/--n: rank C(20, 10) is over the "
+                       "bound 50000\n")
 
     def test_human_mode_prints_bidegrees(self, capsys):
         code, out, _ = run_cli(capsys, "hgr-ring", "--r", "1", "--n", "2")
@@ -101,6 +123,15 @@ class TestRestriction:
                                "--source-n", "3", "--target-r", "1",
                                "--target-n", "1", "--kind", "alpha")
         assert code == 2
+
+    def test_rank_over_the_bound_refused(self, capsys):
+        with alarm(2):
+            code, _, err = run_cli(capsys, "restriction", "--source-r", "10",
+                                   "--source-n", "21", "--target-r", "10",
+                                   "--target-n", "20", "--kind", "alpha")
+        assert code == 2
+        assert err == ("usage error: --source-r/--source-n: rank C(21, 10) "
+                       "is over the bound 50000\n")
 
 
 class TestPontryagin:
@@ -293,6 +324,14 @@ class TestKoszulCmd:
                                "--json")
         assert code == 0
         assert "1" in json.loads(out)["homotopies"]
+
+    def test_n_over_the_bound_refused(self, capsys):
+        # n = 8 took 2.8 s, n = 10 did not return within 20 s
+        with alarm(2):
+            code, out, err = run_cli(capsys, "koszul", "--n", "8", "--json")
+        assert code == 2
+        assert json.loads(out) == {"error": "--n 8 is over the bound 7"}
+        assert err == "usage error: --n 8 is over the bound 7\n"
 
 
 class TestTowerCmd:
@@ -516,6 +555,14 @@ class TestVerifyCmd:
         code, out, _ = run_cli(capsys, "verify", "quadratic-section", "--r", "2",
                                "--json")
         assert code == 0
+
+    def test_quadratic_section_over_the_bound_refused(self, capsys):
+        # r = 100 took 11.6 s, r = 200 over 15 s
+        with alarm(2):
+            code, _, err = run_cli(capsys, "verify", "quadratic-section",
+                                   "--r", "49")
+        assert code == 2
+        assert err == "usage error: --r 49 is over the bound 48\n"
 
     def test_symplectic_lift(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "symplectic-lift", "--json")

@@ -261,7 +261,7 @@ ENTRY_RINGS = {
     "poly": (QX.zero(), lambda k: QX.gen(0, abs(k) % 2, Fraction(k, 2))),
     "laurent": (LAURENT.zero(), laurent_entry),
     "int-under-qt": (QT.zero(), lambda k: k),
-    "ff9": (F9.zero(), lambda k: F9.elements()[k % 9]),
+    "ff9": (F9.zero(), lambda k: oracles.all_elements(F9)[k % 9]),
 }
 
 

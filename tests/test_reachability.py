@@ -2,9 +2,10 @@
 
 Every top-level function and class of `src/hgrcalc`, and every method that
 is not a dunder, must be referenced somewhere in `src/hgrcalc` outside its
-own body. A reference is an identifier, an attribute, or a string constant
-that is exactly the name (so `getattr(x, "name")` counts, but a word in a
-docstring does not).
+own body. A reference is an attribute or a string constant that is exactly
+the name (so `getattr(x, "name")` counts, but a word in a docstring does
+not); a bare identifier counts for a top-level name only, since a method
+is never reached through a local variable that shares its name.
 
 Every field a method sets as `self.X = ...` must also be read as `.X`
 somewhere in `src/hgrcalc`. Exceptions are exempt: their payloads are for
@@ -21,23 +22,26 @@ SRC = Path(hgrcalc.__file__).resolve().parent
 
 
 def _definitions(tree):
+    """(node, is_method) for each top-level definition and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))):
-                    yield item
+                    yield item, True
 
 
-def _references(node):
-    """Counter of the names referenced anywhere under node."""
+def _references(node, bare):
+    """Counter of the names referenced anywhere under node as attributes
+    or string constants, and as bare identifiers if bare."""
     refs = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            refs[sub.id] += 1
+            if bare:
+                refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
@@ -48,13 +52,15 @@ def _references(node):
 def test_every_library_name_is_reached_from_the_library():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
-    everywhere = Counter()
+    everywhere = {False: Counter(), True: Counter()}  # keyed by is_method
     for tree in trees.values():
-        everywhere.update(_references(tree))
+        for is_method in everywhere:
+            everywhere[is_method].update(_references(tree, not is_method))
     unreached = ["%s:%d %s" % (name, node.lineno, node.name)
                  for name, tree in trees.items()
-                 for node in _definitions(tree)
-                 if everywhere[node.name] <= _references(node)[node.name]]
+                 for node, is_method in _definitions(tree)
+                 if everywhere[is_method][node.name]
+                 <= _references(node, not is_method)[node.name]]
     assert not unreached, unreached
 
 
