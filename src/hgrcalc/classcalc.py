@@ -45,10 +45,6 @@ class FormalClass(Combination):
     def of(cls, *word):
         return cls({tuple(word): 1})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def _scalar(self, k):
         if not isinstance(k, int):
             raise TypeError("formal classes scale by integers, not %r" % (k,))

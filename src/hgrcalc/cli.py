@@ -10,6 +10,7 @@ library modules it runs, so --help loads none.
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import HgrcalcError
@@ -31,8 +32,9 @@ MATRIX_ENTRY_BOUND = 10 ** 6
 # number of e-monomials of weight w in e_1..e_gens (the Schur classes the
 # Kostka inversion computes): within it s_(62) in 2 generators and s_(14)
 # in 14 take 0.4-0.7 s; s_(17) in 17 (work 5049) takes 3.2 s and s_(268)
-# in 2 (work 36180) 12 s.  Longer exponent vectors cost too: s_(14) in 32
-# generators takes 0.9 s
+# in 2 (work 36180) 12 s.  s_lambda is computed in min(gens, w) generators,
+# but the output still carries one exponent per generator, so --gens is
+# bounded too: s_(14) in 32 generators takes 0.47 s, in 14 0.46 s
 SCHUR_WORK_BOUND = 2000
 SCHUR_GENS_BOUND = 32
 # largest rank C(n, r) of a hgr-ring or restriction ring: C(18, 9) = 48620
@@ -149,8 +151,10 @@ def cmd_restriction(args):
 
 
 def _parse_json(option, text):
+    """The JSON value of an option; a number with a fraction or exponent
+    part is read exactly as a Decimal, not rounded through a float."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=Decimal)
     except ValueError as err:  # also integers over the int-to-str digit limit
         raise UsageError("--%s is not valid JSON: %s" % (option, err))
 
@@ -172,9 +176,6 @@ def _parse_bundle(text):
             raise UsageError("--bundle rank: expected an integer")
         if not isinstance(ps, list) or not all(isinstance(x, int) for x in ps):
             raise UsageError("--bundle p: expected a list of integers")
-        if rank < 0 or rank % 2:
-            raise UsageError("--bundle rank: symplectic rank must be even "
-                             "and nonnegative")
         _check_bundle_rank(rank)
         return pontryagin.FormalSymplecticBundle(rank, ps)
     raise UsageError("--bundle: need {\"split\": [..]} or {\"rank\": .., \"p\": [..]}")
@@ -240,17 +241,20 @@ def _parse_gram(text):
     if len(rows) > MATRIX_DIMENSION_BOUND:
         raise UsageError("--matrix: dimension %d is over the bound %d"
                          % (len(rows), MATRIX_DIMENSION_BOUND))
-    # a string such as "1e3000000" would make Fraction build a huge integer
-    if any(isinstance(x, str) for row in rows for x in row):
-        raise UsageError("--matrix: entries must be JSON numbers, not strings")
-    try:
-        gram = [[Fraction(str(x)) for x in row] for row in rows]
-    except ValueError as err:  # inf, nan and entries that are not numbers
-        raise UsageError("--matrix: %s" % err)
+    if any(isinstance(x, bool) or not isinstance(x, (int, Decimal))
+           for row in rows for x in row):
+        raise UsageError("--matrix: entries must be finite JSON numbers")
+    over = UsageError("--matrix: entry numerators and denominators must be "
+                      "at most %d in absolute value" % MATRIX_ENTRY_BOUND)
+    # a nonzero x with |x| >= 10^7 or |x| < 10^-6 is over the bound; refuse
+    # it before Fraction expands an exponent such as 1e999999999
+    if any(isinstance(x, Decimal) and x and not -6 <= x.adjusted() <= 6
+           for row in rows for x in row):
+        raise over
+    gram = [[Fraction(x) for x in row] for row in rows]
     if any(abs(x.numerator) > MATRIX_ENTRY_BOUND
            or x.denominator > MATRIX_ENTRY_BOUND for row in gram for x in row):
-        raise UsageError("--matrix: entry numerators and denominators must "
-                         "be at most %d in absolute value" % MATRIX_ENTRY_BOUND)
+        raise over
     return gram
 
 

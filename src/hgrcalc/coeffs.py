@@ -89,22 +89,6 @@ class GWElement:
 
     __rmul__ = __mul__
 
-    def exact_div(self, other):
-        """Exact division by an integer or a single-term unit; None if not exact."""
-        other = _as_gw(other)
-        if other is None or not other:
-            return None
-        if len(other.terms) == 1:
-            k, (a, b) = next(iter(other.terms.items()))
-            if b == 0 and a != 0:
-                res = {}
-                for k1, (a1, b1) in self.terms.items():
-                    if a1 % a or b1 % a:
-                        return None
-                    res[k1 - k] = (a1 // a, b1 // a)
-                return GWElement(res)
-        return None
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -145,7 +129,7 @@ class CoeffError(HgrcalcError):
 
 # Every ring descriptor has `name`; one that carries elements also has
 # zero(), one() and coerce(x).  Beyond that a descriptor defines only what
-# its callers use: inv, square_class and is_square for fields; quo, gcd_all,
+# its callers use: inv and square_class for fields; quo, gcd_all,
 # is_unit and unit_inverse for Euclidean rings; has_half and
 # unit_square_classes, one representative per class of R^x/R^x2, for the
 # rings KO_1 is computed over.
@@ -239,9 +223,6 @@ class RationalsField:
         if isqrt(n) ** 2 == n:
             n = 1
         return Fraction(sign * out * n)
-
-    def is_square(self, x):
-        return self.square_class(x) == 1
 
 
 def primitive_integers(xs):

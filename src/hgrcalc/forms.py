@@ -12,9 +12,8 @@ from math import isqrt
 
 from . import HgrcalcError
 from .coeffs import IntegerRing, RationalsField, primitive_integers
-from .polynomial import (Poly, PolyRing, dot, invariant_factors,
-                         mat_apply, mat_identity, mat_mul, mat_scal,
-                         mat_shape, mat_transpose)
+from .polynomial import (Poly, PolyRing, dot, mat_apply, mat_identity,
+                         mat_mul, mat_scal, mat_transpose)
 from .towers import FGAbelian
 
 
@@ -777,24 +776,13 @@ def ko1_euclidean(ring):
 
 
 class KaroubiTable:
-    """Supplied groups and maps for one Euclidean-domain instance.
-
-    Groups are FGAbelian presentations; maps are integer matrices on the
-    chosen generators.  Every instance has K_0 = Z, the forgetful map
-    GW^- -> K_0 with image 2Z (the rank of a symplectic form) and the
-    hyperbolic map out of K_0, of which only injectivity is checked; the
-    groups GW^+ and GW^- are not held.  Only K_1 and W^0 depend on the ring.
-    `witt` maps the cohomological index mod 4 to the group.
-    """
+    """The groups of Karoubi's fundamental sequences that depend on the
+    ring: K_1 and W^0, as FGAbelian presentations."""
 
     def __init__(self, ring, k1, witt0):
         self.ring = ring
-        self.k0 = FGAbelian.free(1)
         self.k1 = k1
-        self.map_gwminus_to_k0 = [[2]]
-        self.map_hyperbolic = [[1], [1]]
-        self.witt = {0: witt0, 1: FGAbelian(0), 2: FGAbelian(0),
-                     3: FGAbelian(0)}
+        self.witt0 = witt0
 
 
 def karoubi_table(ring):
@@ -838,49 +826,20 @@ class KaroubiReport:
 
 
 def karoubi_check(table):
-    """Check the fundamental-sequence constraints and assemble KO_1.
+    """Derive KO_1 from the table and cross-check it with ko1_euclidean.
 
-    Verifies the Witt vanishing W^i = 0 for i = 2, 3 mod 4, the forgetful
-    GW^- -> K_0 being the index-two inclusion, injectivity of the
-    hyperbolic map, and derives the short exact sequence giving KO_1, whose
-    order must match ko1_euclidean of the table's ring.  The unit square
+    The sequence 1 -> R^x/R^x2 -> KO_1 -> Z/2 -> 0 splits.  The unit square
     classes are K_1 modulo the composite K_1 -> K_1, x -> x - t(xbar)^-1,
     which for the trivial involution every instance carries is x -> x^2:
-    doubling, mat_identity(k1.ngens, 2) on K_1's generators.
+    doubling, mat_identity(k1.ngens, 2) on K_1's generators.  The order of
+    Z/2 + K_1/2K_1 must match ko1_euclidean, which reads the ring's own
+    unit square classes.
     """
-    derived = {}
-
-    for i in (2, 3):
-        if not table.witt.get(i, FGAbelian(0)).is_trivial():
-            return KaroubiReport(False, "W^i vanishing", derived)
-
-    # forgetful GW^- -> K_0: injective with cokernel of order 2 (2Z in Z)
-    m = table.map_gwminus_to_k0
-    cok = table.k0.modulo(m)
-    if cok.order() != 2:
-        return KaroubiReport(False, "2Z ⊂ Z", derived)
-    if _kernel_rank(m) != 0:
-        return KaroubiReport(False, "GW- injectivity", derived)
-    derived["U1"] = cok  # coker(GW^- -> K_0) = Z/2, the group _1U
-
-    # hyperbolic K_0 -> GW^+ injective
-    if _kernel_rank(table.map_hyperbolic) != 0:
-        return KaroubiReport(False, "hyperbolic injectivity", derived)
-
-    # derive KO_1 from 1 -> R^x/R^x2 -> KO_1 -> Z/2 -> 0 (split)
     usc_group = table.k1.modulo(mat_identity(table.k1.ngens, 2))
-    usc_order = usc_group.order()
-    if usc_order is None:
-        return KaroubiReport(False, "unit square classes not finite", derived)
-    derived["usc"] = usc_group
     ko1 = FGAbelian.direct_sum(FGAbelian.cyclic(2), usc_group)
-    derived["KO1"] = ko1
-    derived["KO1_order"] = 2 * usc_order
-    if 2 * usc_order != ko1_euclidean(table.ring).order:
+    order = ko1.order()
+    derived = {"W0": table.witt0, "usc": usc_group, "KO1": ko1,
+               "KO1_order": order}
+    if order != ko1_euclidean(table.ring).order:
         return KaroubiReport(False, "KO1 mismatch with ko1_euclidean", derived)
     return KaroubiReport(True, None, derived)
-
-
-def _kernel_rank(matrix):
-    """Rank of the integer kernel of a matrix (columns = domain)."""
-    return mat_shape(matrix)[1] - len(invariant_factors(matrix))

@@ -64,9 +64,6 @@ class GrassRing:
     def one(self):
         return GrassElement(self, {EMPTY: self.coeff.one()})
 
-    def scalar(self, c):
-        return GrassElement(self, {EMPTY: self.coeff.coerce(c)})
-
     def p(self, i):
         """The Pontryagin generator p_i = e_i = s_(1^i)."""
         if not 1 <= i <= self.r:
@@ -142,10 +139,6 @@ class GrassElement(Combination):
                 cs = "(%s)" % cs
             bits.append("%s*s%s" % (cs, lam))
         return " + ".join(bits)
-
-    def to_json(self):
-        return [{"partition": lam.to_json(), "coeff": str(c)}
-                for lam, c in self.sorted_coords()]
 
 
 class RestrictionMap:

@@ -170,12 +170,6 @@ class Poly(Combination):
         zero_exp = (0,) * len(self.ring.gens)
         return self.terms.get(zero_exp, 0)
 
-    def weight(self):
-        """Largest graded weight among terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.ring.weight_of(e) for e in self.terms)
-
     # -- arithmetic ------------------------------------------------------
 
     __radd__ = Combination.__add__
@@ -343,9 +337,6 @@ def _exact_coeff_div(a, b):
         return q if r == 0 else None
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / Fraction(b)
-    div = getattr(a, "exact_div", None)
-    if div is not None:
-        return div(b)
     raise TypeError("no exact division for %r / %r" % (type(a), type(b)))
 
 

@@ -12,14 +12,18 @@ from .symfun import EMPTY, Partition
 
 class FormalSymplecticBundle:
     """A symplectic bundle of even rank with the Pontryagin coefficients
-    p_1, p_2, ..; `split` builds them from the roots of a sum of rank-2
-    pieces."""
+    p_1, p_2, .., at most rank/2 of them; `split` builds them from the
+    roots of a sum of rank-2 pieces."""
 
     def __init__(self, rank, ps):
-        if rank % 2:
-            raise ParameterError("symplectic bundles have even rank")
+        if rank < 0 or rank % 2:
+            raise ParameterError("symplectic bundles have even nonnegative "
+                                 "rank")
         self.rank = rank
         self.ps = list(ps)
+        if len(self.ps) > rank // 2:
+            raise ParameterError("a bundle of rank %d has no p_%d"
+                                 % (rank, rank // 2 + 1))
 
     @classmethod
     def split(cls, roots):

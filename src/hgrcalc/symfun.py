@@ -146,21 +146,27 @@ def schur_in_elementary(lam, r):
     Kostka inversion: e_{lambda'} = s_lambda + sum K_{mu'lambda'} s_mu over
     mu strictly dominated by lambda (Macdonald I.6), and that sum's mu are
     exactly the s_mu the inversion needs.  Lex order refines dominance, so
-    each is computed from the lower ones first; all are kept per (mu, r).
+    each is computed from the lower ones first; all are kept per (mu, m),
+    in the m = min(r, |lambda|) generators e_1..e_m that s_lambda involves,
+    and padded with zero exponents to r generators.
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if lam.length() > r:
         return elementary_ring(r).zero()
-    expansion = _monomial_schur(_conjugate_exponents(lam, r), r, lam.part(1))
-    for mu in sorted(expansion, key=lambda m: m.parts):
-        if (mu, r) not in _schur_memo:
-            exps = _conjugate_exponents(mu, r)
-            poly = elementary_ring(r).monomial(exps)
-            for nu, c in _monomial_schur(exps, r, mu.part(1)).items():
+    m = min(r, lam.weight())
+    expansion = _monomial_schur(_conjugate_exponents(lam, m), m, lam.part(1))
+    for mu in sorted(expansion, key=lambda p: p.parts):
+        if (mu, m) not in _schur_memo:
+            exps = _conjugate_exponents(mu, m)
+            poly = elementary_ring(m).monomial(exps)
+            for nu, c in _monomial_schur(exps, m, mu.part(1)).items():
                 if nu != mu:
-                    poly = poly - c * _schur_memo[nu, r]
-            _schur_memo[mu, r] = poly
+                    poly = poly - c * _schur_memo[nu, m]
+            _schur_memo[mu, m] = poly
+    if (lam, r) not in _schur_memo:
+        _schur_memo[lam, r] = _schur_memo[lam, m].map_to(elementary_ring(r),
+                                                         range(m))
     return _schur_memo[lam, r]
 
 

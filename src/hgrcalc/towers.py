@@ -111,9 +111,6 @@ class FGAbelian:
     def is_finite(self):
         return self.order() is not None
 
-    def is_trivial(self):
-        return self.order() == 1
-
     def contains(self, vector):
         """Whether the vector is a relation (i.e. zero in the group), by
         forward substitution down the Hermite form's increasing pivots."""

@@ -29,8 +29,8 @@ class TestFormalClass:
 
     def test_zero(self):
         rel = gw_relations(1)
-        nf, trace = expand(FormalClass.zero(), rel)
-        assert nf == FormalClass.zero()
+        nf, trace = expand(FormalClass(), rel)
+        assert nf == FormalClass()
         assert trace == []
 
     def test_symplectic_odd_rank_rejected(self):

@@ -180,6 +180,15 @@ class TestPontryagin:
         assert code == 2
         assert "even" in err
 
+    def test_more_classes_than_half_the_rank_refused(self, capsys):
+        # p_2 and p_3 of a rank-2 bundle were kept and p_3 silently dropped
+        # from a Cartan sum of rank 4
+        code, _, err = run_cli(capsys, "pontryagin",
+                               "--bundle", '{"rank": 2, "p": [1, 2, 3]}',
+                               "--bundle", '{"rank": 2, "p": [5]}')
+        assert code == 2
+        assert err == "usage error: a bundle of rank 2 has no p_2\n"
+
     def test_negative_rank_refused(self, capsys):
         # it used to print a Cartan sum of rank -2 and exit 0
         code, _, err = run_cli(capsys, "pontryagin",
@@ -269,6 +278,24 @@ class TestGW:
         code, out, _ = run_cli(capsys, "gw", "ko1", "--ring", "Z", "--json")
         assert code == 2
         assert "2 not invertible" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("matrix", [
+        "[[1.0000000000000000001,0],[0,2]]", "[[1e-400]]", "[[1e999999999]]",
+        "[[true]]"], ids=["denominator-10^19", "tiny", "huge-exponent", "bool"])
+    def test_matrix_entries_are_read_exactly(self, capsys, matrix):
+        # through a float the first two read as 1 and 0: diagonal 1, 2 with
+        # exit 0, and a degenerate form with exit 1
+        with alarm(2):
+            code, _, err = run_cli(capsys, "gw", "diagonalize", "--matrix",
+                                   matrix)
+        assert code == 2
+        assert err.startswith("usage error: --matrix: ")
+
+    def test_matrix_decimal_entry(self, capsys):
+        code, out, _ = run_cli(capsys, "gw", "diagonalize", "--matrix",
+                               "[[0.5]]", "--json")
+        assert code == 0
+        assert json.loads(out)["diagonal"] == ["1/2"]
 
     def test_karoubi(self, capsys):
         code, out, _ = run_cli(capsys, "gw", "karoubi", "--ring", "Z[1/2]",

@@ -115,12 +115,17 @@ GOLDEN_DIGESTS = [
      "6890fe41c698089de427874703f196f460aa0e5a0995f98082b7452d2b4c6edb"),
     (("suite",),
      "44012e44537223e44384ea5b414084c1aac21eff5386461d0251345631080612"),
+    (("gw", "karoubi", "--ring", "Z[1/2]"),
+     "b5328e105dd555ab4f725e1ff3a0c47b8c6ec360502afe68fcd37ad6154fa209"),
+    (("gw", "karoubi", "--ring", "F9"),
+     "1ab91dfcfd8fe73ea8271c0ee67684bfcc9c571a8ab066c32fd97e4546cde6e7"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS,
                          ids=["koszul", "diagonalize-q", "diagonalize-f7",
-                              "symplectic-basis", "suite"])
+                              "symplectic-basis", "suite", "karoubi-zhalf",
+                              "karoubi-f9"])
 def test_matrix_layer_golden_digests(capsys, argv, digest):
     code, out = capture(capsys, *argv, "--json")
     assert code == 0

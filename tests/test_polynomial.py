@@ -65,9 +65,9 @@ class TestArithmetic:
 
     def test_weights(self):
         e1, e2 = W2.gen(0), W2.gen(1)
-        assert (e1 * e1).weight() == 2
-        assert e2.weight() == 2
-        assert (e1 * e2).weight() == 3
+        for p, w in ((e1 * e1, 2), (e2, 2), (e1 * e2, 3)):
+            (exps,) = p.terms
+            assert W2.weight_of(exps) == w
 
     def test_evaluate(self):
         p = x() * x() + 2 * y()

@@ -99,7 +99,7 @@ class TestFGAbelian:
     def test_cyclic(self):
         assert FGAbelian.cyclic(8).order() == 8
         assert FGAbelian.cyclic(0).order() is None
-        assert FGAbelian.cyclic(1).is_trivial()
+        assert FGAbelian.cyclic(1).order() == 1
 
     def test_direct_sum(self):
         g = FGAbelian.direct_sum(FGAbelian.cyclic(2), FGAbelian.cyclic(4),
