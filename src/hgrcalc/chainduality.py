@@ -202,14 +202,17 @@ class SymmetricComplex:
         return all(self.form(k) == t[k] for k in self.complex.ranks)
 
     def is_nondegenerate(self):
-        """Each phi_k must be square and have nonzero determinant."""
+        """Each phi_k must be square and invertible over the ring: its
+        determinant a unit of Q[x_1..x_n], that is a nonzero constant.  A
+        nonzero determinant alone, like x for the form [[x]] over Q[x],
+        certifies nondegeneracy only over the fraction field."""
         x, n = self.complex, self.degree
         for k in x.ranks:
             m = self.form(k)
             if x.rank(k) != x.rank(n - k):
                 return False
             det = bareiss_det(m, zero=x.ring.zero(), one=x.ring.one())
-            if det.is_zero():
+            if det.is_zero() or any(any(e) for e in det.terms):
                 return False
         return True
 

@@ -631,10 +631,12 @@ class SympFactor:
 def sp_reduce_unimodular(v, ring=ZZ):
     """Factor list of elementary symplectic transvections sending v to e_1.
 
-    The standard symplectic form pairs coordinates (1,2), (3,4), ...; the
-    result is self-certifying: each factor is checked on construction to
-    preserve J (omega(u,u) = 0, see SympFactor), and the composite is
-    applied to v and compared with e_1 before returning.
+    The standard symplectic form pairs coordinates (a, b) = (2i, 2i+1).  One
+    Euclid on one move, state[dst] += lam*state[src], reduces each pair to
+    (g, 0), then the first coordinates of pairs 0 and i to (g, 0), leaving
+    (unit, 0, .., 0); the Whitehead lemma scales the unit to 1.  Each factor
+    is checked on construction to preserve J (omega(u,u) = 0, see
+    SympFactor), and the composite is compared with e_1 before returning.
     """
     v = [ring.coerce(x) for x in v]
     n2 = len(v)
@@ -648,81 +650,57 @@ def sp_reduce_unimodular(v, ring=ZZ):
     factors = []
     state = list(v)
 
-    def tau(u, lam):
+    def tau(lam, *coords):
+        # the transvection along u = sum of e_k over coords
         if lam == zero:
             return
+        u = [zero] * n2
+        for k in coords:
+            u[k] = one
         f = SympFactor(ring, u, lam, n2)
         moved = f.apply(state)
         if moved != state:
             factors.append(f)
             state[:] = moved
 
-    def unit_vec(i):
-        return [one if k == i else zero for k in range(n2)]
+    def add(dst, src, lam):
+        # state[dst] += lam*state[src].  In one pair (a, b), u = e_b adds
+        # lam*a to b and u = e_a adds -lam*b to a.  Across pairs, on first
+        # coordinates while both second ones are zero, u = e_dst + e_{b_src}
+        # also adds lam*state[src] to b_src, which u = e_{b_src} clears.
+        if dst // 2 == src // 2:
+            tau(lam if dst % 2 else -lam, dst)
+        else:
+            tau(lam, dst, src + 1)
+            tau(-lam, src + 1)
 
-    def pair_euclid(i):
-        # reduce pair (a, b) at coordinates (2i, 2i+1) to (g, 0)
-        a_i, b_i = 2 * i, 2 * i + 1
-        while state[b_i] != zero:
-            if state[a_i] != zero:
-                q = ring.quo(state[b_i], state[a_i])
-                # b += -q*a: u = e_{b}, action adds lam*a to b
-                tau(unit_vec(b_i), -q)
-            if state[b_i] == zero:
+    def euclid(i, j):
+        # (state[i], state[j]) -> (gcd, 0)
+        while state[j] != zero:
+            if state[i] != zero:
+                add(j, i, -ring.quo(state[j], state[i]))
+            if state[j] == zero:
                 break
-            q = ring.quo(state[a_i], state[b_i])
-            # a += -q*b: u = e_{a}, action adds -lam*b to a
-            tau(unit_vec(a_i), q)
-            if state[a_i] == zero:
-                # move the remainder into a: a += b then b -= a
-                tau(unit_vec(a_i), -one)  # a += b
-                tau(unit_vec(b_i), -one)  # b += -a = 0
+            add(i, j, -ring.quo(state[i], state[j]))
+            if state[i] == zero:
+                # move the remainder into i: i += j, then j -= i
+                add(i, j, one)
+                add(j, i, -one)
 
-    def add_cross_into_first(i, lam):
-        # a_0 += lam * a_i, assuming b_0 = b_i = 0; restores b_i = 0
-        u = [zero] * n2
-        u[0] = one
-        u[2 * i + 1] = one
-        tau(u, lam)            # a_0 += lam*a_i, b_i += lam*a_i
-        tau(unit_vec(2 * i + 1), -lam)  # clear b_i
-
-    def add_first_into_cross(i, lam):
-        # a_i += lam * a_0, assuming b_0 = b_i = 0; restores b_0 = 0
-        u = [zero] * n2
-        u[2 * i] = one
-        u[1] = one
-        tau(u, lam)            # a_i += lam*a_0, b_0 += lam*a_0
-        tau(unit_vec(1), -lam)  # clear b_0
-
-    n = n2 // 2
-    for i in range(n):
-        pair_euclid(i)
-    for i in range(1, n):
-        # euclidean algorithm across pairs 0 and i on the a-coordinates
-        while state[2 * i] != zero:
-            if state[0] != zero:
-                q = ring.quo(state[2 * i], state[0])
-                add_first_into_cross(i, -q)
-            if state[2 * i] == zero:
-                break
-            q = ring.quo(state[0], state[2 * i])
-            add_cross_into_first(i, -q)
-            if state[0] == zero:
-                add_cross_into_first(i, one)
-                add_first_into_cross(i, -one)
-    # state = (unit, 0, .., 0): scale pair one by diag(c, c^-1), c = 1/unit,
-    # as W(c) W(-1) with W(t) = E12(t) E21(-1/t) E12(t) (Whitehead), applied
-    # to the state right to left.  E12(t) (a += t*b) is tau with u = e_a and
-    # lam = -t; E21(t) (b += t*a) is tau with u = e_b and lam = t.
-    lead = state[0]
-    if lead != one:
-        c = ring.unit_inverse(lead)
+    for a in range(0, n2, 2):
+        euclid(a, a + 1)
+    for a in range(2, n2, 2):
+        euclid(0, a)
+    # state = (unit, 0, ..): scale pair one by diag(c, 1/c), c = 1/unit, as
+    # W(c) W(-1), W(t) = E12(t) E21(-1/t) E12(t) (Whitehead), right to left;
+    # E12(t) (a += t*b) is tau(-t, 0) and E21(t) (b += t*a) is tau(t, 1).
+    if state[0] != one:
+        c = ring.unit_inverse(state[0])
         cinv = ring.unit_inverse(c)
         for i, lam in ((0, one), (1, one), (0, one), (0, -c), (1, -cinv),
                        (0, -c)):
-            tau(unit_vec(i), lam)
-    e1 = unit_vec(0)
-    if state != e1:
+            tau(lam, i)
+    if state != [one] + [zero] * (n2 - 1):
         raise FormsError("internal error: reduction did not reach e_1")
     return factors
 

@@ -138,8 +138,12 @@ def _integer_scale(bm):
 
 
 class PathReport:
-    def __init__(self, checks):
+    """Named boolean checks; verify_M_path also reports the invariant forms
+    it solved for, as {"symmetric": [...], "skew": [...]}."""
+
+    def __init__(self, checks, invariant_forms=None):
         self.checks = checks
+        self.invariant_forms = invariant_forms
 
     @property
     def ok(self):
@@ -168,9 +172,7 @@ def verify_M_path():
         for idx, b in enumerate(forms[kind]):
             checks["M(t) preserves %s form %d" % (kind, idx)] = not any(
                 map(any, _form_residual(m, b)))
-    report = PathReport(checks)
-    report.invariant_forms = forms
-    return report
+    return PathReport(checks, invariant_forms=forms)
 
 
 def verify_M1_factorization():

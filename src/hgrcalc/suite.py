@@ -7,7 +7,7 @@ independent of the code paths it checks.
 """
 
 import random
-from math import comb, gcd
+from math import comb
 
 from . import chainduality, classcalc, forms, geomverify, grassring
 from . import pontryagin, symfun, towers
@@ -157,11 +157,11 @@ def criterion_restriction():
                 rho = grassring.restriction(src, tgt, kind)
                 for lam in src.basis:
                     img = rho(src.schur(lam))
-                    inside = lam.fits_in_box(tgt.r, tgt.n - tgt.r)
-                    if inside and img != tgt.schur(lam):
-                        return _result(5, "restriction-box-truncation", False,
-                                       "%s (r=%d,n=%d) at %r" % (kind, r, n, lam))
-                    if not inside and not img.is_zero():
+                    if lam.fits_in_box(tgt.r, tgt.n - tgt.r):
+                        ok = img == tgt.schur(lam)
+                    else:
+                        ok = img.is_zero()
+                    if not ok:
                         return _result(5, "restriction-box-truncation", False,
                                        "%s (r=%d,n=%d) at %r" % (kind, r, n, lam))
     return _result(5, "restriction-box-truncation", True,
@@ -169,16 +169,17 @@ def criterion_restriction():
 
 
 def criterion_class_identities():
+    formulas = (("gw", classcalc.verify_gw_formula),
+                ("k0", classcalc.verify_k0_formula))
     for n in range(1, 5):
         for i in range(-n, n + 1):
-            v = classcalc.verify_gw_formula(n, i)
-            if not v.ok or v.notes["rank_lhs"] != 0 or v.notes["rank_rhs"] != 0:
-                return _result(6, "class-identities", False,
-                               "gw-formula fails at n=%d i=%d" % (n, i))
-            v = classcalc.verify_k0_formula(n, i)
-            if not v.ok or v.notes["rank_lhs"] != 0 or v.notes["rank_rhs"] != 0:
-                return _result(6, "class-identities", False,
-                               "k0-formula fails at n=%d i=%d" % (n, i))
+            for label, verify in formulas:
+                v = verify(n, i)
+                if (not v.ok or v.notes["rank_lhs"] != 0
+                        or v.notes["rank_rhs"] != 0):
+                    return _result(6, "class-identities", False,
+                                   "%s-formula fails at n=%d i=%d"
+                                   % (label, n, i))
     return _result(6, "class-identities", True,
                    "gw and k0 formulas, 1 <= n <= 4, |i| <= n, rank 0 both sides")
 
@@ -220,46 +221,34 @@ def criterion_ko1():
 
 def criterion_ksp1_witness():
     rng = random.Random(20240)
-    count = 0
-    for n2 in (4, 6):
-        done = 0
-        while done < 25:
-            v = [rng.randrange(-25, 26) for _ in range(n2)]
-            g = 0
-            for x in v:
-                g = gcd(g, abs(x))
-            if g != 1:
-                continue
-            done += 1
-            count += 1
-            factors = forms.sp_reduce_unimodular(v)
-            w = list(v)
-            for f in factors:
-                w = f.apply(w)
-            if w != [1] + [0] * (n2 - 1):
-                return _result(9, "ksp1-witness", False, "integer case %r" % (v,))
     qx = forms.QX
-    for n2 in (4, 6):
-        done = 0
-        while done < 25:
-            v = [qx.from_coeffs([rng.randrange(-3, 4)
-                                 for _ in range(rng.randrange(1, 3))])
-                 for _ in range(n2)]
-            v[rng.randrange(n2)] = qx.from_coeffs(
-                [rng.choice([1, -1, 2]), rng.randrange(-2, 3)])
-            g = qx.gcd_all(v)
-            if g.is_zero() or not qx.is_unit(g):
-                continue
-            done += 1
-            count += 1
-            factors = forms.sp_reduce_unimodular(v, ring=qx)
-            w = list(v)
-            for f in factors:
-                w = f.apply(w)
-            e1 = [qx.one()] + [qx.zero()] * (n2 - 1)
-            if w != e1:
-                return _result(9, "ksp1-witness", False,
-                               "polynomial case %r" % (v,))
+
+    def integer(n2):
+        return [rng.randrange(-25, 26) for _ in range(n2)]
+
+    def polynomial(n2):
+        v = [qx.from_coeffs([rng.randrange(-3, 4)
+                             for _ in range(rng.randrange(1, 3))])
+             for _ in range(n2)]
+        v[rng.randrange(n2)] = qx.from_coeffs(
+            [rng.choice([1, -1, 2]), rng.randrange(-2, 3)])
+        return v
+
+    count = 0
+    for label, ring, draw in (("integer", forms.ZZ, integer),
+                              ("polynomial", qx, polynomial)):
+        for n2 in (4, 6):
+            for _ in range(25):
+                v = draw(n2)
+                while not ring.is_unit(ring.gcd_all(v)):
+                    v = draw(n2)
+                count += 1
+                w = list(v)
+                for f in forms.sp_reduce_unimodular(v, ring=ring):
+                    w = f.apply(w)
+                if w != [ring.one()] + [ring.zero()] * (n2 - 1):
+                    return _result(9, "ksp1-witness", False,
+                                   "%s case %r" % (label, v))
     return _result(9, "ksp1-witness", True,
                    "%d reductions over Z and Q[x] in Sp4 and Sp6; every factor "
                    "preserves J exactly" % count)
@@ -317,29 +306,30 @@ def _schur_tower(n_range):
 
 
 def criterion_tower_suite():
-    t = towers.Tower([towers.FGAbelian.free(1)] * 3,
-                     [[[1]], [[1]]], tail="eventually-constant")
-    if towers.check_mittag_leffler(t).kind != "certificate":
-        return _result(12, "tower-suite", False, "constant tower")
-    doubling = towers.Tower([towers.FGAbelian.free(1)], [[[2]]],
-                            tail="template-repeating")
-    if towers.check_mittag_leffler(doubling).kind != "refutation":
-        return _result(12, "tower-suite", False, "(Z, x2) template")
+    free, cyclic = towers.FGAbelian.free, towers.FGAbelian.cyclic
+    cases = [
+        (towers.Tower([free(1)] * 3, [[[1]], [[1]]],
+                      tail="eventually-constant"), "certificate",
+         "constant tower"),
+        (towers.Tower([free(1)], [[[2]]], tail="template-repeating"),
+         "refutation", "(Z, x2) template"),
+    ]
     for m in ([[3]], [[2]], [[0]], [[5]]):
-        ft = towers.Tower([towers.FGAbelian.cyclic(8)], [m],
-                          tail="template-repeating")
-        if towers.check_mittag_leffler(ft).kind != "certificate":
-            return _result(12, "tower-suite", False, "finite template %r" % m)
-    rings, tower = _schur_tower(range(2, 6))
-    cert = towers.check_mittag_leffler(tower)
-    if cert.kind != "certificate":
-        return _result(12, "tower-suite", False, "schur tower certificate")
+        cases.append((towers.Tower([cyclic(8)], [m], tail="template-repeating"),
+                      "certificate", "finite template %r" % m))
+    rings, schur = _schur_tower(range(2, 6))
+    cases.append((schur, "certificate", "schur tower certificate"))
+    for tower, kind, label in cases:
+        cert = towers.check_mittag_leffler(tower)
+        if cert.kind != kind:
+            return _result(12, "tower-suite", False, label)
+    # the loop ends on the schur tower, whose certificate reassembles p1
     family = []
     for ring in rings:
         vec = [0] * ring.rank()
         vec[ring.basis_index[symfun.Partition((1,))]] = 1
         family.append(vec)
-    out = towers.milnor_assemble(tower, cert, family, depth=3)
+    out = towers.milnor_assemble(schur, cert, family, depth=3)
     ring = rings[3]
     got = {ring.basis[i]: c for i, c in enumerate(out) if c}
     ps = grassring.limit_ring(1, 3)

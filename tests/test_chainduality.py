@@ -123,6 +123,16 @@ class TestKoszul:
         assert k.chain_defect() is None
         assert k.is_nondegenerate()
 
+    def test_nondegenerate_means_invertible(self):
+        # [[x]] and [[1+x]] have nonzero determinants but are no units of
+        # Q[x], so phi is no isomorphism; [[2]] is
+        ring = PolyRing(("x",))
+        cx = FreeComplex(ring, {0: 1}, {})
+        x, one = ring.gen(0), ring.one()
+        for entry, want in ((x, False), (one + x, False), (2 * one, True)):
+            assert SymmetricComplex(cx, 0, {0: [[entry]]}).is_nondegenerate() \
+                is want, entry
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_d_squared_zero(self, n):
         koszul(n).complex.validate()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hgrcalc.forms import (BilinearForm, DegenerateFormError, FFElement,
                            standard_symplectic_gram, symplectic_basis)
 from hgrcalc.coeffs import (GWBASE, INTEGERS, RATIONALS, SQUARE_CLASS_BOUND,
                            CoeffError)
-from hgrcalc.polynomial import mat_apply, mat_mul, mat_transpose
+from hgrcalc.polynomial import Poly, mat_apply, mat_mul, mat_transpose
 from hgrcalc.towers import FGAbelian
 
 import oracles
@@ -370,6 +371,42 @@ class TestSpReduce:
         with pytest.raises(CoeffError):
             sp_reduce_unimodular([Fraction(3, 2), 1, 0, 0])
         assert sp_reduce_unimodular([Fraction(1), 0, 0, 0]) == []
+
+    def test_factor_sequences_are_pinned(self):
+        # every factor's u and lam, by value and in order, over 300 seeded
+        # unimodular Z vectors (lengths 2..10, entries in [-60, 60]) and 100
+        # over Q[x] (lengths 2..8): any change to the moves shows here
+        def by_value(c):
+            if isinstance(c, Poly):
+                return "+".join("%s*x^%d" % (Fraction(a), e)
+                                for (e,), a in sorted(c.terms.items())) or "0"
+            return str(Fraction(c))
+
+        rng = random.Random(2021)
+        vectors = []
+        while len(vectors) < 300:
+            v = [rng.randint(-60, 60) for _ in range(2 * rng.randint(1, 5))]
+            if ZZ.is_unit(ZZ.gcd_all(v)):
+                vectors.append((v, ZZ))
+        while len(vectors) < 400:
+            v = [QX.from_coeffs([rng.randint(-4, 4)
+                                 for _ in range(rng.randint(1, 3))])
+                 for _ in range(2 * rng.randint(1, 4))]
+            g = QX.gcd_all(v)
+            if not g.is_zero() and QX.is_unit(g):
+                vectors.append((v, QX))
+        digest = hashlib.sha256()
+        count = 0
+        for v, ring in vectors:
+            factors = sp_reduce_unimodular(v, ring=ring)
+            count += len(factors)
+            digest.update(("|".join(",".join(map(by_value, f.u)) + ";"
+                                    + by_value(f.lam) for f in factors)
+                           + "\n").encode())
+        assert count == 8025
+        assert digest.hexdigest() == (
+            "ae9cbaf5227fdc8aeb27bc9bae25b4d9"
+            "dba52891ea39b55351ca560b8037ebc7")
 
 
 def _qx_division_pairs():

@@ -9,7 +9,9 @@ is never reached through a local variable that shares its name.
 
 Every field a method sets as `self.X = ...` must also be read as `.X`
 somewhere in `src/hgrcalc`. Exceptions are exempt: their payloads are for
-the code that catches them.
+the code that catches them. An attribute stored through any other name,
+as in `obj.X = ...`, must be a declared field: a `__slots__` entry or a
+`self.X` store, so that no object carries a field its class never names.
 """
 
 import ast
@@ -94,3 +96,27 @@ def test_every_field_is_read_in_the_library():
         and isinstance(node.value, ast.Name) and node.value.id == "self"
         and node.attr not in reads)
     assert not unread, unread
+
+
+def test_every_outside_store_is_a_declared_field():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    declared, stores = set(), []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in node.targets)):
+                slots = ast.literal_eval(node.value)
+                declared.update([slots] if isinstance(slots, str) else slots)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)):
+                if node.value.id == "self":
+                    declared.add(node.attr)
+                else:
+                    stores.append((name, node))
+    undeclared = sorted("%s:%d %s.%s" % (name, node.lineno, node.value.id,
+                                         node.attr)
+                        for name, node in stores if node.attr not in declared)
+    assert not undeclared, undeclared
