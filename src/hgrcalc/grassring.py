@@ -116,15 +116,8 @@ class GrassElement(Combination):
             return self.scale(other)
         self._coerce(other)
         rows, cols = self.ring.r, self.ring.n - self.ring.r
-        res = {}
-        get = res.get
-        for lam, a in self.terms.items():
-            for mu, b in other.terms.items():
-                ab = a * b
-                for nu, c in symfun.lr_multiply(lam, mu, rows, cols).items():
-                    s = get(nu)
-                    res[nu] = ab * c if s is None else s + ab * c
-        return self._new(res)
+        return self._new(symfun.lr_multiply(self.terms, other.terms,
+                                            rows, cols))
 
     def sorted_coords(self):
         return sorted(self.terms.items(), key=lambda t: sort_key(t[0]))

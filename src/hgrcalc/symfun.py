@@ -3,12 +3,16 @@
 Polynomials live in Z[e_1..e_r] with deg(e_i) = i (the Pontryagin weight
 grading).  The Pieri rule for e_k inside a rows x cols box expands
 e-monomials over Schur classes; Schur polynomials invert that expansion.
-Products of two Schur classes come from the Littlewood-Richardson rule on
-the partitions themselves.
+Products of two Schur combinations come from the Littlewood-Richardson rule
+on the partitions themselves, in one pass per product: the states of every
+partition of one factor merge, and the strips of the other factor's
+partitions are shared along a trie of their rows.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 from .polynomial import PolyRing
 
@@ -203,70 +207,132 @@ def pieri_multiply(lam, k, rows, cols):
     return out
 
 
-def lr_multiply(lam, mu, rows, cols):
-    """{nu: c^nu_{lam,mu}} over the nu in the rows x cols box.
+def lr_multiply(xs, ys, rows, cols):
+    """{nu: sum x_lam y_mu c^nu_{lam,mu}} over the nu in the rows x cols box.
+
+    xs and ys are combinations {Partition: coefficient}; one product
+    s_lam * s_mu is lr_multiply({lam: 1}, {mu: 1}, ..).  Coefficients are
+    only added and multiplied.  A coefficient may be zero; the element built
+    from the map drops it.
 
     Littlewood-Richardson rule (Remmel-Whitney; Fulton, Young Tableaux 5.2):
-    the rows of the factor with fewer rows are added to the other factor as
-    horizontal strips labelled 1, 2, ..  The reading word (rows top to
-    bottom, each right to left) is a lattice word exactly when, for every
-    row j, the label-i cells in rows <= j number at most the label-(i-1)
-    cells in rows < j; each strip keeps that bound while it grows.  Fillings
-    that reach the same shape and running label counts are merged.
+    the rows of each mu of the strip factor are added to each lam of the
+    base factor as horizontal strips labelled 1, 2, ..  The reading word
+    (rows top to bottom, each right to left) is a lattice word exactly when,
+    for every row j, the label-i cells in rows <= j number at most the
+    label-(i-1) cells in rows < j; each strip keeps that bound while it
+    grows.  The strip factor is the one whose partitions have fewer rows,
+    on a tie the one with fewer terms.  Every lam starts one state with
+    multiplicity x_lam, and fillings that reach the same shape and running
+    label counts merge by adding multiplicities: the steps are linear, so
+    one pass serves the whole base factor.  The mu form a trie on their
+    rows, walked depth first with one strip step per node, so mu that
+    share their first rows share those steps; where a mu ends, each state
+    adds its multiplicity times y_mu to its shape.
     """
-    if len(mu.parts) > len(lam.parts):
-        lam, mu = mu, lam
-    if (not lam.fits_in_box(rows, cols) or not mu.fits_in_box(rows, cols)
-            or lam.weight() + mu.weight() > rows * cols):
-        return {}
-    if not mu.parts:
-        return {lam: 1}
-    last = len(mu.parts) - 1
+    xs, x_rows, x_light = _box_terms(xs, rows, cols)
+    ys, y_rows, y_light = _box_terms(ys, rows, cols)
+    if (y_rows, len(ys)) > (x_rows, len(xs)):
+        xs, ys, x_light, y_light = ys, xs, y_light, x_light
+    # a term that cannot fit in the box beside the other factor's lightest
+    # term drops out
+    room = rows * cols
+    # a trie node is [y_mu where a mu ends there or None, {next row: node}]
+    root = [None, {}]
+    for parts, c in ys.items():
+        if sum(parts) + x_light <= room:
+            node = root
+            for m in parts:
+                child = node[1].get(m)
+                if child is None:
+                    child = node[1][m] = [None, {}]
+                node = child
+            node[0] = c
+    # a state is (shape, cum), shape padded to the rows of the box and
+    # cum[j] the count of the latest label's cells in rows <= j; at a node
+    # no mu continues below, the shape alone is the key
+    keep = bool(root[1])
+    states = {}
+    for parts, c in xs.items():
+        if sum(parts) + y_light <= room:
+            shape = parts + (0,) * (rows - len(parts))
+            states[(shape, ()) if keep else shape] = c
 
-    # grows strip i (label i + 1) from row j down; it reads the state being
-    # extended (old, above, mult) and the partial strip (shape, cum) from the
-    # loop below
+    # grows strip i (label i + 1) from row j down, editing shape in place;
+    # it reads the state being extended (old, above, mult) from the loop
+    # below
     def place(j, left, total):
         o = old[j]
         hi = (old[j - 1] if j else cols) - o
         if i:
-            bound = (above[j - 1] if j <= len(above) else mu.parts[i - 1]) - total
+            bound = above[j - 1] - total
             if bound < hi:
                 hi = bound
         if left < hi:
             hi = left
         lo = left - o + old[-1]  # the rows below j take at most o - old[-1]
         for a in range(lo if lo > 0 else 0, hi + 1):
-            shape.append(o + a)
-            cum.append(total + a)
+            shape[j] = o + a
             if a < left:
                 place(j + 1, left - a, total + a)
-            else:
-                key = tuple(shape) + old[j + 1:]
-                if i < last:
-                    key = (key, tuple(cum))
-                nxt[key] = nxt.get(key, 0) + mult
-            shape.pop()
-            cum.pop()
+                continue
+            key = tuple(shape)
+            if keep:
+                key = (key, tuple(accumulate(map(sub, shape, old))))
+            s = nxt.get(key)
+            nxt[key] = mult if s is None else s + mult
+        shape[j] = o
 
-    # a state is (shape, cum): cum[j] counts the cells of the latest label
-    # in rows <= j, up to the row where that label is complete; after the
-    # last strip the shape alone is the key
-    states = {(lam.parts + (0,) * (rows - len(lam.parts)), ()): 1}
-    for i, m in enumerate(mu.parts):
-        nxt = {}
-        for (old, above), mult in states.items():
-            # label i + 1 starts below the first row holding label i
-            start = next(j for j, a in enumerate(above) if a) + 1 if i else 0
-            if start < rows:
-                shape = list(old[:start])
-                cum = [0] * start
-                place(start, m, 0)
-        states = nxt
+    acc = {}  # padded shape -> coefficient
+    # (node, the states before its strip, i, m): the node adds strip i, of
+    # m cells; the root adds none
+    stack = [(root, states, -1, 0)]
+    while stack:
+        (y, children), states, i, m = stack.pop()
+        keep = bool(children)
+        if m:
+            nxt = {}
+            for (old, above), mult in states.items():
+                # label i + 1 starts below the first row holding label i
+                start = 0
+                if i:
+                    while not above[start]:
+                        start += 1
+                    start += 1
+                if start < rows:
+                    shape = list(old)
+                    place(start, m, 0)
+        else:
+            nxt = states
+        if nxt:
+            if y is not None:
+                for key, mult in nxt.items():
+                    if keep:
+                        key = key[0]
+                    s = acc.get(key)
+                    acc[key] = mult * y if s is None else s + mult * y
+            for m, child in children.items():
+                stack.append((child, nxt, i + 1, m))
+    return {Partition._trusted(shape[:rows - shape.count(0)]): c
+            for shape, c in acc.items()}
+
+
+def _box_terms(zs, rows, cols):
+    """The terms of zs inside the rows x cols box as {parts: coefficient},
+    with their most rows and their least weight."""
     out = {}
-    for shape, mult in states.items():
-        out[Partition._trusted(tuple(p for p in shape if p))] = mult
-    return out
+    most = 0
+    least = rows * cols + 1
+    for lam, c in zs.items():
+        parts = lam.parts
+        if len(parts) <= rows and (not parts or parts[0] <= cols):
+            out[parts] = c
+            if len(parts) > most:
+                most = len(parts)
+            w = sum(parts)
+            if w < least:
+                least = w
+    return out, most, least
 
 
 def poly_to_schur_coords(poly, rows, cols):

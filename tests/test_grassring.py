@@ -175,12 +175,103 @@ class TestNormalForm:
         assert len(want) == 6
         assert got.coords == want
 
+    def test_large_component_product(self):
+        # 94 x 103 terms: one pass for the whole product, where one pass
+        # per pair of terms needs more than the alarm allows
+        rng = random.Random(14)
+        ring = present(6, 14)
+        x, y = _component(rng, ring, 16), _component(rng, ring, 17)
+        with alarm(5):
+            got = x * y
+        assert got == _sum_over_strips(x, y)
+
     def test_gw_coefficients(self):
         ring = present(1, 2, GWBASE)
         x = ring.one().scale(GW_H)
         assert x.coords[EMPTY] == GW_H
         assert (x + x).coords[EMPTY] == GW_H + GW_H
         assert (x * ring.p(1)).coords[P(1)] == GW_H
+
+
+def _component(rng, ring, degree):
+    """The full homogeneous component of this degree, seeded coefficients."""
+    return sum((ring.schur(lam).scale(_random_coeff(rng, ring.coeff))
+                for lam in ring.basis if lam.weight() == degree), ring.zero())
+
+
+def _sum_over_strips(x, y):
+    """sum_mu y_mu (x s_mu): x whole, one strip partition at a time."""
+    ring = x.ring
+    return sum(((x * ring.schur(mu)).scale(b) for mu, b in y.coords.items()),
+               ring.zero())
+
+
+def _sum_over_bases(x, y):
+    """sum_lam x_lam (s_lam y): one base partition at a time, y whole."""
+    ring = x.ring
+    return sum(((ring.schur(lam) * y).scale(a) for lam, a in x.coords.items()),
+               ring.zero())
+
+
+def _sum_over_pairs(x, y):
+    """sum x_lam y_mu (s_lam s_mu), one product per pair of terms."""
+    ring = x.ring
+    return sum(((ring.schur(lam) * ring.schur(mu)).scale(a * b)
+                for lam, a in x.coords.items() for mu, b in y.coords.items()),
+               ring.zero())
+
+
+class TestCombinationProducts:
+    """A product of combinations regrouped: the strip partitions one at a
+    time (states merged over every base partition, no trie), or the base
+    partitions one at a time (a trie over every strip partition)."""
+
+    @pytest.mark.parametrize("coeff", [INTEGERS, GWBASE], ids=["Integers", "GWBase"])
+    @pytest.mark.parametrize("r, n", [(4, 9), (5, 10), (4, 11)])
+    def test_components_regroup(self, r, n, coeff):
+        rng = random.Random(r * 100 + n)
+        ring = present(r, n, coeff)
+        for d in (3, 5, 7, 9, 11):
+            x, y = _component(rng, ring, d), _component(rng, ring, d + 1)
+            got = x * y
+            assert got == _sum_over_strips(x, y), (r, n, d)
+            assert got == _sum_over_bases(x, y), (r, n, d)
+            assert got == y * x, (r, n, d)
+
+    def test_cancelling_terms_leave_no_zero(self):
+        # s_2 s_1 and s_11 s_1 both reach s_21, with opposite signs
+        ring = present(3, 6)
+        x = ring.schur(P(2)) - ring.schur(P(1, 1))
+        got = x * ring.schur(P(1))
+        assert got.coords == {P(3): 1, P(1, 1, 1): -1}
+        # in the 2 x 2 box nothing else survives
+        ring = present(2, 4)
+        x = ring.schur(P(2)) - ring.schur(P(1, 1))
+        assert (x * ring.schur(P(1))).coords == {}
+
+    @pytest.mark.parametrize("coeff", [INTEGERS, GWBASE], ids=["Integers", "GWBase"])
+    def test_mixed_weights(self, coeff):
+        rng = random.Random(9)
+        ring = present(4, 9, coeff)
+        for _ in range(20):
+            x, y = ring.zero(), ring.zero()
+            for lam in rng.sample(ring.basis, 6):
+                x = x + ring.schur(lam).scale(_random_coeff(rng, coeff))
+            for mu in rng.sample(ring.basis, 5):
+                y = y + ring.schur(mu).scale(_random_coeff(rng, coeff))
+            want = _sum_over_pairs(x, y)
+            assert x * y == want
+            assert y * x == want
+
+    @pytest.mark.parametrize("coeff", [INTEGERS, GWBASE], ids=["Integers", "GWBase"])
+    def test_zero_and_one(self, coeff):
+        rng = random.Random(3)
+        ring = present(3, 7, coeff)
+        x = _component(rng, ring, 4) + _component(rng, ring, 6)
+        zero, one = ring.zero(), ring.one()
+        assert (x * zero).coords == {} and (zero * x).coords == {}
+        assert x * one == x and one * x == x
+        assert (zero * zero).coords == {} and one * one == one
 
 
 class TestRestriction:

@@ -193,6 +193,30 @@ def lr_pairs(draw):
     return draw(st.sampled_from(basis)), draw(st.sampled_from(basis)), rows, cols
 
 
+@st.composite
+def lr_combinations(draw):
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 5))
+    basis = enumerate_box_partitions(rows, cols)
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    side = st.dictionaries(st.sampled_from(basis), coeffs, max_size=4)
+    return draw(side), draw(side), rows, cols
+
+
+_LR = {}
+
+
+def _lr(lam, mu, nu):
+    if (lam, mu, nu) not in _LR:
+        _LR[lam, mu, nu] = oracles.lr_coefficient(lam.parts, mu.parts,
+                                                  nu.parts)
+    return _LR[lam, mu, nu]
+
+
+def _nonzero(coords):
+    return {nu: c for nu, c in coords.items() if c}
+
+
 class TestLittlewoodRichardson:
     @settings(max_examples=300, deadline=None)
     @given(lr_pairs())
@@ -200,16 +224,35 @@ class TestLittlewoodRichardson:
         lam, mu, rows, cols = case
         want = {}
         for nu in enumerate_box_partitions(rows, cols):
-            c = oracles.lr_coefficient(lam.parts, mu.parts, nu.parts)
+            c = _lr(lam, mu, nu)
             if c:
                 want[nu] = c
-        assert lr_multiply(lam, mu, rows, cols) == want
-        assert lr_multiply(mu, lam, rows, cols) == want
+        assert lr_multiply({lam: 1}, {mu: 1}, rows, cols) == want
+        assert lr_multiply({mu: 1}, {lam: 1}, rows, cols) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(lr_combinations())
+    def test_combinations_match_tableau_oracle(self, case):
+        # one pass over both factors: merged states, strips along a trie
+        xs, ys, rows, cols = case
+        want = {}
+        for nu in enumerate_box_partitions(rows, cols):
+            c = sum(a * b * _lr(lam, mu, nu)
+                    for lam, a in xs.items() for mu, b in ys.items())
+            if c:
+                want[nu] = c
+        assert _nonzero(lr_multiply(xs, ys, rows, cols)) == want
+        assert _nonzero(lr_multiply(ys, xs, rows, cols)) == want
 
     def test_outside_the_box(self):
-        assert lr_multiply(nf((3,)), nf((1,)), 2, 2) == {}
-        assert lr_multiply(nf((2, 2)), nf((2, 1)), 2, 3) == {}
-        assert lr_multiply(nf((2, 1)), EMPTY, 2, 2) == {nf((2, 1)): 1}
+        assert lr_multiply({nf((3,)): 1}, {nf((1,)): 1}, 2, 2) == {}
+        assert lr_multiply({nf((2, 2)): 1}, {nf((2, 1)): 1}, 2, 3) == {}
+        assert lr_multiply({nf((2, 1)): 1}, {EMPTY: 1}, 2, 2) \
+            == {nf((2, 1)): 1}
+        # a term outside the box drops out of a combination
+        assert lr_multiply({nf((3,)): 5, nf((1,)): 2}, {nf((1,)): 1}, 2, 2) \
+            == {nf((2,)): 2, nf((1, 1)): 2}
+        assert lr_multiply({}, {nf((1,)): 1}, 2, 2) == {}
 
     def test_trusted_partitions_equal_checked_ones(self):
         lam = Partition._trusted((3, 1))
