@@ -24,14 +24,22 @@ the sign it observes.  Along the Koszul merge it must be +1; along the
 factor swap (`swap_sign`) it is (-1)^{rs} for forms of degrees r and s.
 For the Koszul forms, the Thom classes of A^r and A^s, that sign is the
 switch <-1>^{rs} on T^r ^ T^s.
+
+`koszul(n)` is built and verified once per n and kept in a module table;
+each call returns a copy with its own dicts and row lists.  A signed
+relabelling, and a form block that is a signed permutation of constant
+units (every block of a Koszul form and of a tensor of them), act by
+re-indexing: the products with them move and scale rows or columns, and
+no entry is multiplied.  Any other form block is multiplied out, and its
+nondegeneracy is a Bareiss determinant that must be a unit.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from . import HgrcalcError
-from .polynomial import (Poly, PolyRing, bareiss_det, mat_add,
-                         mat_identity, mat_mul, mat_transpose, mat_zero)
+from .polynomial import (Poly, PolyRing, bareiss_det, mat_identity, mat_mul,
+                         mat_transpose, mat_zero)
 
 
 def _signed(e, m):
@@ -54,6 +62,47 @@ def _signed(e, m):
                 x = y
             signed.append(x)
         out.append(signed)
+    return out
+
+
+def _times(c, x):
+    """c * x for a constant c; x itself when c is 1 or x is zero."""
+    return x.scale(c) if c != 1 and x.terms else x
+
+
+def _relabelling(m):
+    """A signed permutation of constant units as a relabelling: for a square
+    matrix m whose every row and every column holds exactly one nonzero
+    entry, a constant c, the pairs (i, c) with m[i][j] = c, one per column
+    j; None for any other m."""
+    n = len(m)
+    pairs = [None] * n
+    for i, row in enumerate(m):
+        if len(row) != n:
+            return None
+        nonzero = [j for j, x in enumerate(row) if x.terms]
+        if len(nonzero) != 1 or pairs[nonzero[0]] is not None:
+            return None
+        terms = row[nonzero[0]].terms
+        if len(terms) != 1:
+            return None
+        (exps, c), = terms.items()
+        if any(exps):
+            return None
+        pairs[nonzero[0]] = (i, c)
+    return pairs
+
+
+def _form_times(phi, m, zero):
+    """phi * m.  Where phi is a signed permutation of constant units, row j
+    of m, scaled by c, becomes row i of the product for each (i, c) of
+    `_relabelling(phi)`, and nothing is multiplied."""
+    pairs = _relabelling(phi)
+    if pairs is None or len(m) != len(pairs):
+        return mat_mul(phi, m, zero)
+    out = [None] * len(pairs)
+    for row, (i, c) in zip(m, pairs):
+        out[i] = [_times(c, x) for x in row]
     return out
 
 
@@ -103,12 +152,15 @@ class FreeComplex:
         return mat_zero(self.rank(k - 1), self.rank(k), self.ring.zero())
 
     def validate(self):
+        """d o d = 0, one product of the nonzero entries per degree: every
+        entry the product does not reach, or that cancels, is the ring's
+        zero itself."""
         lo, hi = self.support()
+        zero = self.ring.zero()
         for k in range(lo, hi + 2):
             if self.rank(k) and self.rank(k - 1) and self.rank(k - 2):
-                prod = mat_mul(self.diff(k - 1), self.diff(k),
-                               self.ring.zero())
-                if any(not x.is_zero() for row in prod for x in row):
+                prod = mat_mul(self.diff(k - 1), self.diff(k), zero)
+                if any(x is not zero for row in prod for x in row):
                     raise ChainError("d o d != 0 at degree %d" % k)
 
     def __eq__(self, other):
@@ -164,10 +216,13 @@ class SymmetricComplex:
         """First degree where phi fails to be a chain map, or None.
 
         Condition: (-1)^n (-1)^(k-n) (d_{n-k+1})^T phi_k = phi_{k-1} d_k,
-        the shift sign times the dual sign of X^v[n].
+        the shift sign times the dual sign of X^v[n].  A form block that is
+        a signed permutation of constant units, as every block of a Koszul
+        form and of a tensor of them is, moves and scales the rows of d;
+        any other block is multiplied out.
         """
         x, n = self.complex, self.degree
-        ring = x.ring
+        zero = x.ring.zero()
         lo, hi = x.support()
         for k in range(lo, hi + 2):
             if not x.rank(k) or not x.rank(k - 1):
@@ -175,12 +230,14 @@ class SymmetricComplex:
             if not x.rank(n - k + 1):
                 continue  # both sides land in the zero module
             if x.rank(n - k):
-                # the sign on phi_k, whose entries are fewer than the product's
-                lhs = mat_mul(mat_transpose(x.diff(n - k + 1)),
-                              _signed(k, self.form(k)), ring.zero())
+                # (d^T phi_k)^T = phi_k^T d, with the sign on phi_k, whose
+                # entries are fewer than the product's
+                lhs = mat_transpose(_form_times(
+                    mat_transpose(_signed(k, self.form(k))),
+                    x.diff(n - k + 1), zero))
             else:
-                lhs = mat_zero(x.rank(n - k + 1), x.rank(k), ring.zero())
-            rhs = mat_mul(self.form(k - 1), x.diff(k), ring.zero())
+                lhs = mat_zero(x.rank(n - k + 1), x.rank(k), zero)
+            rhs = _form_times(self.form(k - 1), x.diff(k), zero)
             if lhs != rhs:
                 return k
         return None
@@ -202,16 +259,29 @@ class SymmetricComplex:
         return all(self.form(k) == t[k] for k in self.complex.ranks)
 
     def is_nondegenerate(self):
-        """Each phi_k must be square and invertible over the ring: its
-        determinant a unit of Q[x_1..x_n], that is a nonzero constant.  A
-        nonzero determinant alone, like x for the form [[x]] over Q[x],
-        certifies nondegeneracy only over the fraction field."""
+        """Each phi_k must be square and invertible over the ring.  A signed
+        permutation of constant units is certified by its inverse psi, the
+        transpose with each entry inverted: phi psi = I.  Any other block
+        must have a unit determinant in Q[x_1..x_n], that is a nonzero
+        constant.  A nonzero determinant alone, like x for the form [[x]]
+        over Q[x], certifies nondegeneracy only over the fraction field."""
         x, n = self.complex, self.degree
+        ring = x.ring
+        zero = ring.zero()
         for k in x.ranks:
             m = self.form(k)
             if x.rank(k) != x.rank(n - k):
                 return False
-            det = bareiss_det(m, zero=x.ring.zero(), one=x.ring.one())
+            pairs = _relabelling(m)
+            if pairs is not None:
+                psi = mat_zero(len(m), len(m), zero)
+                for j, (i, c) in enumerate(pairs):
+                    psi[j][i] = ring.const(Fraction(1) / c)
+                if mat_mul(m, psi, zero) != mat_identity(len(m), ring.one(),
+                                                         zero):
+                    return False
+                continue
+            det = bareiss_det(m, zero=zero, one=ring.one())
             if det.is_zero() or any(any(e) for e in det.terms):
                 return False
         return True
@@ -237,6 +307,9 @@ def koszul_basis(n, k):
     return [frozenset(c) for c in combinations(range(1, n + 1), k)]
 
 
+_koszul_table = {}  # n -> koszul(n), built and verified once, never handed out
+
+
 def koszul(n):
     """The Koszul complex of x_1..x_n with its canonical symmetric form.
 
@@ -245,9 +318,32 @@ def koszul(n):
     smallest element of S costs (-1)^j, counting from 0); the form pairs
     e_S with e_{S^c}, where e_S ^ e_{S^c} = (-1)^{sum(S) - k(k+1)/2}
     e_{1..n} for |S| = k, and scales the degree-k component by (-1)^k.
+
+    The complex is built and verified (d o d = 0, chain map, symmetry) once
+    per n and kept in `_koszul_table`.  Each call returns a copy whose
+    dicts and row lists are new, so editing it leaves later calls intact;
+    the entries, the label lists and the ring are shared values.
     """
     if n < 1:
         raise ChainError("need at least one variable")
+    ksym = _koszul_table.get(n)
+    if ksym is None:
+        ksym = _koszul_table[n] = _build_koszul(n)
+    cx = object.__new__(FreeComplex)
+    cx.ring = ksym.complex.ring
+    cx.ranks = dict(ksym.complex.ranks)
+    cx.diffs = {k: [list(row) for row in m]
+                for k, m in ksym.complex.diffs.items()}
+    cx.labels = dict(ksym.complex.labels)
+    out = object.__new__(SymmetricComplex)
+    out.complex = cx
+    out.degree = n
+    out.phi = {k: [list(row) for row in m] for k, m in ksym.phi.items()}
+    return out
+
+
+def _build_koszul(n):
+    """koszul(n), built and verified by the constructors."""
     ring = PolyRing(tuple("x%d" % i for i in range(1, n + 1)))
     labels = {k: koszul_basis(n, k) for k in range(n + 1)}
     ranks = {k: len(basis) for k, basis in labels.items()}
@@ -299,17 +395,21 @@ def contracting_homotopy(ksym, invert):
             bigger = subset | {invert}
             m[idx[bigger]][col] = _signed(sorted(bigger).index(invert), entry)
         homotopy[k] = m
-    # verify ds + sd = id in every degree
+    # verify ds + sd = id in every degree, as the one product
+    # (d_{k+1} | s_{k-1}) (s_k ; d_k) of the nonzero entries
+    zero = ring.zero()
     for k in range(0, n + 1):
         rk = cx.rank(k)
-        acc = mat_zero(rk, rk, ring.zero())
+        left, right = [[] for _ in range(rk)], []
         if k < n:
-            acc = mat_add(acc, mat_mul(cx.diff(k + 1), homotopy[k],
-                                       ring.zero()))
+            for row, part in zip(left, cx.diff(k + 1)):
+                row += part
+            right += homotopy[k]
         if k > 0:
-            acc = mat_add(acc, mat_mul(homotopy[k - 1], cx.diff(k),
-                                       ring.zero()))
-        if acc != mat_identity(rk, ring.one(), ring.zero()):
+            for row, part in zip(left, homotopy[k - 1]):
+                row += part
+            right += cx.diff(k)
+        if mat_mul(left, right, zero) != mat_identity(rk, ring.one(), zero):
             raise ChainError("homotopy identity fails at degree %d" % k)
     return homotopy
 
@@ -428,26 +528,35 @@ def transport_sign(source, target, image, gen_map):
     n = source.degree
     zero = tx.ring.zero()
     lift = _lifter(tx.ring, gen_map)
-    iota = {}  # k -> matrix target_k x source_k, integer entries
+    # k -> the pair (target index, c) of each source label of degree k:
+    # iota_k has the one nonzero entry c in each column, so every product
+    # with it moves and scales rows or columns instead of multiplying
+    iota = {}
     for k in sx.ranks:
         index = {t: i for i, t in enumerate(tx.labels.get(k, ()))}
-        m = mat_zero(len(index), sx.rank(k))
-        for col, t in enumerate(sx.labels[k]):
-            at, c = image(t)
-            m[index[at]][col] = c
-        iota[k] = m
+        iota[k] = [(index[at], c) for at, c in map(image, sx.labels[k])]
     for k in sorted(sx.ranks):
         if k - 1 in sx.ranks:
-            lhs = mat_mul(iota[k - 1], lift(sx.diff(k)), zero)
-            if lhs != mat_mul(tx.diff(k), iota[k], zero):
+            # iota_{k-1} d_k: row j of d_k, times c, added into row i
+            lhs = [None] * tx.rank(k - 1)
+            for row, (i, c) in zip(lift(sx.diff(k)), iota[k - 1]):
+                row = [_times(c, x) for x in row]
+                lhs[i] = row if lhs[i] is None else \
+                    [a + b for a, b in zip(lhs[i], row)]
+            lhs = [row or [zero] * sx.rank(k) for row in lhs]
+            rhs = [[_times(c, row[i]) for i, c in iota[k]]
+                   for row in tx.diff(k)]
+            if lhs != rhs:
                 raise ChainError("the relabelling is not a chain map at "
                                  "degree %d" % k)
     exponents = (0, 1)  # the signs (-1)^e still consistent with every degree
     for k in sorted(sx.ranks):
         if n - k not in sx.ranks:
             continue  # the form vanishes on X_k
-        pulled = mat_mul(mat_transpose(iota[n - k]),
-                         mat_mul(target.form(k), iota[k], zero), zero)
+        # (iota_{n-k})^T psi_k iota_k has entry c_a c_b psi_k[i_a][i_b]
+        psi = target.form(k)
+        pulled = [[_times(c * d, psi[i][j]) for j, d in iota[k]]
+                  for i, c in iota[n - k]]
         form = lift(source.form(k))
         exponents = [e for e in exponents if pulled == _signed(e, form)]
         if not exponents:

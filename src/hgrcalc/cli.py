@@ -40,9 +40,11 @@ SCHUR_GENS_BOUND = 32
 # largest rank C(n, r) of a hgr-ring or restriction ring: C(18, 9) = 48620
 # and the (6, 22) ring take under a second, C(20, 10) = 184756 takes 4.2 s
 GRASS_RANK_BOUND = 50000
-# largest koszul --n: is_nondegenerate runs Bareiss on the C(n, k)-square
-# form blocks over Poly; n = 7 takes 0.5 s, n = 8 takes 2.8 s
-KOSZUL_N_BOUND = 7
+# largest koszul --n: the output lists every entry of the differentials
+# and forms, C(2n, n-1) + C(2n, n) of them, and the checks cost about as
+# much as writing them; koszul --n N --invert 1 --json takes 0.2 s at
+# n = 8, 0.9 s at n = 10 (5 MB) and 2.2 s at n = 11 (19 MB)
+KOSZUL_N_BOUND = 10
 # largest verify quadratic-section --r: the ring has r(r+3)/2 generators;
 # r = 48 takes 0.7 s, r = 64 takes 2.1 s
 QUADRATIC_SECTION_BOUND = 48

@@ -319,14 +319,10 @@ class BilinearForm:
         self.n = n
 
     def gram_column(self, w):
-        """G w: its dot product with any v is value(v, w).  Computing it
-        costs O(n^2); the reductions below compute one per vector they
-        keep pairing, so each further pairing costs one O(n) dot product."""
+        """G w: its dot product with any v is v^T G w.  Computing it costs
+        O(n^2); the reductions below compute one per vector they keep
+        pairing, so each further pairing costs one O(n) dot product."""
         return mat_apply(self.gram, w, self.field.zero())
-
-    def value(self, v, w):
-        """v^T G w, as the dot product of v with gram_column(w); O(n^2)."""
-        return dot(v, self.gram_column(w), self.field.zero())
 
 
 class Diagonalization:
@@ -392,15 +388,14 @@ def diagonalize(form):
     cleaned = [[Fraction(x) for x in primitive_integers(v)]
                if isinstance(v[0], Fraction) else v for v in out]
     p_matrix = mat_transpose(cleaned)  # columns are the new basis vectors
-    entries = [form.value(v, v) for v in cleaned]
-    classes = [F.square_class(e) for e in entries]
-    # exactness guarantee
-    check = mat_mul(mat_mul(mat_transpose(p_matrix), form.gram, zero),
-                    p_matrix, zero)
-    diagonal = [[entries[i] if i == j else zero for j in range(n)]
-                for i in range(n)]
-    if check != diagonal:
+    # exactness guarantee: P^T G P is diagonal with nonzero entries, and
+    # the entries are read off its diagonal
+    check = mat_mul(mat_mul(cleaned, form.gram, zero), p_matrix, zero)
+    entries = [check[i][i] for i in range(n)]
+    if any(check[i][j] for i in range(n) for j in range(n) if i != j) \
+            or not all(entries):
         raise FormsError("internal error: P^T G P mismatch")
+    classes = [F.square_class(e) for e in entries]
     return Diagonalization(entries, p_matrix, classes)
 
 

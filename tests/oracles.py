@@ -222,6 +222,53 @@ def _mat_mul(a, b):
             for i in range(n)]
 
 
+def transport_sign_by_matrices(source, target, image, gen_map):
+    """chainduality.transport_sign with iota written out as integer
+    matrices and every product summed in full: the sign e with
+    iota^* psi = e * phi, or the ChainError message at the first failing
+    degree."""
+    sx, tx = source.complex, target.complex
+    n = source.degree
+    ring = tx.ring
+
+    def lift(m):
+        return [[x.map_to(ring, gen_map) for x in row] for row in m]
+
+    iota = {}
+    for k in sx.ranks:
+        labels = tx.labels.get(k, [])
+        m = [[0] * sx.rank(k) for _ in labels]
+        for col, label in enumerate(sx.labels[k]):
+            at, c = image(label)
+            m[labels.index(at)][col] = c
+        iota[k] = m
+    for k in sorted(sx.ranks):
+        if k - 1 in sx.ranks:
+            lhs = _mat_mul(iota[k - 1], lift(sx.diff(k)))
+            if lhs != _mat_mul(tx.diff(k), iota[k]):
+                return "the relabelling is not a chain map at degree %d" % k
+    signs = [1, -1]
+    for k in sorted(sx.ranks):
+        if n - k not in sx.ranks:
+            continue
+        iota_t = [list(col) for col in zip(*iota[n - k])]
+        pulled = _mat_mul(iota_t, _mat_mul(target.form(k), iota[k]))
+        form = lift(source.form(k))
+        signs = [e for e in signs
+                 if pulled == [[e * x for x in row] for row in form]]
+        if not signs:
+            return ("the pulled-back form is neither plus nor minus the "
+                    "form at degree %d" % k)
+    return signs[0]
+
+
+def quadratic_value(gram, v):
+    """v^T G v as the double sum of v_i G_ij v_j over every pair (i, j)."""
+    n = len(v)
+    return sum_start(v[i] * gram[i][j] * v[j]
+                     for i in range(n) for j in range(n))
+
+
 def sum_start(it):
     acc = None
     for x in it:

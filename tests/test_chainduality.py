@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 
 from hgrcalc.chainduality import (ChainError, FreeComplex, SymmetricComplex,
+                                  _form_times, _relabelling,
                                   contracting_homotopy, koszul,
                                   koszul_tensor_isometry, swap_sign,
                                   tensor_pair, transport_sign)
-from hgrcalc.polynomial import PolyRing, mat_transpose
+from hgrcalc.polynomial import PolyRing, mat_mul, mat_transpose
+
+import oracles
 
 
 def dual(cx):
@@ -133,6 +136,78 @@ class TestKoszul:
             assert SymmetricComplex(cx, 0, {0: [[entry]]}).is_nondegenerate() \
                 is want, entry
 
+    def test_relabelling_reads_signed_permutations_of_units_only(self):
+        ring = PolyRing(("x",))
+        x, one, zero = ring.gen(0), ring.one(), ring.zero()
+        assert _relabelling([[2 * one]]) == [(0, 2)]
+        assert _relabelling([[zero, -one], [one, zero]]) == [(1, 1), (0, -1)]
+        # a non-constant entry, a row or column with two entries, a zero
+        # row, and a non-square block take the generic product
+        for m in ([[x]], [[one + x]], [[one, one], [zero, one]],
+                  [[one, zero], [zero, zero]], [[one, zero]]):
+            assert _relabelling(m) is None, m
+
+    def test_small_blocks_off_the_relabelling(self):
+        # [[0,1],[1,0]] is certified by its inverse, [[1,1],[1,2]] by its
+        # determinant 1, and [[1,1],[1,1]] is singular
+        ring = PolyRing(())
+        cx = FreeComplex(ring, {0: 2}, {})
+        one, zero = ring.one(), ring.zero()
+        for m, want in (([[zero, one], [one, zero]], True),
+                        ([[one, one], [one, 2 * one]], True),
+                        ([[one, one], [one, one]], False)):
+            assert SymmetricComplex(cx, 0, {0: m}).is_nondegenerate() is want
+
+    @pytest.mark.parametrize("make", [
+        lambda: koszul(3), lambda: koszul(4),
+        lambda: tensor_pair(koszul(1), koszul(2)),
+        lambda: tensor_pair(koszul(2), koszul(2))])
+    def test_relabelling_and_generic_products_agree(self, make):
+        # every product chain_defect takes with a block of a Koszul form or
+        # of a tensor of two, by re-indexing and multiplied out
+        sym = make()
+        x, n = sym.complex, sym.degree
+        zero = x.ring.zero()
+        for k in sym.phi:
+            phi = sym.form(k)
+            assert _relabelling(phi) is not None
+            # phi_k d_{k+1} and phi_k^T d_{n-k+1}
+            for f, d in ((phi, x.diff(k + 1)),
+                         (mat_transpose(phi), x.diff(n - k + 1))):
+                if d and d[0]:
+                    assert _form_times(f, d, zero) == mat_mul(f, d, zero)
+
+    @pytest.mark.parametrize("make", [lambda: koszul(3),
+                                      lambda: tensor_pair(koszul(1),
+                                                          koszul(2))])
+    def test_one_flipped_sign_is_no_chain_map(self, make):
+        sym = make()
+        for k in sorted(sym.phi):
+            for row in sym.phi[k]:
+                for j, e in enumerate(row):
+                    if e.terms:
+                        row[j] = -e
+                        assert sym.chain_defect() is not None, (k, j)
+                        row[j] = e
+        assert sym.chain_defect() is None
+
+    def test_edited_copy_leaves_the_table_intact(self):
+        # koszul(n) is built once; the copy a call returns has its own
+        # rows and dicts, so editing it changes no later call
+        want = koszul(3).to_json()
+        k = koszul(3)
+        d2 = k.complex.diffs[2]
+        d2[0][0] = -d2[0][0]
+        k.complex.ranks[1] += 1
+        k.phi[1][0][2] = k.complex.ring.zero()
+        assert k.chain_defect() is not None
+        assert koszul(3).to_json() == want
+        assert koszul(3).chain_defect() is None and koszul(3).is_nondegenerate()
+        _, merged, _ = koszul_tensor_isometry(1, 2)
+        assert merged.complex.ranks == {0: 1, 1: 3, 2: 3, 3: 1}
+        assert swap_sign(koszul(3), koszul(3)) == -1
+        assert swap_sign(koszul(2), koszul(3)) == 1
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_d_squared_zero(self, n):
         koszul(n).complex.validate()
@@ -160,6 +235,15 @@ class TestContractingHomotopy:
     def test_bad_variable_index(self):
         with pytest.raises(ChainError):
             contracting_homotopy(koszul(2), 3)
+
+    def test_wrong_differential_fails_the_identity(self):
+        # one entry of d_2 negated: ds + sd = id fails where d_2 enters
+        k = koszul(3)
+        d2 = k.complex.diffs[2]
+        d2[0][0] = -d2[0][0]
+        with pytest.raises(ChainError, match="homotopy identity fails at "
+                                             "degree 1$"):
+            contracting_homotopy(k, 1)
 
 
 class TestTensor:
@@ -263,6 +347,78 @@ def test_transport_sign_names_the_degree_the_form_fails_at():
                                 for k, m in t.phi.items()})
     with pytest.raises(ChainError, match="form at degree 0$"):
         transport_sign(t, doubled, *_swap(signed=True))
+
+
+def two_koszuls():
+    """K(1) + K(1) over Q[x], its labels a and b in each degree."""
+    ring = PolyRing(("x",))
+    x, one, zero = ring.gen(0), ring.one(), ring.zero()
+    cx = FreeComplex(ring, {0: 2, 1: 2}, {1: [[x, zero], [zero, x]]},
+                     labels={0: ["a0", "b0"], 1: ["a1", "b1"]})
+    return SymmetricComplex(cx, 1, {0: [[one, zero], [zero, one]],
+                                    1: [[-one, zero], [zero, -one]]})
+
+
+def test_transport_sign_adds_rows_sent_to_one_label():
+    # b sent onto a: iota_0 d_1 adds both rows of d_1 into row a0, which is
+    # d_1 iota_1, so iota is a chain map; the pulled-back form is 1 in every
+    # entry of degree 0, neither plus nor minus the identity
+    k = two_koszuls()
+
+    def collapse(label):
+        return "a" + label[1], 1
+
+    with pytest.raises(ChainError, match="form at degree 0$"):
+        transport_sign(k, k, collapse, {0: 0})
+
+
+def _isometries():
+    """(source, target, image, gen_map) for isometries transport_sign
+    accepts: identities and factor swaps of small Koszul tensors."""
+    def swap(label):
+        p, i, q, j = label
+        return (q, j, p, i), (-1) ** (p * q)
+
+    out = [(two_koszuls(), two_koszuls(), lambda label: (label, 1), {0: 0})]
+    for a, b in ((1, 1), (1, 2)):
+        t, u = tensor_pair(koszul(a), koszul(b)), tensor_pair(koszul(b),
+                                                              koszul(a))
+        gens = {i: (i + b if i < a else i - a) for i in range(a + b)}
+        out += [(t, t, lambda label: (label, 1), {i: i for i in range(a + b)}),
+                (t, u, swap, gens)]
+    return out
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_transport_sign_agrees_with_full_matrices(case):
+    # an isometry, its negative, every label sent onto the first of its
+    # degree, and each variant with one label's sign flipped or one label
+    # sent onto another of its degree: the same sign or the same error as
+    # the oracle that writes iota out and multiplies
+    source, target, image, gen_map = _isometries()[case]
+    table = {label: image(label)
+             for group in source.complex.labels.values() for label in group}
+    variants = [table, {s: (t, -c) for s, (t, c) in table.items()},
+                {label: (target.complex.labels[k][0], 1)
+                 for k, group in source.complex.labels.items()
+                 for label in group}]
+    for k, group in source.complex.labels.items():
+        for label in group:
+            at, c = table[label]
+            variants.append({**table, label: (at, -c)})
+            others = [t for t in target.complex.labels[k] if t != at]
+            if others:
+                variants.append({**table, label: (others[0], c)})
+    outcomes = set()
+    for v in variants:
+        try:
+            got = transport_sign(source, target, v.__getitem__, gen_map)
+        except ChainError as err:
+            got = str(err)
+        assert got == oracles.transport_sign_by_matrices(
+            source, target, v.__getitem__, gen_map), v
+        outcomes.add(got)
+    assert len(outcomes) > 2, outcomes
 
 
 def test_transport_sign_names_the_degree_it_is_no_chain_map_at():

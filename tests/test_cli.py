@@ -353,12 +353,12 @@ class TestKoszulCmd:
         assert "1" in json.loads(out)["homotopies"]
 
     def test_n_over_the_bound_refused(self, capsys):
-        # n = 8 took 2.8 s, n = 10 did not return within 20 s
+        # n = 11 takes 2.2 s, and each further n about four times as long
         with alarm(2):
-            code, out, err = run_cli(capsys, "koszul", "--n", "8", "--json")
+            code, out, err = run_cli(capsys, "koszul", "--n", "11", "--json")
         assert code == 2
-        assert json.loads(out) == {"error": "--n 8 is over the bound 7"}
-        assert err == "usage error: --n 8 is over the bound 7\n"
+        assert json.loads(out) == {"error": "--n 11 is over the bound 10"}
+        assert err == "usage error: --n 11 is over the bound 10\n"
 
 
 class TestTowerCmd:

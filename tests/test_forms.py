@@ -51,6 +51,39 @@ class TestDiagonalize:
             diagonalize(f)
         assert err.value.radical_dimension == 2
 
+    @pytest.mark.parametrize("q", [None, 5, 7, 9, 13])
+    def test_entries_are_the_lengths_of_the_new_basis(self, q):
+        # each diagonal entry is v^T G v for the column v of P, summed by
+        # the oracle; over Q (q None) and F_q, sizes 1 to 7
+        rng = random.Random("entries:%s" % q)
+        field = FiniteField(q) if q else None
+        for n in range(1, 8):
+            while True:
+                form = BilinearForm(_random_gram(n, "symmetric", rng),
+                                    "symmetric", field)
+                try:
+                    res = diagonalize(form)
+                    break
+                except DegenerateFormError:
+                    continue
+            for e, v in zip(res.entries, mat_transpose(res.matrix)):
+                assert e == oracles.quadratic_value(form.gram, v)
+                assert e
+            check_congruence(form, res)
+
+    def test_degenerate_random_reports_radical(self):
+        # G = A^T D A with D of rank 2 and A invertible: radical dimension 2
+        rng = random.Random(4)
+        for field in (None, FiniteField(7)):
+            a = [[int(i == j) + (rng.randint(-3, 3) if j > i else 0)
+                  for j in range(4)] for i in range(4)]
+            d = [[rng.choice([1, 2, -1]) if i == j < 2 else 0
+                  for j in range(4)] for i in range(4)]
+            g = mat_mul(mat_mul(mat_transpose(a), d), a)
+            with pytest.raises(DegenerateFormError) as err:
+                diagonalize(BilinearForm(g, "symmetric", field))
+            assert err.value.radical_dimension == 2
+
     def test_finite_field_equivalence(self):
         # <1,1> and <2,3> over F5: same rank, disc 1 vs 6 = 1 mod squares
         f5 = FiniteField(5)
