@@ -30,11 +30,12 @@ MATRIX_DIMENSION_BOUND = 32
 MATRIX_ENTRY_BOUND = 10 ** 6
 # largest work of a schur call, the weight w of --partition times the
 # number of e-monomials of weight w in e_1..e_gens (the Schur classes the
-# Kostka inversion computes): within it s_(62) in 2 generators and s_(14)
-# in 14 take 0.4-0.7 s; s_(17) in 17 (work 5049) takes 3.2 s and s_(268)
-# in 2 (work 36180) 12 s.  s_lambda is computed in min(gens, w) generators,
-# but the output still carries one exponent per generator, so --gens is
-# bounded too: s_(14) in 32 generators takes 0.47 s, in 14 0.46 s
+# Kostka inversion computes): within it, s_(62) in 2 generators takes 0.13 s
+# and s_(14) in 14 0.43 s through the CLI; past it, in process, s_(17) in
+# 17 (work 5049) takes 2.6 s and s_(268) in 2 (work 36180) 4.8 s.  s_lambda
+# is computed in min(gens, w) generators, but the output still carries one
+# exponent per generator, so --gens is bounded too: s_(14) in 32
+# generators takes 0.42 s through the CLI, in 14 0.43 s
 SCHUR_WORK_BOUND = 2000
 SCHUR_GENS_BOUND = 32
 # largest rank C(n, r) of a hgr-ring or restriction ring: C(18, 9) = 48620
@@ -343,7 +344,7 @@ def cmd_koszul(args):
               "chain_map": k.chain_defect() is None,
               "nondegenerate": k.is_nondegenerate()}
     homotopies = {}
-    if args.invert:
+    if args.invert is not None:
         chainduality.contracting_homotopy(k, args.invert)
         homotopies[str(args.invert)] = "ds + sd = id verified"
     payload["verification"] = report

@@ -1,12 +1,12 @@
 """Partitions, box enumeration, and symmetric polynomials in the e-generators.
 
 Polynomials live in Z[e_1..e_r] with deg(e_i) = i (the Pontryagin weight
-grading).  The Pieri rule for e_k inside a rows x cols box expands
-e-monomials over Schur classes; Schur polynomials invert that expansion.
-Products of two Schur combinations come from the Littlewood-Richardson rule
+grading).  The Schur basis has one algorithm, the Littlewood-Richardson rule
 on the partitions themselves, in one pass per product: the states of every
 partition of one factor merge, and the strips of the other factor's
-partitions are shared along a trie of their rows.
+partitions are shared along a trie of their rows.  It multiplies Schur
+combinations, and since e_k = s_(1^k) it expands e-monomials over the Schur
+classes of a rows x cols box; Schur polynomials invert that expansion.
 """
 
 from functools import lru_cache
@@ -179,34 +179,6 @@ def _conjugate_exponents(lam, r):
     return tuple(lam.part(j) - lam.part(j + 1) for j in range(1, r + 1))
 
 
-def pieri_multiply(lam, k, rows, cols):
-    """The mu with s_lam * e_k = sum s_mu inside the rows x cols box.
-
-    mu/lam is a vertical k-strip: it grows the top rows of each run of equal
-    parts of lam (the empty rows of the box too), none past `cols`.
-    """
-    parts = list(lam.parts) + [0] * (rows - lam.length())
-    firsts = [i for i in range(rows) if i == 0 or parts[i] < parts[i - 1]]
-    ends = firsts[1:] + [rows]
-    caps = [e - f if parts[f] < cols else 0 for f, e in zip(firsts, ends)]
-    room = [sum(caps[b:]) for b in range(len(caps) + 1)]
-    if k > room[0]:
-        return []
-    out = []
-    stack = [(0, k, parts)]
-    while stack:
-        b, left, mu = stack.pop()
-        if not left:
-            out.append(Partition._trusted(tuple(p for p in mu if p)))
-            continue
-        f = firsts[b]
-        # the runs below take at most room[b + 1]; every push can finish
-        for j in range(max(0, left - room[b + 1]), min(caps[b], left) + 1):
-            grown = mu[:f] + [p + 1 for p in mu[f:f + j]] + mu[f + j:]
-            stack.append((b + 1, left - j, grown))
-    return out
-
-
 def lr_multiply(xs, ys, rows, cols):
     """{nu: sum x_lam y_mu c^nu_{lam,mu}} over the nu in the rows x cols box.
 
@@ -339,7 +311,7 @@ def poly_to_schur_coords(poly, rows, cols):
     """Partition -> coefficient of poly over the rows x cols box's Schur classes.
 
     The s_mu with mu_1 > cols span the ideal (h_{cols+1},..,h_{cols+rows})
-    (Fulton, Young Tableaux 9.4), so every Pieri step may drop them.  A
+    (Fulton, Young Tableaux 9.4), so every product by e_k may drop them.  A
     coefficient may be zero; the element built from the map drops it.
     """
     coords = {}
@@ -355,17 +327,17 @@ def poly_to_schur_coords(poly, rows, cols):
 def _monomial_schur(exps, rows, cols):
     """Box-bounded Schur expansion of the e-monomial with these exponents.
 
-    Each call peels a whole power e_k^a, so the depth is at most len(exps).
+    e_k is s_(1^k), so each factor e_k is one Littlewood-Richardson product
+    on the whole running combination.  Each call peels a whole power e_k^a,
+    so the depth is at most len(exps).
     """
     k = max((i + 1 for i, a in enumerate(exps) if a), default=0)
     if not k:
         return {EMPTY: 1}
     out = _monomial_schur(exps[:k - 1] + (0,) * (len(exps) - k + 1), rows, cols)
+    column = {Partition._trusted((1,) * k): 1}
     for _ in range(exps[k - 1]):
-        base, out = out, {}
-        for lam, c in base.items():
-            for mu in pieri_multiply(lam, k, rows, cols):
-                out[mu] = out.get(mu, 0) + c
+        out = lr_multiply(out, column, rows, cols)
     return out
 
 

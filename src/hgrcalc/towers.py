@@ -34,6 +34,12 @@ def _lattice_index(form):
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(x):
+    """An int that is no bool: JSON's true and false are not counts or
+    entries."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class FGAbelian:
     """coker of an integer matrix: ngens generators, relations as columns.
 
@@ -45,7 +51,7 @@ class FGAbelian:
     """
 
     def __init__(self, ngens, relations=None):
-        if not isinstance(ngens, int) or ngens < 0:
+        if not _is_integer(ngens) or ngens < 0:
             raise TowerError("generator count %r is not a nonnegative integer"
                              % (ngens,))
         self.ngens = ngens
@@ -53,7 +59,7 @@ class FGAbelian:
         for col in self.relations:
             if len(col) != ngens:
                 raise TowerError("relation length does not match generators")
-            if not all(isinstance(x, int) for x in col):
+            if not all(_is_integer(x) for x in col):
                 raise TowerError("relations must have integer entries")
         self._hnf = None
 
@@ -186,7 +192,7 @@ class Tower:
             m, tgt, src = self.map(k), self.level(k), self.level(k + 1)
             if len(m) != tgt.ngens or any(len(r) != src.ngens for r in m):
                 raise TowerError("map %d has the wrong shape" % k)
-            if not all(isinstance(x, int) for r in m for x in r):
+            if not all(_is_integer(x) for r in m for x in r):
                 raise TowerError("map %d must have integer entries" % k)
             if not all(tgt.contains(mat_apply(m, col)) for col in src.relations):
                 raise TowerError("map %d does not send relations into relations" % k)

@@ -352,6 +352,22 @@ class TestKoszulCmd:
         assert code == 0
         assert "1" in json.loads(out)["homotopies"]
 
+    @pytest.mark.parametrize("invert", ["0", "-1", "3"])
+    def test_invert_out_of_range_refused(self, capsys, invert):
+        # x_0 is no variable: --invert 0 is refused like any other index
+        # outside 1..n, not read as "no homotopy asked"
+        message = "variable index %s out of range" % invert
+        code, out, err = run_cli(capsys, "koszul", "--n", "2", "--invert",
+                                 invert)
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: %s\n" % message
+        code, out, err = run_cli(capsys, "koszul", "--n", "2", "--invert",
+                                 invert, "--json")
+        assert code == 2
+        assert json.loads(out) == {"error": message}
+        assert err == "usage error: %s\n" % message
+
     def test_n_over_the_bound_refused(self, capsys):
         # n = 11 takes 2.2 s, and each further n about four times as long
         with alarm(2):
@@ -466,6 +482,22 @@ class TestTowerCmd:
         assert out == ""
         assert err == ("usage error: --spec: map and relation entries must be "
                        "at most %d in absolute value\n" % towers.ENTRY_BOUND)
+
+    @pytest.mark.parametrize("level, maps, message", [
+        ({"gens": True}, [[[1]]],
+         "generator count True is not a nonnegative integer"),
+        ({"gens": 1, "relations": [[True]]}, [[[1]]],
+         "relations must have integer entries"),
+        ({"gens": 1}, [[[True]]], "map 0 must have integer entries")],
+        ids=["gens", "relations", "maps"])
+    def test_spec_boolean_refused(self, capsys, level, maps, message):
+        # JSON's true is no integer, though Python's bool is an int
+        spec = json.dumps({"levels": [level], "maps": maps,
+                           "tail": "template-repeating"})
+        code, out, err = run_cli(capsys, "tower", "--spec", spec)
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --spec: %s\n" % message
 
     def test_spec_entries_at_the_bound(self, capsys):
         # every entry at +-ENTRY_BOUND, on the largest levels; the group

@@ -8,8 +8,7 @@ from hgrcalc import symfun
 from hgrcalc.polynomial import bareiss_det
 from hgrcalc.symfun import (Partition, EMPTY, enumerate_box_partitions,
                             complete_from_elementary, schur_in_elementary,
-                            elementary_ring, lr_multiply, pieri_multiply,
-                            poly_to_schur_coords)
+                            elementary_ring, lr_multiply, poly_to_schur_coords)
 
 import oracles
 
@@ -176,13 +175,53 @@ def strips(draw):
 
 
 class TestPieri:
+    # the Pieri rule is the Littlewood-Richardson product by e_k = s_(1^k)
     @settings(max_examples=400, deadline=None)
     @given(strips())
     def test_matches_brute_force_strips(self, case):
         lam, k, rows, cols = case
-        got = [mu.parts for mu in pieri_multiply(Partition(lam), k, rows, cols)]
-        assert len(got) == len(set(got))
-        assert set(got) == oracles.vertical_strips_in_box(lam, k, rows, cols)
+        got = lr_multiply({Partition(lam): 1}, {Partition((1,) * k): 1},
+                          rows, cols)
+        assert all(c == 1 for c in got.values())
+        assert {mu.parts for mu in got} == \
+            oracles.vertical_strips_in_box(lam, k, rows, cols)
+
+
+def _exponent_vectors(r, weight):
+    """Every exponent vector of e_1..e_r with sum of i * a_i at most weight."""
+    if r == 0:
+        return [()]
+    out = []
+    for rest in _exponent_vectors(r - 1, weight):
+        used = sum(i * a for i, a in enumerate(rest, 1))
+        out.extend(rest + (a,) for a in range((weight - used) // r + 1))
+    return out
+
+
+def _strips_expansion(exps, rows, cols):
+    """{parts: Kostka number} of the e-monomial in the box, one vertical
+    strip per factor e_k by the brute-force oracle."""
+    coeffs = {(): 1}
+    for k, a in enumerate(exps, 1):
+        for _ in range(a):
+            nxt = {}
+            for lam, c in coeffs.items():
+                for mu in oracles.vertical_strips_in_box(lam, k, rows, cols):
+                    nxt[mu] = nxt.get(mu, 0) + c
+            coeffs = nxt
+    return coeffs
+
+
+class TestMonomialSchur:
+    @pytest.mark.parametrize("rows", range(5))
+    @pytest.mark.parametrize("cols", range(6))
+    def test_matches_iterated_strips(self, rows, cols):
+        # every e-monomial of weight <= 8 in every box up to 4 x 5; e_1^1000
+        # in one row is TestKostkaInversion.test_weight_one_thousand
+        for exps in _exponent_vectors(rows, 8):
+            got = {lam.parts: c for lam, c in
+                   symfun._monomial_schur(exps, rows, cols).items()}
+            assert got == _strips_expansion(exps, rows, cols), exps
 
 
 @st.composite
