@@ -11,4 +11,10 @@ class HgrcalcError(ValueError):
     the command line maps it to exit code 2."""
 
 
+def _is_integer(x):
+    """An int that is no bool: JSON's true and false are not counts or
+    entries.  The tower specs and the CLI's --bundle both read it."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 __version__ = "0.1.0"

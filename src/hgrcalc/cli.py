@@ -13,7 +13,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import HgrcalcError
+from . import HgrcalcError, _is_integer
 
 
 class UsageError(HgrcalcError):
@@ -163,25 +163,27 @@ def _parse_json(option, text):
 
 
 def _parse_bundle(text):
+    """A bundle from exactly the keys {"split"} or {"rank", "p"}; a JSON
+    boolean is no integer here, as in a tower spec."""
     from . import pontryagin
     desc = _parse_json("bundle", text)
-    if not isinstance(desc, dict):
-        desc = {}  # refused below
-    if "split" in desc:
+    keys = sorted(desc) if isinstance(desc, dict) else None
+    if keys == ["split"]:
         roots = desc["split"]
-        if not isinstance(roots, list) or not all(isinstance(r, int) for r in roots):
+        if not isinstance(roots, list) or not all(map(_is_integer, roots)):
             raise UsageError("--bundle split: expected a list of integers")
         _check_bundle_rank(2 * len(roots))
         return pontryagin.FormalSymplecticBundle.split(roots)
-    if "rank" in desc and "p" in desc:
+    if keys == ["p", "rank"]:
         rank, ps = desc["rank"], desc["p"]
-        if not isinstance(rank, int):
+        if not _is_integer(rank):
             raise UsageError("--bundle rank: expected an integer")
-        if not isinstance(ps, list) or not all(isinstance(x, int) for x in ps):
+        if not isinstance(ps, list) or not all(map(_is_integer, ps)):
             raise UsageError("--bundle p: expected a list of integers")
         _check_bundle_rank(rank)
         return pontryagin.FormalSymplecticBundle(rank, ps)
-    raise UsageError("--bundle: need {\"split\": [..]} or {\"rank\": .., \"p\": [..]}")
+    raise UsageError("--bundle: need exactly {\"split\": [..]} or "
+                     "{\"rank\": .., \"p\": [..]}")
 
 
 def _check_bundle_rank(rank, what="--bundle rank"):

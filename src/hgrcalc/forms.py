@@ -8,10 +8,11 @@ fundamental-sequence bookkeeping.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import HgrcalcError
-from .coeffs import IntegerRing, RationalsField, primitive_integers
+from .coeffs import IntegerRing, RationalsField
 from .polynomial import (Poly, PolyRing, dot, mat_apply, mat_identity,
                          mat_mul, mat_scal, mat_transpose)
 from .towers import FGAbelian
@@ -126,6 +127,9 @@ class FFElement:
     def __truediv__(self, other):
         return self * self.field.inv(other)
 
+    def __rtruediv__(self, other):
+        return self.field.coerce(other) * self.field.inv(self)
+
     def __repr__(self):
         if self.field.k == 1:
             return str(self.coeffs[0])
@@ -215,6 +219,8 @@ class FiniteField:
         x = self.coerce(x)
         if not x:
             raise FormsError("zero has no square class")
+        if self.k == 1:  # Euler's criterion on the residue
+            return pow(x.coeffs[0], (self.p - 1) // 2, self.p) == 1
         return self._pow(x, (self.q - 1) // 2) == self.one()
 
     def nonsquare(self):
@@ -337,64 +343,241 @@ class Diagonalization:
         return "<%s>" % ", ".join(str(c) for c in self.classes)
 
 
+class _IntegerReps:
+    """Q and RealClosed on Python ints.
+
+    Row and column i of G are scaled by the lcm s_i of the denominators in
+    row i, so S G S is an integer matrix without the lcm of all
+    denominators.  A vector x is held as integer numerators over a positive
+    integer denominator in the coordinates S^-1 x, and the content common
+    to the numerators and the denominator is divided out after each step.
+    """
+
+    def __init__(self, gram):
+        self.scales = s = [lcm(*(x.denominator for x in row)) for row in gram]
+        self.rows = [[x.numerator * (si // x.denominator) for x in row]
+                     for row, si in zip(gram, s)]  # S G
+        self.gram = [[x * sj for x, sj in zip(row, s)] for row in self.rows]
+        # the check reads L G p as (S G p) times L / s_i, L = lcm of the s_i
+        self.check_den = big = lcm(*s)
+        self.factors = [big // si for si in s]
+
+    def start(self):
+        # e_j = S (e_j / s_j); its Gram column is column j of S G S
+        n = len(self.gram)
+        return [([int(i == j) for i in range(n)], list(row), s)
+                for j, (row, s) in enumerate(zip(self.gram, self.scales))]
+
+    @staticmethod
+    def dot(x, y):
+        return sum(map(mul, x, y))
+
+    @staticmethod
+    def pivot(length):
+        return length
+
+    @staticmethod
+    def eliminate(w, v, length, c):
+        """|L| w - sgn(L) c v over |L| d_w, both factors first divided by
+        gcd(L, c); then the content is divided out."""
+        (nw, gw, dw), (nv, gv, _) = w, v
+        a, b = (length, c) if length > 0 else (-length, -c)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        nw = [a * x - b * y for x, y in zip(nw, nv)]
+        gw = [a * x - b * y for x, y in zip(gw, gv)]
+        return _reduced_content(nw, gw, a * dw)
+
+    @staticmethod
+    def add(x, y):
+        (nx, gx, dx), (ny, gy, dy) = x, y
+        m = lcm(dx, dy)
+        fx, fy = m // dx, m // dy
+        return _reduced_content([fx * a + fy * b for a, b in zip(nx, ny)],
+                                [fx * a + fy * b for a, b in zip(gx, gy)], m)
+
+    def column(self, v):
+        """The primitive integer vector on the ray of S v."""
+        nums = [s * x for s, x in zip(self.scales, v[0])]
+        g = gcd(*nums)
+        return [x // g for x in nums]
+
+    def congruence(self, cols):
+        """L P^T G P for the integer columns of P, with L G p read as
+        (S G p)_i times L / s_i."""
+        products = [[sum(map(mul, row, p)) * f
+                     for row, f in zip(self.rows, self.factors)] for p in cols]
+        return [[sum(map(mul, p, gp)) for gp in products] for p in cols]
+
+    element = Fraction
+
+    def entry(self, x):
+        """The rational x / L."""
+        return Fraction(x, self.check_den)
+
+
+def _reduced_content(nums, col, den):
+    g = gcd(den, *nums)  # G nums is integral, so g divides col too
+    if g == 1:
+        return nums, col, den
+    return [x // g for x in nums], [x // g for x in col], den // g
+
+
+class _FieldReps:
+    """GF(p^k) on FFElements: the pivot length is inverted once, each
+    vector takes w - (c / L) v, and every denominator stays 1."""
+
+    def __init__(self, field, gram):
+        self.field = field
+        self.zero = field.zero()
+        self.gram = gram
+
+    def start(self):
+        n, zero, one = len(self.gram), self.zero, self.field.one()
+        return [([one if i == j else zero for i in range(n)], list(row), 1)
+                for j, row in enumerate(self.gram)]
+
+    def dot(self, x, y):
+        return dot(x, y, self.zero)
+
+    def pivot(self, length):
+        return self.field.inv(length)
+
+    @staticmethod
+    def eliminate(w, v, inv, c):
+        (nw, gw, _), (nv, gv, _) = w, v
+        m = c * inv
+        return ([x - m * y if y else x for x, y in zip(nw, nv)],
+                [x - m * y if y else x for x, y in zip(gw, gv)], 1)
+
+    @staticmethod
+    def add(x, y):
+        return ([a + b for a, b in zip(x[0], y[0])],
+                [a + b for a, b in zip(x[1], y[1])], 1)
+
+    @staticmethod
+    def column(v):
+        return v[0]
+
+    def congruence(self, cols):
+        return mat_mul(mat_mul(cols, self.gram, self.zero),
+                       mat_transpose(cols), self.zero)
+
+    @staticmethod
+    def element(x):
+        return x
+
+    entry = element
+
+
+class _ResidueReps(_FieldReps):
+    """A prime field GF(p) on residues 0..p-1 held as ints."""
+
+    def __init__(self, field, gram):
+        self.field = field
+        self.p = field.p
+        self.gram = [[x.coeffs[0] for x in row] for row in gram]
+
+    def start(self):
+        n = len(self.gram)
+        return [([int(i == j) for i in range(n)], list(row), 1)
+                for j, row in enumerate(self.gram)]
+
+    def dot(self, x, y):
+        return sum(map(mul, x, y)) % self.p
+
+    def congruence(self, cols):
+        p = self.p
+        products = [[sum(map(mul, row, c)) for row in self.gram] for c in cols]
+        return [[sum(map(mul, c, gc)) % p for gc in products] for c in cols]
+
+    def pivot(self, length):
+        return pow(length, self.p - 2, self.p)
+
+    def eliminate(self, w, v, inv, c):
+        (nw, gw, _), (nv, gv, _), p = w, v, self.p
+        m = c * inv % p
+        return ([(x - m * y) % p for x, y in zip(nw, nv)],
+                [(x - m * y) % p for x, y in zip(gw, gv)], 1)
+
+    def add(self, x, y):
+        p = self.p
+        return ([(a + b) % p for a, b in zip(x[0], y[0])],
+                [(a + b) % p for a, b in zip(x[1], y[1])], 1)
+
+    def element(self, x):
+        return _reduced(self.field, (x,))
+
+    entry = element
+
+
+def _representatives(field, gram):
+    """The representatives diagonalize works on over `field`: the rationals
+    (RationalsField, RealClosedField) or GF(q)."""
+    if not isinstance(field, FiniteField):
+        return _IntegerReps(gram)
+    if field.k == 1:
+        return _ResidueReps(field, gram)
+    return _FieldReps(field, gram)
+
+
 def diagonalize(form):
     """Congruence-diagonalize a nondegenerate symmetric form over a field.
 
     Returns exact diagonal entries with the change of basis; a degenerate
     input raises DegenerateFormError carrying the radical dimension.
-    Each remaining vector w keeps its Gram column G w, updated along with
-    w, so every length and pairing is one O(n) dot product and the whole
-    reduction, the pivot search included, takes O(n^3) operations.
+
+    One fraction-free elimination serves every field, on representatives:
+    ints over Q and RealClosed, residues over a prime field, FFElements
+    over GF(p^k) (the _Reps classes above).  Each remaining vector w is a
+    list of numerators over one denominator, with its Gram column G w
+    beside it over the same denominator, so every length and pairing is one
+    O(n) dot product and the whole reduction, the pivot search included,
+    takes O(n^3) operations.  A pivot v of length L takes w to
+    |L| w - sgn(L) g(v, w) v over the ints (w - (g(v, w) / L) v over a
+    field), and its Gram column likewise.  The rational vectors, the pivots
+    and the mixing steps are those of Gram-Schmidt over the field.
     """
     if form.kind != "symmetric":
         raise FormsError("diagonalize expects a symmetric form")
     F = form.field
-    n = form.n
-    zero = F.zero()
-    vecs = mat_identity(n, F.one(), zero)  # basis vectors as rows
-    cols = mat_transpose(form.gram)  # G e_i, the columns of G
+    reps = _representatives(F, form.gram)
+    dot_ = reps.dot
+    rest = reps.start()  # (numerators, Gram column, denominator) of each e_j
     out = []
-    while vecs:
+    while rest:
         # find a vector of nonzero length, mixing if needed
-        pivot = next((i for i, (v, g) in enumerate(zip(vecs, cols))
-                      if dot(v, g, zero)), None)
+        pivot = next((i for i, (v, g, _) in enumerate(rest) if dot_(v, g)),
+                     None)
         if pivot is None:
-            mixed = False
-            for i in range(len(vecs)):
-                for j in range(i + 1, len(vecs)):
-                    if dot(vecs[i], cols[j], zero):
-                        # char != 2: v_i + v_j has length 2*g(v_i, v_j)
-                        vecs[i] = [a + b for a, b in zip(vecs[i], vecs[j])]
-                        cols[i] = [a + b for a, b in zip(cols[i], cols[j])]
-                        pivot = i
-                        mixed = True
-                        break
-                if mixed:
-                    break
-            if pivot is None:
+            pair = next(((i, j) for i in range(len(rest))
+                         for j in range(i + 1, len(rest))
+                         if dot_(rest[i][0], rest[j][1])), None)
+            if pair is None:
                 raise DegenerateFormError(
-                    "form is degenerate; radical has dimension %d" % len(vecs),
-                    radical_dimension=len(vecs))
-        v, gv = vecs.pop(pivot), cols.pop(pivot)
-        inv_len = F.inv(dot(v, gv, zero))
-        for k, w in enumerate(vecs):
+                    "form is degenerate; radical has dimension %d" % len(rest),
+                    radical_dimension=len(rest))
+            # char != 2: v_i + v_j has length 2*g(v_i, v_j)
+            pivot, j = pair
+            rest[pivot] = reps.add(rest[pivot], rest[j])
+        v = rest.pop(pivot)
+        nv, gv, _ = v
+        scale = reps.pivot(dot_(nv, gv))
+        for k, w in enumerate(rest):
             # g(v, w) = (G v) . w since G is symmetric
-            c = dot(gv, w, zero) * inv_len
+            c = dot_(gv, w[0])
             if c:
-                vecs[k] = [a - c * b if b else a for a, b in zip(w, v)]
-                cols[k] = [a - c * b if b else a for a, b in zip(cols[k], gv)]
-        out.append(v)
-    # normalize over Q-like fields: clear denominators columnwise
-    cleaned = [[Fraction(x) for x in primitive_integers(v)]
-               if isinstance(v[0], Fraction) else v for v in out]
-    p_matrix = mat_transpose(cleaned)  # columns are the new basis vectors
+                rest[k] = reps.eliminate(w, v, scale, c)
+        out.append(reps.column(v))
     # exactness guarantee: P^T G P is diagonal with nonzero entries, and
     # the entries are read off its diagonal
-    check = mat_mul(mat_mul(cleaned, form.gram, zero), p_matrix, zero)
-    entries = [check[i][i] for i in range(n)]
+    check = reps.congruence(out)
+    n = len(out)
     if any(check[i][j] for i in range(n) for j in range(n) if i != j) \
-            or not all(entries):
+            or not all(check[i][i] for i in range(n)):
         raise FormsError("internal error: P^T G P mismatch")
+    entries = [reps.entry(check[i][i]) for i in range(n)]
+    p_matrix = [[reps.element(x) for x in row] for row in zip(*out)]
     classes = [F.square_class(e) for e in entries]
     return Diagonalization(entries, p_matrix, classes)
 
@@ -629,18 +812,16 @@ def sp_reduce_unimodular(v, ring=ZZ):
     The standard symplectic form pairs coordinates (a, b) = (2i, 2i+1).  One
     Euclid on one move, state[dst] += lam*state[src], reduces each pair to
     (g, 0), then the first coordinates of pairs 0 and i to (g, 0), leaving
-    (unit, 0, .., 0); the Whitehead lemma scales the unit to 1.  Each factor
-    is checked on construction to preserve J (omega(u,u) = 0, see
-    SympFactor), and the composite is compared with e_1 before returning.
+    (g, 0, .., 0) with g a gcd of v.  A non-unit g is refused with the
+    normalized gcd `ring.gcd_all([g])` as witness; a unit is scaled to 1 by
+    the Whitehead lemma.  Each factor is checked on construction to
+    preserve J (omega(u,u) = 0, see SympFactor), and the composite is
+    compared with e_1 before returning.
     """
     v = [ring.coerce(x) for x in v]
     n2 = len(v)
     if n2 % 2 or n2 < 2:
         raise SpReductionError("vector length must be even and positive")
-    g = ring.gcd_all(v)
-    if not ring.is_unit(g):
-        raise SpReductionError("vector is not unimodular; gcd = %s" % (g,),
-                               witness=g)
     zero, one = ring.zero(), ring.one()
     factors = []
     state = list(v)
@@ -686,6 +867,10 @@ def sp_reduce_unimodular(v, ring=ZZ):
         euclid(a, a + 1)
     for a in range(2, n2, 2):
         euclid(0, a)
+    if not ring.is_unit(state[0]):
+        g = ring.gcd_all([state[0]])
+        raise SpReductionError("vector is not unimodular; gcd = %s" % (g,),
+                               witness=g)
     # state = (unit, 0, ..): scale pair one by diag(c, 1/c), c = 1/unit, as
     # W(c) W(-1), W(t) = E12(t) E21(-1/t) E12(t) (Whitehead), right to left;
     # E12(t) (a += t*b) is tau(-t, 0) and E21(t) (b += t*a) is tau(t, 1).

@@ -146,6 +146,8 @@ class Combination:
 
     def scale(self, c):
         c = self._scalar(c)
+        if c == 1:  # elements are values, so the element itself serves
+            return self
         return self._new({k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, c):
@@ -337,7 +339,11 @@ def _exact_coeff_div(a, b):
         return q if r == 0 else None
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / Fraction(b)
-    raise TypeError("no exact division for %r / %r" % (type(a), type(b)))
+    try:  # elements of a field with its own division, such as GF(q)
+        return a / b
+    except TypeError:
+        raise TypeError("no exact division for %r / %r"
+                        % (type(a), type(b))) from None
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,8 @@ def enumerate_box_partitions(r, cols):
             continue
         for p in range(1, bound + 1):
             lam = prefix + (p,)
-            out.append(Partition(lam))
+            # nonincreasing by construction, so no validation
+            out.append(Partition._trusted(lam))
             stack.append(lam)
     out.sort(key=sort_key)
     assert len(out) == comb(r + cols, r)

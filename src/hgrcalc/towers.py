@@ -10,7 +10,7 @@ uncountable); vanishing certificates are the deliverable.
 
 from math import prod
 
-from . import HgrcalcError
+from . import HgrcalcError, _is_integer
 from .polynomial import (hermite_column_form, invariant_factors, mat_apply,
                          mat_identity, mat_mul, mat_shape, mat_transpose)
 # the bench workloads and the tests reach the Smith form as
@@ -32,12 +32,6 @@ def _lattice_index(form):
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups as cokernels.
 # ---------------------------------------------------------------------------
-
-
-def _is_integer(x):
-    """An int that is no bool: JSON's true and false are not counts or
-    entries."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class FGAbelian:

@@ -5,12 +5,16 @@ exhaustive searches, so that they share no code path with the
 implementations they check.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from hgrcalc import towers
-from hgrcalc.forms import FFElement
-from hgrcalc.polynomial import (Poly, PolyRing, mat_apply, mat_shape,
-                                smith_normal_form)
+from hgrcalc.coeffs import primitive_integers
+from hgrcalc.forms import (DegenerateFormError, Diagonalization, FFElement,
+                           FormsError)
+from hgrcalc.polynomial import (Poly, PolyRing, dot, mat_apply,
+                                mat_identity, mat_mul, mat_shape,
+                                mat_transpose, smith_normal_form)
 from hgrcalc.symfun import Partition, schur_in_elementary
 
 
@@ -267,6 +271,51 @@ def quadratic_value(gram, v):
     n = len(v)
     return sum_start(v[i] * gram[i][j] * v[j]
                      for i in range(n) for j in range(n))
+
+
+def diagonalize_by_field_arithmetic(form):
+    """forms.diagonalize as Gram-Schmidt on the field's own elements
+    (Fraction or FFElement): the same pivot search, mixing step v_i + v_j
+    and primitive integer columns over Q, so its Diagonalization, or its
+    DegenerateFormError, must equal the library's exactly."""
+    F = form.field
+    n = form.n
+    zero = F.zero()
+    vecs = mat_identity(n, F.one(), zero)  # basis vectors as rows
+    cols = mat_transpose(form.gram)  # G e_i, the columns of G
+    out = []
+    while vecs:
+        pivot = next((i for i, (v, g) in enumerate(zip(vecs, cols))
+                      if dot(v, g, zero)), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(len(vecs))
+                         for j in range(i + 1, len(vecs))
+                         if dot(vecs[i], cols[j], zero)), None)
+            if pair is None:
+                raise DegenerateFormError(
+                    "form is degenerate; radical has dimension %d" % len(vecs),
+                    radical_dimension=len(vecs))
+            pivot, j = pair
+            vecs[pivot] = [a + b for a, b in zip(vecs[pivot], vecs[j])]
+            cols[pivot] = [a + b for a, b in zip(cols[pivot], cols[j])]
+        v, gv = vecs.pop(pivot), cols.pop(pivot)
+        inv_len = F.inv(dot(v, gv, zero))
+        for k, w in enumerate(vecs):
+            c = dot(gv, w, zero) * inv_len
+            if c:
+                vecs[k] = [a - c * b for a, b in zip(w, v)]
+                cols[k] = [a - c * b for a, b in zip(cols[k], gv)]
+        out.append(v)
+    cleaned = [[Fraction(x) for x in primitive_integers(v)]
+               if isinstance(v[0], Fraction) else v for v in out]
+    p_matrix = mat_transpose(cleaned)
+    check = mat_mul(mat_mul(cleaned, form.gram, zero), p_matrix, zero)
+    entries = [check[i][i] for i in range(n)]
+    if any(check[i][j] for i in range(n) for j in range(n) if i != j) \
+            or not all(entries):
+        raise FormsError("P^T G P mismatch")
+    return Diagonalization(entries, p_matrix,
+                           [F.square_class(e) for e in entries])
 
 
 def sum_start(it):

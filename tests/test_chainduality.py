@@ -7,6 +7,7 @@ from hgrcalc.chainduality import (ChainError, FreeComplex, SymmetricComplex,
                                   contracting_homotopy, koszul,
                                   koszul_tensor_isometry, swap_sign,
                                   tensor_pair, transport_sign)
+from hgrcalc.forms import FiniteField
 from hgrcalc.polynomial import PolyRing, mat_mul, mat_transpose
 
 import oracles
@@ -135,6 +136,30 @@ class TestKoszul:
         for entry, want in ((x, False), (one + x, False), (2 * one, True)):
             assert SymmetricComplex(cx, 0, {0: [[entry]]}).is_nondegenerate() \
                 is want, entry
+
+    @pytest.mark.parametrize("q", [7, 9])
+    def test_nondegenerate_over_finite_fields(self, q):
+        # a unit block over GF(q) used to invert as Fraction(1) / c, a
+        # TypeError for an FFElement, and a block off the relabelling met
+        # the same in Bareiss's exact division; both now divide in GF(q).
+        # With a, b, c the elements of base-p digits 3, 1, 4, a*c - b*b is
+        # 4 in GF(7) and 1 + t in GF(9) = GF(3)[t]
+        field = FiniteField(q)
+        ring = PolyRing(("x",))
+        a, b, c = (ring.const(field._element(n)) for n in (3, 1, 4))
+        zero = ring.zero()
+        cx = FreeComplex(ring, {0: 2}, {})
+        for m, want in (([[a, zero], [zero, b]], True),  # <3, 1>
+                        ([[zero, c], [c, zero]], True),
+                        ([[a, b], [b, c]], True),  # det a*c - b*b != 0
+                        ([[a, a], [a, a]], False),
+                        ([[a, zero], [zero, zero]], False)):
+            assert SymmetricComplex(cx, 0, {0: m}).is_nondegenerate() is want
+        # the unit block of degree 0 passes; phi_1 : X_1 -> X_{-1}^v is the
+        # zero block
+        cx3 = FreeComplex(ring, {0: 1, 1: 1, -1: 1}, {})
+        phi = SymmetricComplex(cx3, 0, {0: [[a]]})
+        assert not phi.is_nondegenerate()
 
     def test_relabelling_reads_signed_permutations_of_units_only(self):
         ring = PolyRing(("x",))

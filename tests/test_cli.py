@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 import hgrcalc
 from deadline import alarm
 from hgrcalc import polynomial, towers
-from hgrcalc.cli import main
+from hgrcalc.cli import _descriptor, _parse_gram, main
+from hgrcalc.coeffs import CoeffError
 from hgrcalc.polynomial import mat_transpose
 from hgrcalc.pontryagin import FormalSymplecticBundle
+import oracles
 from test_polynomial import SIX_BY_SEVEN
 
 
@@ -180,6 +182,35 @@ class TestPontryagin:
         assert code == 2
         assert "even" in err
 
+    @pytest.mark.parametrize("bundles", [
+        ['{"rank": 2, "p": [true]}', '{"split": [true, false]}'],
+        ['{"split": [true, false]}'],
+        ['{"rank": true, "p": [1]}'],
+        ['{"rank": 2, "p": [false]}'],
+        ['{"split": [1], "rank": 7, "p": [3]}'],
+        ['{"split": [1], "rank": 2}'],
+        ['{"split": [1], "p": [3]}'],
+        ['{"split": [1], "roots": [2]}'],
+        ['{"rank": 2, "p": [3], "q": [1]}'],
+        ['{"rank": 2}'],
+    ], ids=["bool-p-and-roots", "bool-roots", "bool-rank", "bool-p",
+            "split-with-rank-and-p", "split-with-rank", "split-with-p",
+            "split-unknown-key", "abstract-unknown-key", "rank-without-p"])
+    def test_bundle_booleans_and_extra_keys_refused(self, capsys, bundles):
+        # all but bool-rank and rank-without-p used to exit 0, reading
+        # true as 1 and dropping the keys beside split or rank and p
+        argv = ["pontryagin"]
+        for text in bundles:
+            argv += ["--bundle", text]
+        for json_flag in ([], ["--json"]):
+            code, out, err = run_cli(capsys, *(argv + json_flag))
+            assert code == 2
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("usage error: --bundle")
+            if json_flag:
+                assert set(json.loads(out)) == {"error"}
+
     def test_more_classes_than_half_the_rank_refused(self, capsys):
         # p_2 and p_3 of a rank-2 bundle were kept and p_3 silently dropped
         # from a Cartan sum of rank 4
@@ -316,6 +347,41 @@ class TestGW:
             "[[10000,1,0,0],[1,10000,1,0],[0,1,10000,1],[0,0,1,10000]]")
         assert code == 2 and out == ""
         assert "square class" in err
+
+    @pytest.mark.parametrize("field", ["Q", "RealClosed", "F7", "F9", "F25"])
+    def test_diagonalize_prints_the_oracle(self, capsys, field):
+        # the output of field-arithmetic Gram-Schmidt, byte for byte, on
+        # seeded forms with zero diagonals (the mixing step) and decimal
+        # entries such as -2.375
+        from hgrcalc import forms
+        rng = random.Random("cli-oracle:" + field)
+        for n in (3, 5, 7):
+            g = [["0"] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    g[i][j] = g[j][i] = str(rng.randint(-99, 99)
+                                            / rng.choice((1, 2, 8)))
+            text = "[%s]" % ", ".join("[%s]" % ", ".join(row) for row in g)
+            code, out, _ = run_cli(capsys, "gw", "diagonalize", "--field",
+                                   field, "--matrix", text, "--json")
+            form = forms.BilinearForm(_parse_gram(text), "symmetric",
+                                      _descriptor("field", field))
+            try:
+                res = oracles.diagonalize_by_field_arithmetic(form)
+            except forms.DegenerateFormError as err:
+                assert code == 1
+                assert json.loads(out) == {
+                    "degenerate": True,
+                    "radical_dimension": err.radical_dimension}
+                continue
+            except CoeffError as err:  # over the square-class bound
+                assert code == 2 and json.loads(out) == {"error": str(err)}
+                continue
+            assert code == 0
+            assert json.loads(out) == {
+                "diagonal": [str(e) for e in res.entries],
+                "classes": [str(c) for c in res.classes],
+                "matrix": [[str(x) for x in row] for row in res.matrix]}
 
     @pytest.mark.parametrize("verb, field", [("diagonalize", "F999999937"),
                                              ("symplectic-basis", "Q")])

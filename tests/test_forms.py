@@ -12,7 +12,7 @@ from hgrcalc.forms import (BilinearForm, DegenerateFormError, FFElement,
                            karoubi_table, ko1_euclidean, sp_reduce_unimodular,
                            standard_symplectic_gram, symplectic_basis)
 from hgrcalc.coeffs import (GWBASE, INTEGERS, RATIONALS, SQUARE_CLASS_BOUND,
-                           CoeffError)
+                           CoeffError, RationalsField)
 from hgrcalc.polynomial import Poly, mat_apply, mat_mul, mat_transpose
 from hgrcalc.towers import FGAbelian
 
@@ -189,6 +189,85 @@ class TestDiagonalize:
                     assert found == (s1 == s2)
 
 
+def _seeded_gram(rng, n, kind):
+    """A symmetric n x n Gram matrix: "dense" and "sparse" small integers,
+    "zero-diagonal" (the mixing step), "degenerate" (a last row that is a
+    combination of the first two) or "rational" p/q with unrelated q."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "rational":
+                x = Fraction(rng.randint(-40, 40),
+                             rng.choice((1, 2, 5, 11, 13, 49)))
+            elif kind == "sparse" and rng.random() < 0.7:
+                x = 0
+            elif kind == "zero-diagonal" and i == j:
+                x = 0
+            else:
+                x = rng.randint(-4, 4)
+            g[i][j] = g[j][i] = x
+    if kind == "degenerate" and n > 1:
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        for i in range(n - 1):
+            g[i][n - 1] = g[n - 1][i] = a * g[i][0] + b * g[i][1]
+        g[n - 1][n - 1] = a * g[0][n - 1] + b * g[1][n - 1]
+    return g
+
+
+class TestDiagonalizeMatchesOracle:
+    """diagonalize on ints, residues or FFElements against the Gram-Schmidt
+    on field elements it replaced (`oracles.diagonalize_by_field_arithmetic`):
+    entries, matrix and classes equal and print alike, and a degenerate form
+    has the same radical dimension and message."""
+
+    KINDS = ("dense", "sparse", "zero-diagonal", "degenerate", "rational")
+
+    @staticmethod
+    def outcome(reduce, form):
+        try:
+            res = reduce(form)
+        except DegenerateFormError as err:
+            return ("degenerate", err.radical_dimension, str(err))
+        except CoeffError as err:  # an entry over the square-class bound
+            return ("refused", str(err))
+        return ("ok", res.entries, res.matrix, res.classes,
+                repr((res.entries, res.matrix, res.classes)))
+
+    @pytest.mark.parametrize("name", ["Q", "RealClosed", "F3", "F5", "F7",
+                                      "F11", "F13", "F9", "F25"])
+    def test_seeded_forms(self, name):
+        field = (RationalsField() if name == "Q" else RealClosedField()
+                 if name == "RealClosed" else FiniteField(int(name[1:])))
+        rng = random.Random("oracle:" + name)
+        seen = set()
+        for kind in self.KINDS:
+            for n in range(1, 8):
+                for _ in range(4):
+                    g = _seeded_gram(rng, n, kind)
+                    if isinstance(field, FiniteField) and any(
+                            x.denominator % field.p == 0
+                            for row in g for x in map(Fraction, row)):
+                        continue  # not a form over this field
+                    form = BilinearForm(g, "symmetric", field)
+                    want = self.outcome(
+                        oracles.diagonalize_by_field_arithmetic, form)
+                    assert self.outcome(diagonalize, form) == want, (kind, g)
+                    seen.add(want[0])
+        assert {"ok", "degenerate"} <= seen
+
+    def test_large_rational_entries(self):
+        # a dense 8 x 8 form with p/q entries, |p| and q up to 10^6
+        rng = random.Random(8)
+        g = [[0] * 8 for _ in range(8)]
+        for i in range(8):
+            for j in range(i, 8):
+                g[i][j] = g[j][i] = Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                             rng.randint(1, 10 ** 6))
+        form = BilinearForm(g, "symmetric", RealClosedField())
+        assert self.outcome(diagonalize, form) == self.outcome(
+            oracles.diagonalize_by_field_arithmetic, form)
+
+
 class TestSymplecticBasis:
     def test_standard_j_is_fixed(self):
         g = standard_symplectic_gram(4)
@@ -241,11 +320,13 @@ class TestReductionCost:
     checks included: doubling n multiplies the count by 8 for n^3 and by 16
     for n^4.  The n^4 terms of a reduction that recomputes G w for every
     pairing are small while the vectors are sparse, so the sizes are 16 and
-    32 (at 8 and 16 such a diagonalize still reads about 9.3)."""
+    32 (at 8 and 16 such a diagonalize still reads about 9.3).  The field
+    is GF(11^2): over a prime field diagonalize works on int residues and
+    makes no FFElement product to count."""
 
     @staticmethod
     def multiplications(monkeypatch, reduce, kind, n):
-        field = FiniteField(101)
+        field = FiniteField(121)
         rng = random.Random(n)
         while True:
             form = BilinearForm(_random_gram(n, kind, rng), kind, field)
@@ -346,6 +427,55 @@ class TestSpReduce:
         x = QX.ring.gen(0)
         with pytest.raises(SpReductionError):
             sp_reduce_unimodular([x, x * x, QX.zero(), QX.zero()], ring=QX)
+
+    @pytest.mark.parametrize("v, ring, witness", [
+        ([2, 4, 0, 0], ZZ, 2),
+        ([-6, 9, 12, 3], ZZ, 3),
+        ([0, 0, 0, 0, 0, 0], ZZ, 0),
+        ([0, -8, 0, 0, 4, 12], ZZ, 4),
+        ([[0, 1], [0, 0, 1], [], []], QX, [0, 1]),
+        ([[2, 2], [1, 1], [3, 3], [-1, -1]], QX, [1, 1]),
+        ([[], [], [], []], QX, []),
+        ([[1, 0, 2], [0, 1, 0, 2], [1, 0, 2], [2, 0, 4]], QX,
+         [Fraction(1, 2), 0, 1]),
+    ], ids=["Z-2", "Z-3", "Z-zero", "Z-4", "Qx-x", "Qx-x+1", "Qx-zero",
+            "Qx-x2+1/2"])
+    def test_non_unimodular_witness_pinned(self, v, ring, witness):
+        # the witness is the ring's normalized gcd of v, read off the
+        # Euclid's last entry; message and witness as when a separate
+        # gcd_all pass made them.  (Z[1/2] carries unit bookkeeping only
+        # and takes no element arithmetic, so vectors with a power-of-two
+        # gcd are pinned over Z.)
+        if ring is QX:
+            v = [QX.from_coeffs(c) for c in v]
+            witness = QX.from_coeffs(witness)
+        with pytest.raises(SpReductionError) as err:
+            sp_reduce_unimodular(v, ring=ring)
+        assert err.value.witness == witness == ring.gcd_all(v)
+        assert str(err.value) == "vector is not unimodular; gcd = %s" % witness
+
+    def test_non_unimodular_matches_gcd_all(self):
+        # seeded vectors times a non-unit: over Z an integer |c| >= 2
+        # (powers of two included), over Q[x] a polynomial of degree >= 1
+        rng = random.Random(26)
+        for _ in range(60):
+            n2 = rng.choice((2, 4, 6))
+            if rng.random() < 0.5:
+                ring = ZZ
+                c = rng.choice((2, 4, 8, -3, 6, 35))
+                v = [c * rng.randint(-9, 9) for _ in range(n2)]
+            else:
+                ring = QX
+                c = QX.from_coeffs([rng.randint(-3, 3),
+                                    rng.choice((1, -2, 3))])
+                v = [c * QX.from_coeffs([rng.randint(-3, 3)
+                                         for _ in range(rng.randint(0, 3))])
+                     for _ in range(n2)]
+            with pytest.raises(SpReductionError) as err:
+                sp_reduce_unimodular(v, ring=ring)
+            g = ring.gcd_all(v)
+            assert err.value.witness == g, v
+            assert str(err.value) == "vector is not unimodular; gcd = %s" % g
 
     def test_no_factor_fixes_the_state(self):
         # v = (1+x, 2+x^2, x, 3) used to get 15 factors, two of them no-ops
