@@ -25,118 +25,83 @@ factor swap (`swap_sign`) it is (-1)^{rs} for forms of degrees r and s.
 For the Koszul forms, the Thom classes of A^r and A^s, that sign is the
 switch <-1>^{rs} on T^r ^ T^s.
 
-`koszul(n)` is built and verified once per n and kept in a module table;
-each call returns a copy with its own dicts and row lists.  A signed
-relabelling, and a form block that is a signed permutation of constant
-units (every block of a Koszul form and of a tensor of them), act by
-re-indexing: the products with them move and scale rows or columns, and
-no entry is multiplied.  Any other form block is multiplied out, and its
-nondegeneracy is a Bareiss determinant that must be a unit.
+Differentials and forms are `SparseMatrix` values, which store only the
+nonzero entries (5 120 of the 167 960 entries of the Koszul differentials
+at n = 10), and every check is a plain sparse product: d o d, both sides
+of the chain condition, ds + sd, and the relabelling iota of
+`transport_sign`, one constant per column.  A form block with one
+constant per row and column is certified by its inverse; any other block
+by a Bareiss determinant that must be a unit.  `koszul(n)` is built and
+verified once per n and kept in a module table; each call returns a copy
+with its own row dicts.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import neg
 
 from . import HgrcalcError
-from .polynomial import (Poly, PolyRing, bareiss_det, mat_identity, mat_mul,
-                         mat_transpose, mat_zero)
+from .polynomial import PolyRing, SparseMatrix, bareiss_det
 
 
 def _signed(e, m):
-    """(-1)^e * m for an integer, a polynomial or a matrix of polynomials;
-    a matrix's zero entries are kept, and each distinct entry is negated
-    once, so entries shared in m stay shared."""
-    if not e % 2:
-        return m
-    if not isinstance(m, list):
-        return -m
-    negatives = {}  # id of an entry of m -> its negative
-    out = []
-    for row in m:
-        signed = []
-        for x in row:
-            if x.terms:
-                y = negatives.get(id(x))
-                if y is None:
-                    y = negatives[id(x)] = -x
-                x = y
-            signed.append(x)
-        out.append(signed)
-    return out
-
-
-def _times(c, x):
-    """c * x for a constant c; x itself when c is 1 or x is zero."""
-    return x.scale(c) if c != 1 and x.terms else x
-
-
-def _relabelling(m):
-    """A signed permutation of constant units as a relabelling: for a square
-    matrix m whose every row and every column holds exactly one nonzero
-    entry, a constant c, the pairs (i, c) with m[i][j] = c, one per column
-    j; None for any other m."""
-    n = len(m)
-    pairs = [None] * n
-    for i, row in enumerate(m):
-        if len(row) != n:
-            return None
-        nonzero = [j for j, x in enumerate(row) if x.terms]
-        if len(nonzero) != 1 or pairs[nonzero[0]] is not None:
-            return None
-        terms = row[nonzero[0]].terms
-        if len(terms) != 1:
-            return None
-        (exps, c), = terms.items()
-        if any(exps):
-            return None
-        pairs[nonzero[0]] = (i, c)
-    return pairs
-
-
-def _form_times(phi, m, zero):
-    """phi * m.  Where phi is a signed permutation of constant units, row j
-    of m, scaled by c, becomes row i of the product for each (i, c) of
-    `_relabelling(phi)`, and nothing is multiplied."""
-    pairs = _relabelling(phi)
-    if pairs is None or len(m) != len(pairs):
-        return mat_mul(phi, m, zero)
-    out = [None] * len(pairs)
-    for row, (i, c) in zip(m, pairs):
-        out[i] = [_times(c, x) for x in row]
-    return out
+    """(-1)^e * m for an integer, a polynomial or a SparseMatrix."""
+    return -m if e % 2 else m
 
 
 class ChainError(HgrcalcError):
     pass
 
 
+def _matrix(ring, m, shape, what):
+    """m, dense rows or a SparseMatrix, as a SparseMatrix of this shape
+    over ring; dense rows pass the one coercion, `SparseMatrix.coerce`."""
+    if not isinstance(m, SparseMatrix):
+        if any(len(row) != shape[1] for row in m):
+            raise ChainError("%s has the wrong shape" % what)
+        try:
+            m = SparseMatrix.coerce(ring, m, shape[1])
+        except ValueError as err:
+            raise ChainError("%s: %s" % (what, err)) from None
+    if m.shape != shape:
+        raise ChainError("%s has the wrong shape" % what)
+    return m
+
+
+def _identity(ring, n):
+    one = ring.one()
+    return SparseMatrix(n, [{i: one} for i in range(n)])
+
+
 class FreeComplex:
     """Bounded complex of free modules over a polynomial ring.
 
     ranks maps homological degree to a positive rank; diffs maps k to the
-    matrix of d_k : X_k -> X_{k-1} (rows index X_{k-1}).  d o d = 0 is
-    checked on construction.
+    matrix of d_k : X_k -> X_{k-1} (rows index X_{k-1}), as dense rows or a
+    SparseMatrix, kept in `differentials`.  d o d = 0 is checked on
+    construction.
     """
 
     def __init__(self, ring, ranks, diffs, labels=None):
         self.ring = ring
         self.ranks = {k: r for k, r in ranks.items() if r}
-        self.diffs = {}
+        self.differentials = {}
         for k, m in diffs.items():
-            rows, cols = self.rank(k - 1), self.rank(k)
-            if rows and cols:
-                if len(m) != rows or any(len(row) != cols for row in m):
-                    raise ChainError("differential %d has the wrong shape" % k)
-                self.diffs[k] = [[self._coerce(x) for x in row] for row in m]
+            shape = (self.rank(k - 1), self.rank(k))
+            if all(shape):
+                self.differentials[k] = _matrix(ring, m, shape,
+                                                "differential %d" % k)
         self.labels = labels or {}
         self.validate()
 
-    def _coerce(self, x):
-        if isinstance(x, Poly):
-            if x.ring is not self.ring and x.ring != self.ring:
-                raise ChainError("entry from a different polynomial ring")
-            return x
-        return self.ring.const(Fraction(x))
+    @cached_property
+    def diffs(self):
+        """The differentials as dense rows, built on the first read, which
+        `to_json` prints: an edit to them is seen by later reads of this
+        complex, and by no check."""
+        zero = self.ring.zero()
+        return {k: m.dense(zero) for k, m in self.differentials.items()}
 
     def rank(self, k):
         return self.ranks.get(k, 0)
@@ -147,21 +112,15 @@ class FreeComplex:
         return (min(self.ranks), max(self.ranks))
 
     def diff(self, k):
-        if k in self.diffs:
-            return self.diffs[k]
-        return mat_zero(self.rank(k - 1), self.rank(k), self.ring.zero())
+        return (self.differentials.get(k)
+                or SparseMatrix.zeros(self.rank(k - 1), self.rank(k)))
 
     def validate(self):
-        """d o d = 0, one product of the nonzero entries per degree: every
-        entry the product does not reach, or that cancels, is the ring's
-        zero itself."""
+        """d o d = 0, one sparse product per degree."""
         lo, hi = self.support()
-        zero = self.ring.zero()
         for k in range(lo, hi + 2):
-            if self.rank(k) and self.rank(k - 1) and self.rank(k - 2):
-                prod = mat_mul(self.diff(k - 1), self.diff(k), zero)
-                if any(x is not zero for row in prod for x in row):
-                    raise ChainError("d o d != 0 at degree %d" % k)
+            if any((self.diff(k - 1) * self.diff(k)).rows):
+                raise ChainError("d o d != 0 at degree %d" % k)
 
     def __eq__(self, other):
         if not isinstance(other, FreeComplex):
@@ -182,24 +141,28 @@ class FreeComplex:
         return {
             "generators": list(self.ring.gens),
             "ranks": {str(k): self.rank(k) for k in range(lo, hi + 1)},
-            "differentials": {
-                str(k): [[x.pretty() for x in row] for row in self.diff(k)]
-                for k in sorted(self.diffs)
-            },
+            "differentials": {str(k): [[x.pretty() for x in row]
+                                       for row in self.diffs[k]]
+                              for k in sorted(self.diffs)},
         }
 
 
 class SymmetricComplex:
     """A complex with a symmetric form phi : X -> X^v[n] of degree n.
 
-    phi_k : X_k -> (X_{n-k})^v as a matrix with rows indexed by X_{n-k}.
-    Construction verifies both the chain condition and phi = phi^t.
+    phi_k : X_k -> (X_{n-k})^v as a matrix with rows indexed by X_{n-k},
+    given as dense rows or a SparseMatrix and kept in `phi`.  Construction
+    verifies both the chain condition and phi = phi^t.
     """
 
     def __init__(self, complex_, degree, phi):
         self.complex = complex_
         self.degree = degree
-        self.phi = {k: m for k, m in phi.items() if m and m[0]}
+        self.phi = {}
+        for k, m in phi.items():
+            shape = (complex_.rank(degree - k), complex_.rank(k))
+            if all(shape):
+                self.phi[k] = _matrix(complex_.ring, m, shape, "form %d" % k)
         err = self.chain_defect()
         if err is not None:
             raise ChainError("form is not a chain map at degree %d" % err)
@@ -207,81 +170,61 @@ class SymmetricComplex:
             raise ChainError("form is not symmetric under the convention")
 
     def form(self, k):
-        if k in self.phi:
-            return self.phi[k]
         x = self.complex
-        return mat_zero(x.rank(self.degree - k), x.rank(k), x.ring.zero())
+        return (self.phi.get(k)
+                or SparseMatrix.zeros(x.rank(self.degree - k), x.rank(k)))
 
     def chain_defect(self):
         """First degree where phi fails to be a chain map, or None.
 
         Condition: (-1)^n (-1)^(k-n) (d_{n-k+1})^T phi_k = phi_{k-1} d_k,
-        the shift sign times the dual sign of X^v[n].  A form block that is
-        a signed permutation of constant units, as every block of a Koszul
-        form and of a tensor of them is, moves and scales the rows of d;
-        any other block is multiplied out.
+        the shift sign times the dual sign of X^v[n].
         """
         x, n = self.complex, self.degree
-        zero = x.ring.zero()
         lo, hi = x.support()
         for k in range(lo, hi + 2):
-            if not x.rank(k) or not x.rank(k - 1):
-                continue
-            if not x.rank(n - k + 1):
-                continue  # both sides land in the zero module
-            if x.rank(n - k):
-                # (d^T phi_k)^T = phi_k^T d, with the sign on phi_k, whose
-                # entries are fewer than the product's
-                lhs = mat_transpose(_form_times(
-                    mat_transpose(_signed(k, self.form(k))),
-                    x.diff(n - k + 1), zero))
-            else:
-                lhs = mat_zero(x.rank(n - k + 1), x.rank(k), zero)
-            rhs = _form_times(self.form(k - 1), x.diff(k), zero)
-            if lhs != rhs:
+            # the sign goes on phi_k, whose entries are fewer than d's
+            lhs = x.diff(n - k + 1).transpose() * _signed(k, self.form(k))
+            if lhs != self.form(k - 1) * x.diff(k):
                 return k
         return None
 
     def transpose(self):
         """phi^t with (phi^t)_k = (-1)^{k(n-k)+n} (phi_{n-k})^T."""
-        x, n = self.complex, self.degree
-        out = {}
-        for k in x.ranks:
-            if not x.rank(n - k):
-                out[k] = mat_zero(0, x.rank(k), x.ring.zero())
-            else:
-                out[k] = _signed(k * (n - k) + n,
-                                 mat_transpose(self.form(n - k)))
-        return out
+        n = self.degree
+        return {k: _signed(k * (n - k) + n, self.form(n - k).transpose())
+                for k in self.complex.ranks}
 
     def is_symmetric(self):
         t = self.transpose()
         return all(self.form(k) == t[k] for k in self.complex.ranks)
 
     def is_nondegenerate(self):
-        """Each phi_k must be square and invertible over the ring.  A signed
-        permutation of constant units is certified by its inverse psi, the
-        transpose with each entry inverted: phi psi = I.  Any other block
-        must have a unit determinant in Q[x_1..x_n], that is a nonzero
-        constant.  A nonzero determinant alone, like x for the form [[x]]
-        over Q[x], certifies nondegeneracy only over the fraction field."""
+        """Each phi_k must be square and invertible over the ring.  A block
+        with one constant c in each row and column is certified by its
+        inverse psi, the transpose with each c inverted: phi psi = I.  Any
+        other block must have a unit determinant in Q[x_1..x_n], that is a
+        nonzero constant.  A nonzero determinant alone, like x for the form
+        [[x]] over Q[x], certifies nondegeneracy only over the fraction
+        field."""
         x, n = self.complex, self.degree
         ring = x.ring
-        zero = ring.zero()
+        unit = (0,) * len(ring.gens)
         for k in x.ranks:
-            m = self.form(k)
             if x.rank(k) != x.rank(n - k):
                 return False
-            pairs = _relabelling(m)
-            if pairs is not None:
-                psi = mat_zero(len(m), len(m), zero)
-                for j, (i, c) in enumerate(pairs):
-                    psi[j][i] = ring.const(Fraction(1) / c)
-                if mat_mul(m, psi, zero) != mat_identity(len(m), ring.one(),
-                                                         zero):
+            m = self.form(k)
+            entries = [(j, e) for row in m.rows if len(row) == 1
+                       for j, e in row.items()]
+            if (len(entries) == len(m.rows) == len(dict(entries))
+                    and all(list(e.terms) == [unit] for _, e in entries)):
+                psi = m.transpose().map(
+                    lambda e: ring.const(Fraction(1) / e.terms[unit]))
+                if m * psi != _identity(ring, len(m.rows)):
                     return False
                 continue
-            det = bareiss_det(m, zero=zero, one=ring.one())
+            zero = ring.zero()
+            det = bareiss_det(m.dense(zero), zero=zero, one=ring.one())
             if det.is_zero() or any(any(e) for e in det.terms):
                 return False
         return True
@@ -290,10 +233,12 @@ class SymmetricComplex:
         return "SymmetricComplex(deg=%d, %r)" % (self.degree, self.complex)
 
     def to_json(self):
+        zero = self.complex.ring.zero()
         return {
             "complex": self.complex.to_json(),
             "degree": self.degree,
-            "form": {str(k): [[x.pretty() for x in row] for row in self.form(k)]
+            "form": {str(k): [[x.pretty() for x in row]
+                              for row in self.phi[k].dense(zero)]
                      for k in sorted(self.phi)},
         }
 
@@ -321,7 +266,7 @@ def koszul(n):
 
     The complex is built and verified (d o d = 0, chain map, symmetry) once
     per n and kept in `_koszul_table`.  Each call returns a copy whose
-    dicts and row lists are new, so editing it leaves later calls intact;
+    dicts and row dicts are new, so editing it leaves later calls intact;
     the entries, the label lists and the ring are shared values.
     """
     if n < 1:
@@ -329,16 +274,20 @@ def koszul(n):
     ksym = _koszul_table.get(n)
     if ksym is None:
         ksym = _koszul_table[n] = _build_koszul(n)
+
+    def copy(matrices):
+        return {k: SparseMatrix(m.cols, [dict(row) for row in m.rows])
+                for k, m in matrices.items()}
+
     cx = object.__new__(FreeComplex)
     cx.ring = ksym.complex.ring
     cx.ranks = dict(ksym.complex.ranks)
-    cx.diffs = {k: [list(row) for row in m]
-                for k, m in ksym.complex.diffs.items()}
+    cx.differentials = copy(ksym.complex.differentials)
     cx.labels = dict(ksym.complex.labels)
     out = object.__new__(SymmetricComplex)
     out.complex = cx
     out.degree = n
-    out.phi = {k: [list(row) for row in m] for k, m in ksym.phi.items()}
+    out.phi = copy(ksym.phi)
     return out
 
 
@@ -355,18 +304,18 @@ def _build_koszul(n):
     ones = [_signed(e, ring.one()) for e in (0, 1)]
     diffs = {}
     for k in range(1, n + 1):
-        m = mat_zero(ranks[k - 1], ranks[k], ring.zero())
+        m = SparseMatrix.zeros(ranks[k - 1], ranks[k])
         for col, subset in enumerate(labels[k]):
             for pos, j in enumerate(sorted(subset)):
-                m[index[k - 1][subset - {j}]][col] = gens[pos % 2][j - 1]
+                m.rows[index[k - 1][subset - {j}]][col] = gens[pos % 2][j - 1]
         diffs[k] = m
     cx = FreeComplex(ring, ranks, diffs, labels=labels)
     everything = frozenset(range(1, n + 1))
     phi = {}
     for k in range(n + 1):
-        m = mat_zero(ranks[n - k], ranks[k], ring.zero())
+        m = SparseMatrix.zeros(ranks[n - k], ranks[k])
         for col, subset in enumerate(labels[k]):
-            m[index[n - k][everything - subset]][col] = \
+            m.rows[index[n - k][everything - subset]][col] = \
                 ones[(sum(subset) - k * (k + 1) // 2 + k) % 2]
         phi[k] = m
     return SymmetricComplex(cx, n, phi)
@@ -385,31 +334,33 @@ def contracting_homotopy(ksym, invert):
     ring = cx.ring
     labels = cx.labels
     entry = ring.gen(invert - 1, -1)  # x^{-1}: Laurent is fine here
+    entries = (entry, -entry)
     homotopy = {}
     for k in range(0, n):
         idx = {s: i for i, s in enumerate(labels[k + 1])}
-        m = mat_zero(len(labels[k + 1]), len(labels[k]), ring.zero())
+        m = SparseMatrix.zeros(len(labels[k + 1]), len(labels[k]))
         for col, subset in enumerate(labels[k]):
-            if invert in subset:
-                continue
-            bigger = subset | {invert}
-            m[idx[bigger]][col] = _signed(sorted(bigger).index(invert), entry)
+            if invert not in subset:
+                bigger = subset | {invert}
+                m.rows[idx[bigger]][col] = \
+                    entries[sorted(bigger).index(invert) % 2]
         homotopy[k] = m
     # verify ds + sd = id in every degree, as the one product
-    # (d_{k+1} | s_{k-1}) (s_k ; d_k) of the nonzero entries
-    zero = ring.zero()
+    # (d_{k+1} | s_{k-1}) (s_k ; d_k)
     for k in range(0, n + 1):
         rk = cx.rank(k)
-        left, right = [[] for _ in range(rk)], []
+        left, right = [{} for _ in range(rk)], []
         if k < n:
-            for row, part in zip(left, cx.diff(k + 1)):
-                row += part
-            right += homotopy[k]
+            for row, part in zip(left, cx.diff(k + 1).rows):
+                row.update(part)
+            right += homotopy[k].rows
+        width = len(right)
         if k > 0:
-            for row, part in zip(left, homotopy[k - 1]):
-                row += part
-            right += cx.diff(k)
-        if mat_mul(left, right, zero) != mat_identity(rk, ring.one(), zero):
+            for row, part in zip(left, homotopy[k - 1].rows):
+                row.update((j + width, x) for j, x in part.items())
+            right += cx.diff(k).rows
+        if (SparseMatrix(len(right), left) * SparseMatrix(rk, right)
+                != _identity(ring, rk)):
             raise ChainError("homotopy identity fails at degree %d" % k)
     return homotopy
 
@@ -433,19 +384,11 @@ def _adjoin_rings(r1, r2):
 
 
 def _lifter(ring, gen_map):
-    """lift(m): the matrix m over ring, generator i of its entries renamed
-    to gen_map[i].  Each distinct entry is mapped once across all calls, so
-    the entries of every m must outlive the lifter."""
+    """lift(m): the SparseMatrix m over ring, generator i of its entries
+    renamed to gen_map[i].  Each distinct entry is mapped once across all
+    calls, so the entries of every m must outlive the lifter."""
     images = {}  # id of an entry -> its image
-
-    def lift(m):
-        for row in m:
-            for x in row:
-                if id(x) not in images:
-                    images[id(x)] = x.map_to(ring, gen_map)
-        return [[images[id(x)] for x in row] for row in m]
-
-    return lift
+    return lambda m: m.map(lambda x: x.map_to(ring, gen_map), images)
 
 
 def tensor_pair(msym, nsym):
@@ -460,10 +403,18 @@ def tensor_pair(msym, nsym):
     mx, nx = msym.complex, nsym.complex
     ring, map_m, map_n = _adjoin_rings(mx.ring, nx.ring)
     lift_m, lift_n = _lifter(ring, map_m), _lifter(ring, map_n)
-    mdiffs = {p: lift_m(m) for p, m in mx.diffs.items()}
-    ndiffs = {q: lift_n(m) for q, m in nx.diffs.items()}
-    mphi = {p: lift_m(m) for p, m in msym.phi.items()}
-    nphi = {q: lift_n(m) for q, m in nsym.phi.items()}
+
+    def columns(lift, matrices):
+        """k -> the columns of the lifted matrix k, as its transpose's rows"""
+        return {k: lift(m).transpose() for k, m in matrices.items()}
+
+    mdiffs = columns(lift_m, mx.differentials)
+    # q -> the columns of d_q and of -d_q, for the sign (-1)^p; each
+    # distinct entry is negated once
+    negatives = {}
+    ndiffs = {q: (m.rows, m.map(neg, negatives).rows)
+              for q, m in columns(lift_n, nx.differentials).items()}
+    mphi, nphi = columns(lift_m, msym.phi), columns(lift_n, nsym.phi)
     lo = min(mx.ranks) + min(nx.ranks)
     hi = max(mx.ranks) + max(nx.ranks)
     labels = {k: [] for k in range(lo, hi + 1)}
@@ -477,36 +428,34 @@ def tensor_pair(msym, nsym):
     # each entry of d and of the form is reached by at most one term: the
     # labels (p-1, a, q, j), (p, i, q-1, b) and (r-p, a, s-q, b) a column
     # reaches are distinct
-    zero = ring.zero()
     diffs = {}
     for k in range(lo + 1, hi + 1):
-        m = mat_zero(ranks[k - 1], ranks[k], zero)
+        m = diffs[k] = SparseMatrix.zeros(ranks[k - 1], ranks[k])
         for col, (p, i, q, j) in enumerate(labels[k]):
-            for a, row in enumerate(mdiffs.get(p, ())):
-                if row[i] is not zero:
-                    m[index[k - 1][(p - 1, a, q, j)]][col] = row[i]
-            for b, row in enumerate(ndiffs.get(q, ())):
-                if row[j] is not zero:
-                    m[index[k - 1][(p, i, q - 1, b)]][col] = _signed(p, row[j])
-        diffs[k] = m
-
+            if p in mdiffs:
+                for a, x in mdiffs[p].rows[i].items():
+                    m.rows[index[k - 1][(p - 1, a, q, j)]][col] = x
+            if q in ndiffs:
+                for b, y in ndiffs[q][p % 2][j].items():
+                    m.rows[index[k - 1][(p, i, q - 1, b)]][col] = y
     cx = FreeComplex(ring, ranks, diffs, labels=labels)
+
     n = r + s
+    products = {}  # (ids of the factors, sign) -> the entry, built once
     phi = {}
     for k in range(lo, hi + 1):
-        if not ranks.get(n - k):
-            continue
-        m = mat_zero(ranks[n - k], ranks[k], zero)
+        m = phi[k] = SparseMatrix.zeros(ranks.get(n - k, 0), ranks[k])
         for col, (p, i, q, j) in enumerate(labels[k]):
-            fn = nphi.get(q, ())   # rows: N_{s-q}
-            for a, row_m in enumerate(mphi.get(p, ())):   # rows: M_{r-p}
-                if row_m[i] is zero:
-                    continue
-                for b, row_n in enumerate(fn):
-                    if row_n[j] is not zero:
-                        m[index[n - k][(r - p, a, s - q, b)]][col] = \
-                            _signed(q * (r - p), row_m[i] * row_n[j])
-        phi[k] = m
+            if p not in mphi or q not in nphi:
+                continue
+            sign = q * (r - p) % 2
+            for a, x in mphi[p].rows[i].items():   # rows: M_{r-p}
+                for b, y in nphi[q].rows[j].items():   # rows: N_{s-q}
+                    key = (id(x), id(y), sign)
+                    entry = products.get(key)
+                    if entry is None:
+                        entry = products[key] = _signed(sign, x * y)
+                    m.rows[index[n - k][(r - p, a, s - q, b)]][col] = entry
     return SymmetricComplex(cx, n, phi)
 
 
@@ -526,37 +475,24 @@ def transport_sign(source, target, image, gen_map):
     """
     sx, tx = source.complex, target.complex
     n = source.degree
-    zero = tx.ring.zero()
-    lift = _lifter(tx.ring, gen_map)
-    # k -> the pair (target index, c) of each source label of degree k:
-    # iota_k has the one nonzero entry c in each column, so every product
-    # with it moves and scales rows or columns instead of multiplying
-    iota = {}
+    ring = tx.ring
+    lift = _lifter(ring, gen_map)
+    iota = {}  # k -> iota_k, the one constant c in each column
     for k in sx.ranks:
         index = {t: i for i, t in enumerate(tx.labels.get(k, ()))}
-        iota[k] = [(index[at], c) for at, c in map(image, sx.labels[k])]
+        m = iota[k] = SparseMatrix.zeros(len(index), sx.rank(k))
+        for col, (at, c) in enumerate(map(image, sx.labels[k])):
+            m.rows[index[at]][col] = ring.const(c)
     for k in sorted(sx.ranks):
-        if k - 1 in sx.ranks:
-            # iota_{k-1} d_k: row j of d_k, times c, added into row i
-            lhs = [None] * tx.rank(k - 1)
-            for row, (i, c) in zip(lift(sx.diff(k)), iota[k - 1]):
-                row = [_times(c, x) for x in row]
-                lhs[i] = row if lhs[i] is None else \
-                    [a + b for a, b in zip(lhs[i], row)]
-            lhs = [row or [zero] * sx.rank(k) for row in lhs]
-            rhs = [[_times(c, row[i]) for i, c in iota[k]]
-                   for row in tx.diff(k)]
-            if lhs != rhs:
-                raise ChainError("the relabelling is not a chain map at "
-                                 "degree %d" % k)
+        if k - 1 in sx.ranks and (iota[k - 1] * lift(sx.diff(k))
+                                  != tx.diff(k) * iota[k]):
+            raise ChainError("the relabelling is not a chain map at "
+                             "degree %d" % k)
     exponents = (0, 1)  # the signs (-1)^e still consistent with every degree
     for k in sorted(sx.ranks):
         if n - k not in sx.ranks:
             continue  # the form vanishes on X_k
-        # (iota_{n-k})^T psi_k iota_k has entry c_a c_b psi_k[i_a][i_b]
-        psi = target.form(k)
-        pulled = [[_times(c * d, psi[i][j]) for j, d in iota[k]]
-                  for i, c in iota[n - k]]
+        pulled = iota[n - k].transpose() * (target.form(k) * iota[k])
         form = lift(source.form(k))
         exponents = [e for e in exponents if pulled == _signed(e, form)]
         if not exponents:

@@ -816,8 +816,12 @@ def sp_reduce_unimodular(v, ring=ZZ):
     normalized gcd `ring.gcd_all([g])` as witness; a unit is scaled to 1 by
     the Whitehead lemma.  Each factor is checked on construction to
     preserve J (omega(u,u) = 0, see SympFactor), and the composite is
-    compared with e_1 before returning.
+    compared with e_1 before returning.  A ring with no element arithmetic,
+    such as ZHALF, is refused.
     """
+    if not hasattr(ring, "coerce"):
+        raise SpReductionError("%s has no element arithmetic"
+                               % getattr(ring, "name", ring))
     v = [ring.coerce(x) for x in v]
     n2 = len(v)
     if n2 % 2 or n2 < 2:

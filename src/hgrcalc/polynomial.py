@@ -347,18 +347,131 @@ def _exact_coeff_div(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Matrix helpers, the library's only matrix code.  Matrices are plain lists
-# of lists whose entries belong to any commutative ring (ints, Fractions,
-# Poly, field elements).  Entries are values that no code edits in place
-# (the one dict written after construction is the fresh one of
-# GWElement.__init__), so a single `zero` object fills every zero entry, a
-# PolyRing's zero() included.  Products cost their nonzero pairs: mat_mul
+# Matrix helpers, the library's only matrix code: SparseMatrix for Poly
+# entries, and lists of lists with entries in any commutative ring.  Entries
+# are values that no code edits in place (the one dict written after
+# construction is the fresh one of GWElement.__init__), so a single `zero`
+# object fills every zero entry, a PolyRing's zero() included.  mat_mul
 # lists the nonzero entries of each row of b once, and an entry that no
-# product reaches is the `zero` argument itself.  Under a Poly zero each
-# output entry sums its products' terms into one dict and becomes one Poly,
-# or `zero` itself when they cancel.  `zero` and `one` default to the
-# integers and must be passed for other entry rings.
+# product reaches is the `zero` argument itself; under a Poly zero it
+# multiplies as SparseMatrix.  `zero` and `one` default to the integers.
 # ---------------------------------------------------------------------------
+
+
+class SparseMatrix:
+    """A matrix of Poly entries of one ring: its column count and one
+    {column: entry} dict per row, zeros never stored.  The product sums
+    c1*c2 at e1+e2 from the entries' terms into one dict per reached entry
+    and builds one Poly for each that does not cancel; `map`, negation
+    included, calls its function once per distinct entry, so entries shared
+    in the matrix stay shared in the image."""
+
+    __slots__ = ("cols", "rows")
+
+    def __init__(self, cols, rows):
+        self.cols = cols
+        self.rows = rows
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls(cols, [{} for _ in range(rows)])
+
+    @classmethod
+    def coerce(cls, ring, m, cols):
+        """The dense rows m, each cols long, over ring: a Poly of ring stays,
+        an int or Fraction x becomes ring.const(Fraction(x)), another ring
+        element (of GF(q), say) ring.const(x), and a zero is left out; a
+        nonzero Poly of another ring raises ValueError."""
+        rows = []
+        for row in m:
+            out = {}
+            for j, x in enumerate(row):
+                if not x:
+                    continue
+                if isinstance(x, Poly):
+                    if x.ring is not ring and x.ring != ring:
+                        raise ValueError("elements of different rings: %r "
+                                         "and %r" % (ring, x.ring))
+                elif isinstance(x, (int, Fraction)):
+                    x = ring.const(Fraction(x))
+                else:
+                    x = ring.const(x)
+                out[j] = x
+            rows.append(out)
+        return cls(cols, rows)
+
+    @property
+    def shape(self):
+        return (len(self.rows), self.cols)
+
+    def __eq__(self, other):
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        return self.cols == other.cols and self.rows == other.rows
+
+    def __repr__(self):
+        return "SparseMatrix(%d, %r)" % (self.cols, self.rows)
+
+    def dense(self, zero):
+        """The rows as lists, `zero` in every entry not stored."""
+        out = []
+        for row in self.rows:
+            dense = [zero] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
+
+    def __mul__(self, other):
+        if self.cols != len(other.rows):
+            raise ValueError("matrix shapes %sx%s and %sx%s do not compose"
+                             % (self.shape + other.shape))
+        out = []
+        for row in self.rows:
+            sums = {}  # column -> the term dict of the entry
+            for k, x in row.items():
+                xs = x.terms.items()
+                for j, y in other.rows[k].items():
+                    d = sums.get(j)
+                    if d is None:
+                        d = sums[j] = {}
+                    for e2, c2 in y.terms.items():
+                        for e1, c1 in xs:  # a constant keeps y's exponents
+                            e = tuple(map(add, e1, e2)) if any(e1) else e2
+                            s = d.get(e)
+                            d[e] = c1 * c2 if s is None else s + c1 * c2
+            # x, any entry of the row, builds Polys of its type and ring
+            out.append({j: x._new(d) for j, d in sums.items()
+                        if any(d.values())})
+        return SparseMatrix(other.cols, out)
+
+    def transpose(self):
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return SparseMatrix(len(self.rows), out)
+
+    def map(self, f, images=None):
+        """The matrix of the nonzero f(x), f called once per distinct entry
+        x; `images`, an id -> image dict, may carry the images across
+        calls, whose entries must then outlive it."""
+        if images is None:
+            images = {}
+        rows = []
+        for row in self.rows:
+            out = {}
+            for j, x in row.items():
+                y = images.get(id(x))
+                if y is None:
+                    y = images[id(x)] = f(x)
+                if y:
+                    out[j] = y
+            rows.append(out)
+        return SparseMatrix(self.cols, rows)
+
+    def __neg__(self):
+        return self.map(Poly.__neg__)
 
 
 def mat_shape(m):
@@ -395,7 +508,9 @@ def mat_mul(a, b, zero=0):
         raise ValueError("matrix shapes %sx%s and %sx%s do not compose"
                          % (ra, ca, rb, cb))
     if isinstance(zero, Poly):
-        return _poly_mat_mul(a, b, zero, cb)
+        product = (SparseMatrix.coerce(zero.ring, a, ca)
+                   * SparseMatrix.coerce(zero.ring, b, cb))
+        return product.dense(zero)
     nonzero = [[(j, y) for j, y in enumerate(row_b) if y] for row_b in b]
     out = []
     for row_a in a:
@@ -404,60 +519,6 @@ def mat_mul(a, b, zero=0):
             if x:
                 for j, y in pairs:
                     row[j] = row[j] + x * y
-        out.append(row)
-    return out
-
-
-def _poly_mat_mul(a, b, zero, cols):
-    """mat_mul under a Poly zero: c1*c2 is summed at e1+e2 straight from
-    the operands' terms into one dict per output entry.  Scalar entries are
-    constants of zero's ring; a nonzero Poly of another ring raises
-    ValueError."""
-    ring = zero.ring
-    unit = (0,) * len(ring.gens)
-
-    def operand(x):
-        """x's (e, c) pairs, a scalar being c at the zero exponent; None
-        for zero."""
-        if not isinstance(x, Poly):
-            return [(unit, x)] if x else None
-        t = x.terms
-        if not t:
-            return None
-        if x.ring is not ring and x.ring != ring:
-            raise ValueError("elements of different rings: %r and %r"
-                             % (ring, x.ring))
-        return t.items()
-
-    rows_b = []
-    for row_b in b:
-        pairs = []
-        for j, y in enumerate(row_b):
-            if y is not zero:
-                ys = operand(y)
-                if ys is not None:
-                    pairs.append((j, ys))
-        rows_b.append(pairs)
-    out = []
-    for row_a in a:
-        row = [None] * cols  # a term dict per reached entry
-        for x, pairs in zip(row_a, rows_b):
-            if x is zero or not pairs:
-                continue
-            xs = operand(x)
-            if xs is None:
-                continue
-            for j, ys in pairs:
-                d = row[j]
-                if d is None:
-                    d = row[j] = {}
-                for e1, c1 in xs:
-                    for e2, c2 in ys:
-                        e = tuple(map(add, e1, e2))
-                        s = d.get(e)
-                        d[e] = c1 * c2 if s is None else s + c1 * c2
-        for j, d in enumerate(row):  # no Poly for a cancelled entry
-            row[j] = zero._new(d) if d and any(d.values()) else zero
         out.append(row)
     return out
 

@@ -236,7 +236,8 @@ def transport_sign_by_matrices(source, target, image, gen_map):
     ring = tx.ring
 
     def lift(m):
-        return [[x.map_to(ring, gen_map) for x in row] for row in m]
+        return [[x.map_to(ring, gen_map) for x in row]
+                for row in m.dense(sx.ring.zero())]
 
     iota = {}
     for k in sx.ranks:
@@ -249,14 +250,15 @@ def transport_sign_by_matrices(source, target, image, gen_map):
     for k in sorted(sx.ranks):
         if k - 1 in sx.ranks:
             lhs = _mat_mul(iota[k - 1], lift(sx.diff(k)))
-            if lhs != _mat_mul(tx.diff(k), iota[k]):
+            if lhs != _mat_mul(tx.diff(k).dense(ring.zero()), iota[k]):
                 return "the relabelling is not a chain map at degree %d" % k
     signs = [1, -1]
     for k in sorted(sx.ranks):
         if n - k not in sx.ranks:
             continue
         iota_t = [list(col) for col in zip(*iota[n - k])]
-        pulled = _mat_mul(iota_t, _mat_mul(target.form(k), iota[k]))
+        pulled = _mat_mul(iota_t, _mat_mul(target.form(k).dense(ring.zero()),
+                                           iota[k]))
         form = lift(source.form(k))
         signs = [e for e in signs
                  if pulled == [[e * x for x in row] for row in form]]

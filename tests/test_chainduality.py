@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hgrcalc.chainduality import (ChainError, FreeComplex, SymmetricComplex,
-                                  _form_times, _relabelling,
                                   contracting_homotopy, koszul,
                                   koszul_tensor_isometry, swap_sign,
                                   tensor_pair, transport_sign)
 from hgrcalc.forms import FiniteField
-from hgrcalc.polynomial import PolyRing, mat_mul, mat_transpose
+from hgrcalc.polynomial import Poly, PolyRing, bareiss_det, mat_transpose
 
 import oracles
 
@@ -17,7 +16,7 @@ def dual(cx):
     """The dual complex: degreewise transpose with the sign (-1)^k."""
     ranks = {-k: r for k, r in cx.ranks.items()}
     diffs = {k: [[-x if k % 2 else x for x in row]
-                 for row in mat_transpose(cx.diff(1 - k))]
+                 for row in mat_transpose(cx.diffs[1 - k])]
              for k in ranks if cx.rank(1 - k)}
     return FreeComplex(cx.ring, ranks, diffs)
 
@@ -71,7 +70,7 @@ class TestFreeComplex:
         dx = dual(cx)
         assert dx.ranks == {0: 1, -1: 1}
         # (d^v)_0 = (-1)^0 (d_1)^T = x
-        assert dx.diff(0)[0][0] == cx.ring.gen(0)
+        assert dx.diff(0).rows[0][0] == cx.ring.gen(0)
         dx.validate()
 
     def test_double_dual_negates_differentials(self):
@@ -80,14 +79,14 @@ class TestFreeComplex:
         cx = two_term_x()
         dd = dual(dual(cx))
         assert dd.ranks == cx.ranks
-        assert dd.diff(1)[0][0] == -cx.ring.gen(0)
+        assert dd.diff(1).rows[0][0] == -cx.ring.gen(0)
 
     def test_shift(self):
         cx = two_term_x()
         sh = shift(cx, 1)
         assert sh.ranks == {1: 1, 2: 1}
-        assert sh.diff(2)[0][0] == -cx.ring.gen(0)
-        assert shift(cx, 2).diff(3)[0][0] == cx.ring.gen(0)
+        assert sh.diff(2).rows[0][0] == -cx.ring.gen(0)
+        assert shift(cx, 2).diff(3).rows[0][0] == cx.ring.gen(0)
 
 
 class TestKoszul:
@@ -96,16 +95,16 @@ class TestKoszul:
         # form components (-1, 1)
         k = koszul(1)
         assert k.complex.ranks == {0: 1, 1: 1}
-        assert k.complex.diff(1)[0][0] == k.complex.ring.gen(0)
-        assert k.form(1)[0][0] == k.complex.ring.const(-1)
-        assert k.form(0)[0][0] == k.complex.ring.one()
+        assert k.complex.diff(1).rows[0][0] == k.complex.ring.gen(0)
+        assert k.form(1).rows[0][0] == k.complex.ring.const(-1)
+        assert k.form(0).rows[0][0] == k.complex.ring.one()
 
     def test_rank_one_shifted_dual_differential(self):
         # the target K^v[1] carries the differential -x
         k = koszul(1)
         target = shift(dual(k.complex), 1)
         assert target.ranks == {0: 1, 1: 1}
-        assert target.diff(1)[0][0] == -k.complex.ring.gen(0)
+        assert target.diff(1).rows[0][0] == -k.complex.ring.gen(0)
 
     def test_binomial_ranks(self):
         k = koszul(3)
@@ -115,7 +114,7 @@ class TestKoszul:
         # H_0 presents the quotient by (x_1..x_n): d_1 = (x_1 .. x_n)
         for n in (1, 2, 3):
             k = koszul(n)
-            d1 = k.complex.diff(1)
+            d1 = k.complex.diffs[1]
             assert len(d1) == 1
             assert [e.pretty() for e in d1[0]] == \
                 ["x%d" % i for i in range(1, n + 1)]
@@ -161,16 +160,24 @@ class TestKoszul:
         phi = SymmetricComplex(cx3, 0, {0: [[a]]})
         assert not phi.is_nondegenerate()
 
-    def test_relabelling_reads_signed_permutations_of_units_only(self):
+    def test_nondegenerate_blocks_agree_with_bareiss(self):
+        # a block with one constant in each row and column is certified by
+        # its inverse, any other by its determinant: both rules agree with
+        # the determinant being a unit
         ring = PolyRing(("x",))
         x, one, zero = ring.gen(0), ring.one(), ring.zero()
-        assert _relabelling([[2 * one]]) == [(0, 2)]
-        assert _relabelling([[zero, -one], [one, zero]]) == [(1, 1), (0, -1)]
-        # a non-constant entry, a row or column with two entries, a zero
-        # row, and a non-square block take the generic product
-        for m in ([[x]], [[one + x]], [[one, one], [zero, one]],
-                  [[one, zero], [zero, zero]], [[one, zero]]):
-            assert _relabelling(m) is None, m
+        cx1, cx2 = (FreeComplex(ring, {0: r}, {}) for r in (1, 2))
+        for m, want in (([[2 * one]], True), ([[x]], False),
+                        ([[one + x]], False),
+                        ([[zero, -one], [-one, zero]], True),
+                        ([[one, one], [one, 2 * one]], True),
+                        ([[one, zero], [zero, zero]], False),
+                        ([[zero, x], [x, zero]], False)):
+            got = SymmetricComplex(cx1 if len(m) == 1 else cx2, 0,
+                                   {0: m}).is_nondegenerate()
+            det = bareiss_det(m, zero=zero, one=one)
+            assert got is want is (bool(det) and not any(any(e)
+                                                         for e in det.terms))
 
     def test_small_blocks_off_the_relabelling(self):
         # [[0,1],[1,0]] is certified by its inverse, [[1,1],[1,2]] by its
@@ -189,18 +196,19 @@ class TestKoszul:
         lambda: tensor_pair(koszul(2), koszul(2))])
     def test_relabelling_and_generic_products_agree(self, make):
         # every product chain_defect takes with a block of a Koszul form or
-        # of a tensor of two, by re-indexing and multiplied out
+        # of a tensor of two, a signed relabelling, as a sparse product and
+        # as the generic product written out entry by entry
         sym = make()
         x, n = sym.complex, sym.degree
         zero = x.ring.zero()
         for k in sym.phi:
             phi = sym.form(k)
-            assert _relabelling(phi) is not None
             # phi_k d_{k+1} and phi_k^T d_{n-k+1}
             for f, d in ((phi, x.diff(k + 1)),
-                         (mat_transpose(phi), x.diff(n - k + 1))):
-                if d and d[0]:
-                    assert _form_times(f, d, zero) == mat_mul(f, d, zero)
+                         (phi.transpose(), x.diff(n - k + 1))):
+                if d.rows and d.cols:
+                    assert (f * d).dense(zero) == oracles._mat_mul(
+                        f.dense(zero), d.dense(zero))
 
     @pytest.mark.parametrize("make", [lambda: koszul(3),
                                       lambda: tensor_pair(koszul(1),
@@ -208,23 +216,22 @@ class TestKoszul:
     def test_one_flipped_sign_is_no_chain_map(self, make):
         sym = make()
         for k in sorted(sym.phi):
-            for row in sym.phi[k]:
-                for j, e in enumerate(row):
-                    if e.terms:
-                        row[j] = -e
-                        assert sym.chain_defect() is not None, (k, j)
-                        row[j] = e
+            for row in sym.phi[k].rows:
+                for j, e in row.items():
+                    row[j] = -e
+                    assert sym.chain_defect() is not None, (k, j)
+                    row[j] = e
         assert sym.chain_defect() is None
 
     def test_edited_copy_leaves_the_table_intact(self):
         # koszul(n) is built once; the copy a call returns has its own
-        # rows and dicts, so editing it changes no later call
+        # dicts, its row dicts included, so editing it changes no later call
         want = koszul(3).to_json()
         k = koszul(3)
-        d2 = k.complex.diffs[2]
+        d2 = k.complex.diff(2).rows
         d2[0][0] = -d2[0][0]
         k.complex.ranks[1] += 1
-        k.phi[1][0][2] = k.complex.ring.zero()
+        del k.phi[1].rows[0][2]  # a zero entry is one not stored
         assert k.chain_defect() is not None
         assert koszul(3).to_json() == want
         assert koszul(3).chain_defect() is None and koszul(3).is_nondegenerate()
@@ -232,6 +239,13 @@ class TestKoszul:
         assert merged.complex.ranks == {0: 1, 1: 3, 2: 3, 3: 1}
         assert swap_sign(koszul(3), koszul(3)) == -1
         assert swap_sign(koszul(2), koszul(3)) == 1
+
+    def test_chain_defect_names_the_first_degree(self):
+        # phi_0 = (1) on x : X_1 -> X_0 with n = 0: at degree 0,
+        # d_1^T phi_0 = (x) while X_{-1} = 0, so the condition fails there
+        # first, though the side phi_{-1} d_0 is a map into the zero module
+        with pytest.raises(ChainError, match="chain map at degree 0$"):
+            SymmetricComplex(two_term_x(), 0, {0: [[1]]})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_d_squared_zero(self, n):
@@ -254,7 +268,7 @@ class TestContractingHomotopy:
     def test_explicit_rank_one(self):
         k = koszul(1)
         h = contracting_homotopy(k, 1)
-        entry = h[0][0][0]
+        entry = h[0].rows[0][0]
         assert entry.terms == {(-1,): Fraction(1)}
 
     def test_bad_variable_index(self):
@@ -264,7 +278,7 @@ class TestContractingHomotopy:
     def test_wrong_differential_fails_the_identity(self):
         # one entry of d_2 negated: ds + sd = id fails where d_2 enters
         k = koszul(3)
-        d2 = k.complex.diffs[2]
+        d2 = k.complex.diff(2).rows
         d2[0][0] = -d2[0][0]
         with pytest.raises(ChainError, match="homotopy identity fails at "
                                              "degree 1$"):
@@ -310,14 +324,14 @@ class TestTensor:
                              2: [(2, 0, 0, 0)], 3: [(2, 0, 1, 0)]}
         x = cx.ring.gen(1)
         # d(m@n) = dm@n + (-1)^|m| m@dn; the gap leaves d_2 = 0
-        assert cx.diff(1) == [[x]] and cx.diff(3) == [[x]]
-        assert cx.diff(2)[0][0].is_zero()
+        assert cx.diffs[1] == [[x]] and cx.diffs[3] == [[x]]
+        assert cx.diffs[2][0][0].is_zero()
         cx.validate()
         assert t.is_symmetric()
         assert t.chain_defect() is None
         # nu(p, q) = (-1)^{q(r-p)} is +1 on every block (r - p is even), so
         # the form is (1) @ Theta(1) = (1, -1, 1, -1) by degree
-        assert [t.form(k)[0][0] for k in range(4)] == [1, -1, 1, -1]
+        assert [t.form(k).rows[0][0] for k in range(4)] == [1, -1, 1, -1]
 
     def test_gap_survives_the_unit(self):
         t = tensor_pair(gap_complex(), unit_complex())
@@ -353,6 +367,62 @@ def test_swap_sign(r, s):
     assert swap_sign(thom(r), thom(s)) == (-1) ** (r * s)
 
 
+@pytest.mark.parametrize("q", [7, 9])
+def test_bare_field_entries_are_constants(q):
+    # a bare GF(q) entry becomes a constant of the ring, as an int does: the
+    # complexes build and validate, and is_nondegenerate answers as it does
+    # for the same entries written as polynomials
+    field = FiniteField(q)
+    ring = PolyRing(("x",))
+    a, b, c = (field._element(n) for n in (3, 1, 4))
+    zero = field.zero()
+    FreeComplex(ring, {0: 1, 1: 1}, {1: [[field.coerce(3)]]}).validate()
+    # d_1 d_2 = ab - ba vanishes, ab + ba = 2ab does not
+    cx = FreeComplex(ring, {0: 1, 1: 2, 2: 1}, {1: [[a, b]], 2: [[b], [-a]]})
+    assert cx.diff(2).rows[1][0] == ring.const(-a)
+    with pytest.raises(ChainError, match="d o d"):
+        FreeComplex(ring, {0: 1, 1: 2, 2: 1}, {1: [[a, b]], 2: [[b], [a]]})
+    square = FreeComplex(ring, {0: 2}, {})
+    for m, want in (([[a, zero], [zero, b]], True),
+                    ([[zero, c], [c, zero]], True),
+                    ([[a, b], [b, c]], True),
+                    ([[a, a], [a, a]], False),
+                    ([[a, zero], [zero, zero]], False)):
+        poly = [[ring.const(x) if x else ring.zero() for x in row]
+                for row in m]
+        assert SymmetricComplex(square, 0, {0: m}).is_nondegenerate() \
+            is SymmetricComplex(square, 0, {0: poly}).is_nondegenerate() \
+            is want
+
+
+def test_entry_of_another_ring_refused():
+    ring, other = PolyRing(("x",)), PolyRing(("y",))
+    with pytest.raises(ChainError, match="^differential 1: elements of "
+                                         "different rings"):
+        FreeComplex(ring, {0: 1, 1: 1}, {1: [[other.gen(0)]]})
+    with pytest.raises(ChainError, match="^form 0: elements of different "
+                                         "rings"):
+        SymmetricComplex(FreeComplex(ring, {0: 1}, {}), 0,
+                         {0: [[other.one()]]})
+
+
+def test_tensor_entries_are_shared(monkeypatch):
+    # tensor_pair builds one form entry per distinct pair of factors and
+    # sign, and negates each distinct entry of d once, so the lifts of
+    # koszul_tensor_isometry(2, 3) call Poly.map_to 33 times; a fresh
+    # entry per product took 67
+    calls = []
+    map_to = Poly.map_to
+
+    def counting(self, *args):
+        calls.append(self)
+        return map_to(self, *args)
+
+    monkeypatch.setattr(Poly, "map_to", counting)
+    koszul_tensor_isometry(2, 3)
+    assert len(calls) == 33
+
+
 def _swap(signed):
     """The factor swap of K(1) @ K(1), with or without its sign (-1)^{pq},
     and the generator map that exchanges the two variables."""
@@ -368,7 +438,7 @@ def test_transport_sign_names_the_degree_the_form_fails_at():
     # form, from the first degree on
     t = tensor_pair(koszul(1), koszul(1))
     doubled = SymmetricComplex(t.complex, t.degree,
-                               {k: [[x + x for x in row] for row in m]
+                               {k: m.map(lambda x: x + x)
                                 for k, m in t.phi.items()})
     with pytest.raises(ChainError, match="form at degree 0$"):
         transport_sign(t, doubled, *_swap(signed=True))

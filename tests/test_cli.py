@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -404,6 +405,29 @@ class TestGW:
         assert len(json.loads(out)["matrix"]) == 32
 
 
+# sha256 of the stdout of koszul --n N --json, without and with
+# --invert 1, as printed before the chain layer stored its matrices
+# sparsely
+KOSZUL_DIGESTS = {
+    1: ("d4ccacedb5cbeca19e33cf58a3ba9b2a9177debc5931cf975c3dbeb1a1cdbc20",
+        "b1b59ecc4c49cdd4d031e1f1137311b05ccddf55eb898998205ad3b9d23a0bc8"),
+    2: ("6e85ed0233a11211079ea59484d5eeb248845693d1369e2a709e42b447fe2404",
+        "4ec2a1ff9296be04f5cb671e8c598d7a8657b412b80ac421e503f9d25bb1e0c6"),
+    3: ("ed0e2161de50d875b52bf94db6a5a68c90eb9e3e2cec44f59c8cee27fd396c30",
+        "f20243fbe85588dc8910f471879ddacb8132dba0aed4555c7a485138b5b67516"),
+    4: ("06aa92a9dd1a0353470f0d1a21738ebc5d4425dfaf6520bb474d5a890638b2ea",
+        "bfd92eb92514fbed816aca5b038093bf381118df5e89514ba3e6f2232489f04a"),
+    5: ("e43819e2bb8a7aaeff74cf3d906655c12c61deed1dd3ac5f9dffed5048506f0d",
+        "cc06b9b1e5d79307ed29df91060aa140800e84a7f20538d779c7f17d9840735a"),
+    6: ("22a39d95efc9817e8543d85da844a012d6541e5825c7537976b69ddd06f283aa",
+        "f10e9a0a71d018c2ab4e0bf4d4d0e6ec978069bc84c75ab6ad72028a38f56a97"),
+    7: ("4b5ee7bceb0f9ccd6c768b3cd2c568c8417d00bf4b535216383579a523151385",
+        "57b9836a2b7a3951cd0233175d59302e9635417137fac1779f364f1759f41a17"),
+    8: ("e9b07e07c4d2fc2a2d4e8e2e776be31eb9d4de8d26704ecedacf8e1c7b9dc498",
+        "f39db2f76c01b533631e3b769471db5c67a08a3d0d181380ea34b9ed0bf71178"),
+}
+
+
 class TestKoszulCmd:
     def test_basic(self, capsys):
         code, out, _ = run_cli(capsys, "koszul", "--n", "2", "--json")
@@ -434,8 +458,16 @@ class TestKoszulCmd:
         assert json.loads(out) == {"error": message}
         assert err == "usage error: %s\n" % message
 
+    @pytest.mark.parametrize("n", sorted(KOSZUL_DIGESTS))
+    def test_bytes_are_pinned(self, capsys, n):
+        for argv, want in zip(([], ["--invert", "1"]), KOSZUL_DIGESTS[n]):
+            code, out, _ = run_cli(capsys, "koszul", "--n", str(n), "--json",
+                                   *argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
     def test_n_over_the_bound_refused(self, capsys):
-        # n = 11 takes 2.2 s, and each further n about four times as long
+        # n = 11 takes 0.8 s, and each further n about four times as long
         with alarm(2):
             code, out, err = run_cli(capsys, "koszul", "--n", "11", "--json")
         assert code == 2
@@ -656,6 +688,19 @@ class TestTowerCmd:
         code, _, err = run_cli(capsys, "tower", "--spec", "{}")
         assert code == 2
         assert "levels" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"levels": [{"gens": 1, "relations": []}], "maps": [], "tial": "x"},
+         "unknown field 'tial'"),
+        ({"levels": [{"gens": 1, "rels": [[2]]}], "maps": []},
+         "unknown level field 'rels'")])
+    def test_unknown_spec_field_refused(self, capsys, spec, message):
+        # a misspelt field used to be ignored: "tial" left the tail at its
+        # default, and "rels" dropped the relations
+        code, out, err = run_cli(capsys, "tower", "--spec", json.dumps(spec))
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --spec: %s\n" % message
 
     def test_negative_depth_rejected(self, capsys):
         # level(-1) would index the last level from the end

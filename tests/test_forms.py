@@ -423,6 +423,12 @@ class TestSpReduce:
             e1 = [QX.one()] + [QX.zero()] * (n2 - 1)
             assert w == e1
 
+    def test_ring_without_arithmetic_refused(self):
+        # ZHALF keeps unit square classes only: no coerce, no division
+        with pytest.raises(SpReductionError,
+                           match=r"^Z\[1/2\] has no element arithmetic$"):
+            sp_reduce_unimodular([1, 0], ZHALF)
+
     def test_polynomial_non_unimodular(self):
         x = QX.ring.gen(0)
         with pytest.raises(SpReductionError):

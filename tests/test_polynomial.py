@@ -236,7 +236,7 @@ class TestSharedZero:
             assert r.zero() is r.zero()
             assert r.zero().terms == {}
         # the zero entries of the Koszul differentials are the ring's zero
-        d = ksym.complex.diff(2)
+        d = ksym.complex.diffs[2]
         assert any(x is ksym.complex.ring.zero() for row in d for x in row)
 
 
@@ -369,9 +369,9 @@ class TestMatMulCost:
         cx = ksym.complex
         zero = cx.ring.zero()
         if case == "d2-d3":
-            a, b = cx.diff(2), cx.diff(3)
+            a, b = cx.diffs[2], cx.diffs[3]
         else:
-            a, b = ksym.form(2), cx.diff(3)
+            a, b = ksym.form(2).dense(zero), cx.diffs[3]
         got, count = self.counts(monkeypatch, a, b, zero)
         assert got == oracles._mat_mul(a, b)
         nonzero = sum(x is not zero for row in got for x in row)
