@@ -30,12 +30,12 @@ MATRIX_DIMENSION_BOUND = 32
 MATRIX_ENTRY_BOUND = 10 ** 6
 # largest work of a schur call, the weight w of --partition times the
 # number of e-monomials of weight w in e_1..e_gens (the Schur classes the
-# Kostka inversion computes): within it, s_(62) in 2 generators takes 0.13 s
-# and s_(14) in 14 0.43 s through the CLI; past it, in process, s_(17) in
-# 17 (work 5049) takes 2.6 s and s_(268) in 2 (work 36180) 4.8 s.  s_lambda
+# Kostka inversion computes): within it, s_(62) in 2 generators takes 0.14 s
+# and s_(14) in 14 0.36 s through the CLI; past it, in process, s_(17) in
+# 17 (work 5049) takes 2.2 s and s_(268) in 2 (work 36180) 3.3 s.  s_lambda
 # is computed in min(gens, w) generators, but the output still carries one
 # exponent per generator, so --gens is bounded too: s_(14) in 32
-# generators takes 0.42 s through the CLI, in 14 0.43 s
+# generators takes 0.39 s through the CLI, in 14 0.36 s
 SCHUR_WORK_BOUND = 2000
 SCHUR_GENS_BOUND = 32
 # largest rank C(n, r) of a hgr-ring or restriction ring: C(18, 9) = 48620
@@ -80,9 +80,13 @@ def _schur_work(w, gens):
 
 def cmd_schur(args):
     from . import grassring, symfun
+    fields = args.partition.split(",") if args.partition else []
+    for field in fields:
+        if not (field.isascii() and field.isdigit()):
+            raise UsageError("--partition: %r is not a part; give digits "
+                             "separated by commas" % field)
     try:
-        lam = symfun.Partition(tuple(int(p) for p in args.partition.split(",")
-                                     if p != "")) if args.partition else symfun.EMPTY
+        lam = symfun.Partition(tuple(map(int, fields)))
     except ValueError as err:
         raise UsageError("--partition: %s" % err)
     if args.gens > SCHUR_GENS_BOUND:

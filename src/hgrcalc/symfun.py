@@ -4,9 +4,13 @@ Polynomials live in Z[e_1..e_r] with deg(e_i) = i (the Pontryagin weight
 grading).  The Schur basis has one algorithm, the Littlewood-Richardson rule
 on the partitions themselves, in one pass per product: the states of every
 partition of one factor merge, and the strips of the other factor's
-partitions are shared along a trie of their rows.  It multiplies Schur
-combinations, and since e_k = s_(1^k) it expands e-monomials over the Schur
-classes of a rows x cols box; Schur polynomials invert that expansion.
+partitions are shared along a trie of their rows.  Where the trie goes on
+in one-cell rows only, the labels are forced and that tail is placed as a
+vertical strip; near the top of the box the pass multiplies by the
+complements of the box instead (c^nu_{lam,mu} = c^{lam^}_{mu,nu^}), whose
+strips are shorter.  It multiplies Schur combinations, and since
+e_k = s_(1^k) it expands e-monomials over the Schur classes of a
+rows x cols box; Schur polynomials invert that expansion.
 """
 
 from functools import lru_cache
@@ -14,6 +18,7 @@ from itertools import accumulate
 from math import comb
 from operator import sub
 
+from . import _is_integer
 from .polynomial import PolyRing
 
 
@@ -23,9 +28,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError("partition parts must be positive")
+        parts = tuple(parts)
+        if not all(_is_integer(p) and p > 0 for p in parts):
+            raise ValueError("partition parts must be positive integers")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
         self.parts = parts
@@ -190,51 +195,131 @@ def lr_multiply(xs, ys, rows, cols):
 
     Littlewood-Richardson rule (Remmel-Whitney; Fulton, Young Tableaux 5.2):
     the rows of each mu of the strip factor are added to each lam of the
-    base factor as horizontal strips labelled 1, 2, ..  The reading word
-    (rows top to bottom, each right to left) is a lattice word exactly when,
-    for every row j, the label-i cells in rows <= j number at most the
-    label-(i-1) cells in rows < j; each strip keeps that bound while it
-    grows.  The strip factor is the one whose partitions have fewer rows,
-    on a tie the one with fewer terms.  Every lam starts one state with
-    multiplicity x_lam, and fillings that reach the same shape and running
-    label counts merge by adding multiplicities: the steps are linear, so
-    one pass serves the whole base factor.  The mu form a trie on their
-    rows, walked depth first with one strip step per node, so mu that
-    share their first rows share those steps; where a mu ends, each state
-    adds its multiplicity times y_mu to its shape.
-    """
-    xs, x_rows, x_light = _box_terms(xs, rows, cols)
-    ys, y_rows, y_light = _box_terms(ys, rows, cols)
-    if (y_rows, len(ys)) > (x_rows, len(xs)):
-        xs, ys, x_light, y_light = ys, xs, y_light, x_light
-    # a term that cannot fit in the box beside the other factor's lightest
-    # term drops out
-    room = rows * cols
-    # a trie node is [y_mu where a mu ends there or None, {next row: node}]
-    root = [None, {}]
-    for parts, c in ys.items():
-        if sum(parts) + x_light <= room:
-            node = root
-            for m in parts:
-                child = node[1].get(m)
-                if child is None:
-                    child = node[1][m] = [None, {}]
-                node = child
-            node[0] = c
-    # a state is (shape, cum), shape padded to the rows of the box and
-    # cum[j] the count of the latest label's cells in rows <= j; at a node
-    # no mu continues below, the shape alone is the key
-    keep = bool(root[1])
-    states = {}
-    for parts, c in xs.items():
-        if sum(parts) + y_light <= room:
-            shape = parts + (0,) * (rows - len(parts))
-            states[(shape, ()) if keep else shape] = c
+    base factor as horizontal strips labelled 1, 2, ..  The strip factor is
+    the one whose partitions have fewer rows, on a tie the one with fewer
+    terms; `_lr_states` runs the rule.
 
-    # grows strip i (label i + 1) from row j down, editing shape in place;
-    # it reads the state being extended (old, above, mult) from the loop
-    # below
+    Near the top of the box the product runs through the duality of the
+    box (Fulton, Young Tableaux 9.4): c^nu_{lam,mu} = c^{lam^}_{mu,nu^},
+    where nu^ = (cols - nu_rows, .., cols - nu_1) is nu's complement.  When
+    both factors are homogeneous, of weights a and b, and the product
+    leaves f = rows*cols - a - b cells free, fewer than either weight, the
+    pass multiplies the factor with fewer terms by every s_{nu^} of weight
+    f at once, one strip trie whose ends are keyed by nu, and reads the
+    other factor at the complements lam^ of the shapes it reaches: the
+    strips have f cells instead of min(a, b).  In a box of one row or one
+    column, or beside s_(1) (a = 1, f = 0), every strip is one row or one
+    cell either way, so there the complements are not taken: their set-up
+    measured slower.
+    """
+    xs, x_rows, x_light, x_heavy = _box_terms(xs, rows, cols)
+    ys, y_rows, y_light, y_heavy = _box_terms(ys, rows, cols)
+    room = rows * cols
+    free = room - x_light - y_light
+    if free < 0:  # no two terms fit in the box together
+        return {}
+    if (x_light == x_heavy and y_light == y_heavy and rows > 1 and cols > 1
+            and 1 < x_light and 1 < y_light
+            and free < x_light and free < y_light):
+        # the factor with fewer terms starts the states, the other is read
+        if len(xs) < len(ys):
+            xs, ys = ys, xs
+        # padded lam^ -> x_lam
+        dual = {_complement(parts, rows, cols): c for parts, c in xs.items()}
+        root = _strip_trie((parts, _complement(parts, rows, cols))
+                           for parts in _partitions_in_box(free, rows, cols))
+        acc = {}  # padded nu -> coefficient
+        for nu, finals in _lr_states(ys, root, rows, cols):
+            for shape, mult in finals.items():
+                c = dual.get(shape)
+                if c is not None:
+                    s = acc.get(nu)
+                    acc[nu] = mult * c if s is None else s + mult * c
+    else:
+        if (y_rows, len(ys)) > (x_rows, len(xs)):
+            xs, ys = ys, xs
+            x_light, y_light, x_heavy, y_heavy = y_light, x_light, y_heavy, x_heavy
+        # a term that cannot fit in the box beside the other factor's
+        # lightest term drops out
+        if y_heavy + x_light > room:
+            ys = {parts: c for parts, c in ys.items()
+                  if sum(parts) + x_light <= room}
+        if x_heavy + y_light > room:
+            xs = {parts: c for parts, c in xs.items()
+                  if sum(parts) + y_light <= room}
+        root = _strip_trie(ys.items())
+        acc = {}  # padded shape -> coefficient
+        for y, finals in _lr_states(xs, root, rows, cols):
+            for shape, mult in finals.items():
+                s = acc.get(shape)
+                acc[shape] = mult * y if s is None else s + mult * y
+    # Partition._trusted, inline: this runs once per term of every product
+    out = {}
+    new = object.__new__
+    for shape, c in acc.items():
+        lam = new(Partition)
+        lam.parts = shape[:rows - shape.count(0)]
+        out[lam] = c
+    return out
+
+
+def _strip_trie(terms):
+    """The trie on the rows of the strip factor's (parts, value) pairs.
+
+    A node is [value where a partition ends there or None, {next row:
+    node}, tail].  Below a row of 1 every row is 1, so all that is left
+    below a node's 1 is one path of one-cell rows; it is kept apart as the
+    node's tail, where tail[k - 1] is the value of the partition that ends
+    k one-cell rows down, or None.
+    """
+    root = [None, {}, None]
+    for parts, value in terms:
+        ones = parts.count(1)
+        node = root
+        for m in parts[:len(parts) - ones]:
+            child = node[1].get(m)
+            if child is None:
+                child = node[1][m] = [None, {}, None]
+            node = child
+        if ones:
+            tail = node[2]
+            if tail is None:
+                tail = node[2] = [None] * ones
+            elif len(tail) < ones:
+                tail += [None] * (ones - len(tail))
+            tail[ones - 1] = value
+        else:
+            node[0] = value
+    return root
+
+
+def _lr_states(base, root, rows, cols):
+    """Yield (value, {padded shape: multiplicity}) where each strip partition
+    of the trie ends: the fillings of the base terms {parts: multiplicity}
+    by its rows, as Littlewood-Richardson tableaux, summed by shape.
+
+    The reading word (rows top to bottom, each right to left) is a lattice
+    word exactly when, for every row j, the label-i cells in rows <= j
+    number at most the label-(i-1) cells in rows < j; each strip keeps that
+    bound while it grows.  Every base term starts one state, and fillings
+    that reach the same shape and running label counts merge by adding
+    multiplicities: the steps are linear, so one pass serves the whole base.
+    The trie is walked depth first with one strip step per node, so
+    partitions that share their first rows share those steps.  A tail of
+    one-cell rows has its labels forced: each cell goes strictly below the
+    one before it, the first strictly below the first row holding the
+    node's label, and each must be addable to the shape; so a tail is one
+    enumeration of such cell sequences per state, keyed by shape alone.
+
+    A state is keyed by its shape, padded to the rows of the box, and by
+    what the node's children read (keep): cum, with cum[j] the count of the
+    node's label in rows <= j, where a strip follows (2); the row a tail
+    starts from, one below the label's first row, where only a tail
+    follows (1); nothing at a leaf (0).
+    """
     def place(j, left, total):
+        """Grows strip i (label i + 1) from row j down, editing shape in
+        place; it reads the state being extended (old, above, mult)."""
         o = old[j]
         hi = (old[j - 1] if j else cols) - o
         if i:
@@ -251,51 +336,87 @@ def lr_multiply(xs, ys, rows, cols):
                 continue
             key = tuple(shape)
             if keep:
-                key = (key, tuple(accumulate(map(sub, shape, old))))
+                if keep == 2:
+                    key = (key, tuple(accumulate(map(sub, shape, old))))
+                else:
+                    top = 0
+                    while shape[top] == old[top]:
+                        top += 1
+                    key = (key, top + 1)
             s = nxt.get(key)
             nxt[key] = mult if s is None else s + mult
         shape[j] = o
 
-    acc = {}  # padded shape -> coefficient
+    def descend(j, d):
+        """Adds cell d of the tail in row j or below, editing shape in
+        place; it reads mult, and adds to ends[d] where a partition ends."""
+        f = ends[d]
+        d += 1
+        while j < rows:
+            o = shape[j]
+            if o < (shape[j - 1] if j else cols):
+                shape[j] = o + 1
+                if f is not None:
+                    key = tuple(shape)
+                    s = f.get(key)
+                    f[key] = mult if s is None else s + mult
+                if d < depth:
+                    descend(j + 1, d)
+                shape[j] = o
+            j += 1
+
+    keep = 2 if root[1] else 1 if root[2] else 0
+    nxt = {}
+    for parts, c in base.items():
+        shape = parts + (0,) * (rows - len(parts))
+        nxt[(shape, ()) if keep == 2 else (shape, 0) if keep else shape] = c
     # (node, the states before its strip, i, m): the node adds strip i, of
     # m cells; the root adds none
-    stack = [(root, states, -1, 0)]
+    stack = [(root, None, -1, 0)]
     while stack:
-        (y, children), states, i, m = stack.pop()
-        keep = bool(children)
+        (y, children, tail), states, i, m = stack.pop()
+        keep = 2 if children else 1 if tail else 0
         if m:
             nxt = {}
             for (old, above), mult in states.items():
                 # label i + 1 starts below the first row holding label i
-                start = 0
-                if i:
-                    while not above[start]:
-                        start += 1
-                    start += 1
+                start = above.count(0) + 1 if i else 0
                 if start < rows:
                     shape = list(old)
                     place(start, m, 0)
-        else:
-            nxt = states
-        if nxt:
-            if y is not None:
-                for key, mult in nxt.items():
-                    if keep:
-                        key = key[0]
-                    s = acc.get(key)
-                    acc[key] = mult * y if s is None else s + mult * y
-            for m, child in children.items():
-                stack.append((child, nxt, i + 1, m))
-    return {Partition._trusted(shape[:rows - shape.count(0)]): c
-            for shape, c in acc.items()}
+        if not nxt:
+            continue
+        if y is not None:
+            if keep:
+                out = {}
+                for (shape, _), mult in nxt.items():
+                    s = out.get(shape)
+                    out[shape] = mult if s is None else s + mult
+                yield y, out
+            else:
+                yield y, nxt
+        if tail:
+            depth = len(tail)
+            ends = [None if v is None else {} for v in tail]
+            for (old, start), mult in nxt.items():
+                if keep == 2:
+                    start = start.count(0) + 1 if start else 0
+                shape = list(old)
+                descend(start, 0)
+            for v, f in zip(tail, ends):
+                if f:
+                    yield v, f
+        for m, child in children.items():
+            stack.append((child, nxt, i + 1, m))
 
 
 def _box_terms(zs, rows, cols):
     """The terms of zs inside the rows x cols box as {parts: coefficient},
-    with their most rows and their least weight."""
+    with their most rows, their least weight and their greatest weight."""
     out = {}
     most = 0
     least = rows * cols + 1
+    heaviest = -1
     for lam, c in zs.items():
         parts = lam.parts
         if len(parts) <= rows and (not parts or parts[0] <= cols):
@@ -305,7 +426,24 @@ def _box_terms(zs, rows, cols):
             w = sum(parts)
             if w < least:
                 least = w
-    return out, most, least
+            if w > heaviest:
+                heaviest = w
+    return out, most, least, heaviest
+
+
+def _complement(parts, rows, cols):
+    """The complement of parts in the rows x cols box, padded to rows."""
+    return tuple(map(cols.__sub__, (0,) * (rows - len(parts)) + parts[::-1]))
+
+
+def _partitions_in_box(w, rows, cols):
+    """Every partition of w with at most rows parts, each at most cols."""
+    if not w:
+        yield ()
+    elif rows:
+        for p in range(min(w, cols), 0, -1):
+            for rest in _partitions_in_box(w - p, rows - 1, p):
+                yield (p,) + rest
 
 
 def poly_to_schur_coords(poly, rows, cols):

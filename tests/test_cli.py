@@ -54,6 +54,24 @@ class TestSchur:
         assert code == 2
         assert "partition" in err
 
+    @pytest.mark.parametrize("partition", [
+        "2,,1", ",2", "2,", "2_0", " 2", "+2", "-1", "2.0", "\u00b2", ","])
+    def test_partition_fields_are_digits(self, capsys, partition):
+        # int() read "2_0" as 20, and empty fields were skipped: "2,,1" gave
+        # s(2,1), ",2" and "2," gave s(2)
+        code, out, err = run_cli(capsys, "schur", "--partition", partition,
+                                 "--gens", "2", "--json")
+        assert code == 2
+        assert err.startswith("usage error: --partition: ")
+        assert err.count("\n") == 1
+        assert json.loads(out) == {"error": err[len("usage error: "):-1]}
+
+    def test_empty_partition(self, capsys):
+        code, out, _ = run_cli(capsys, "schur", "--partition", "", "--gens",
+                               "2", "--json")
+        assert code == 0
+        assert json.loads(out)["partition"] == []
+
     def test_weight_one_thousand(self):
         # the Bareiss determinant of the 1000 x 1000 dual Jacobi-Trudi
         # matrix did not finish here

@@ -185,6 +185,13 @@ class TestNormalForm:
             got = x * y
         assert got == _sum_over_strips(x, y)
 
+    def test_parts_that_are_not_ints_refused(self):
+        # int() read the part 1.9 as 1, and schur((1.9,)) returned s(1)
+        ring = present(2, 4)
+        for parts in ((1.9,), (True,), ("3",), (2.0, 1)):
+            with pytest.raises(ValueError, match="must be positive integers"):
+                ring.schur(parts)
+
     def test_gw_coefficients(self):
         ring = present(1, 2, GWBASE)
         x = ring.one().scale(GW_H)
@@ -272,6 +279,63 @@ class TestCombinationProducts:
         assert (x * zero).coords == {} and (zero * x).coords == {}
         assert x * one == x and one * x == x
         assert (zero * zero).coords == {} and one * one == one
+
+
+def _by_tableaux(x, y):
+    """The coordinates of x * y by the tableau count, zeros dropped."""
+    ring = x.ring
+    want = {}
+    for nu in ring.basis:
+        c = ring.coeff.zero()
+        for lam, a in x.coords.items():
+            for mu, b in y.coords.items():
+                n = _lr(lam.parts, mu.parts, nu.parts)
+                if n:
+                    c = c + a * b * n
+        if c:
+            want[nu] = c
+    return want
+
+
+class TestBothPaths:
+    """Products near the top of the box, which run through the complements,
+    and strips that end in one-cell rows, against the tableau count."""
+
+    @pytest.mark.parametrize("coeff", [INTEGERS, GWBASE], ids=["Integers", "GWBase"])
+    @pytest.mark.parametrize("r, n", [(2, 6), (3, 7), (3, 8), (4, 8)])
+    def test_both_sides_of_the_complement_boundary(self, r, n, coeff):
+        # components of weights a and b, the lighter of weight m, leave
+        # f = r(n - r) - a - b cells free: f = m - 1 takes the complements,
+        # f = m does not
+        rng = random.Random(r * 100 + n)
+        ring = present(r, n, coeff)
+        room = r * (n - r)
+        for m in range(2, room // 3 + 1):
+            for f in (m - 1, m):
+                b = room - f - m
+                if b < m:
+                    continue
+                x, y = _component(rng, ring, m), _component(rng, ring, b)
+                want = _by_tableaux(x, y)
+                assert want, (r, n, m, f)
+                assert (x * y).coords == want, (r, n, m, f)
+                assert (y * x).coords == want, (r, n, m, f)
+
+    @pytest.mark.parametrize("coeff", [INTEGERS, GWBASE], ids=["Integers", "GWBase"])
+    def test_hooks_sharing_one_path(self, coeff):
+        # (3,1), (3,1,1) and (3,1,1,1) share the path 3, 1, 1, 1 and two end
+        # in its middle; columns share the path from the root
+        rng = random.Random(11)
+        ring = present(5, 9, coeff)
+        x = _component(rng, ring, 5)
+        for parts in (((3, 1), (3, 1, 1), (3, 1, 1, 1)),
+                      ((1,), (1, 1, 1), (1, 1, 1, 1)), ((2, 2, 1), (2, 1, 1))):
+            y = ring.zero()
+            for mu in parts:
+                y = y + ring.schur(Partition(mu)).scale(_random_coeff(rng, coeff))
+            want = _by_tableaux(x, y)
+            assert (x * y).coords == want, parts
+            assert (y * x).coords == want, parts
 
 
 class TestRestriction:

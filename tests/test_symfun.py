@@ -2,9 +2,10 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hgrcalc import symfun
+from hgrcalc.coeffs import GWElement
 from hgrcalc.polynomial import bareiss_det
 from hgrcalc.symfun import (Partition, EMPTY, enumerate_box_partitions,
                             complete_from_elementary, schur_in_elementary,
@@ -30,6 +31,13 @@ class TestPartition:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+    @pytest.mark.parametrize("parts", [(1.9,), (True,), ("3",), (2.0, 1),
+                                       (2, False)])
+    def test_rejects_parts_that_are_not_ints(self, parts):
+        # int() truncated these: (1.9,) was read as (1,)
+        with pytest.raises(ValueError, match="must be positive integers"):
+            Partition(parts)
 
     def test_empty_prints_as_emptyset(self):
         assert repr(EMPTY) == "∅"
@@ -297,6 +305,138 @@ class TestLittlewoodRichardson:
         lam = Partition._trusted((3, 1))
         assert lam == nf((3, 1)) and hash(lam) == hash(nf((3, 1)))
         assert Partition._trusted(()) == EMPTY
+
+
+@st.composite
+def one_cell_tails(draw):
+    """A base combination with a term of full height, and strip partitions
+    that share one path ending in one-cell rows: columns (1^k), or hooks
+    (h, 1^k) with one first row, so that some end in the middle of the
+    path.  The strip factor has fewer rows, so it is the one strung on
+    the trie."""
+    rows = draw(st.integers(2, 5))
+    cols = draw(st.integers(1, 5))
+    basis = [lam for lam in enumerate_box_partitions(rows, cols)
+             if lam.length() < rows]
+    coeffs = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    xs = draw(st.dictionaries(st.sampled_from(basis), coeffs, max_size=3))
+    xs[Partition((1,) * rows)] = draw(coeffs)
+    heads = [()] + [(h,) for h in range(2, cols + 1) if rows > 2]
+    head = draw(st.sampled_from(heads))
+    lengths = draw(st.lists(st.integers(1, rows - 1 - len(head)), min_size=1,
+                            max_size=rows - 1 - len(head), unique=True))
+    ys = {Partition(head + (1,) * k): draw(coeffs) for k in lengths}
+    return xs, ys, rows, cols
+
+
+def _oracle_product(xs, ys, rows, cols, zero=0):
+    """{nu: sum x_lam y_mu c^nu_{lam,mu}} by the tableau count, zeros
+    dropped."""
+    want = {}
+    for nu in enumerate_box_partitions(rows, cols):
+        c = zero
+        for lam, a in xs.items():
+            for mu, b in ys.items():
+                n = _lr(lam, mu, nu)
+                if n:
+                    c = c + a * b * n
+        if c:
+            want[nu] = c
+    return want
+
+
+class TestOneCellTails:
+    # everything below a node that is one path of one-cell rows is placed
+    # as a vertical strip with forced labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_cell_tails())
+    def test_matches_tableau_oracle(self, case):
+        xs, ys, rows, cols = case
+        want = _oracle_product(xs, ys, rows, cols)
+        assert _nonzero(lr_multiply(xs, ys, rows, cols)) == want
+        assert _nonzero(lr_multiply(ys, xs, rows, cols)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_cell_tails())
+    def test_columns_match_brute_force_strips(self, case):
+        # a column factor alone: e_k = s_(1^k) adds vertical k-strips
+        xs, ys, rows, cols = case
+        ys = {Partition((1,) * len(mu.parts)): c for mu, c in ys.items()}
+        want = {}
+        for lam, a in xs.items():
+            for mu, b in ys.items():
+                for nu in oracles.vertical_strips_in_box(lam.parts, mu.length(),
+                                                          rows, cols):
+                    want[nu] = want.get(nu, 0) + a * b
+        got = {nu.parts: c for nu, c in lr_multiply(xs, ys, rows, cols).items()}
+        assert _nonzero(got) == _nonzero(want)
+
+    def test_hooks_end_along_one_path(self):
+        # (2,1), (2,1,1) and (2,1,1,1) share the path 2, 1, 1, 1, and two of
+        # them end in its middle; the first one-cell row goes strictly below
+        # the first row holding label 1
+        xs = {nf((2,)): 1, nf((1, 1, 1, 1, 1)): 1}
+        ys = {nf((2, 1)): 1, nf((2, 1, 1)): 2, nf((2, 1, 1, 1)): -1}
+        assert lr_multiply(xs, ys, 5, 4) == _oracle_product(xs, ys, 5, 4)
+        got = lr_multiply({nf((2,)): 1}, {nf((2, 1)): 1}, 3, 4)
+        assert got == {nf((4, 1)): 1, nf((3, 2)): 1, nf((3, 1, 1)): 1,
+                       nf((2, 2, 1)): 1}
+
+
+@st.composite
+def near_the_top(draw):
+    """Homogeneous combinations of weights a and b, the lighter of weight
+    m >= 2, in a box of at least two rows and two columns, leaving
+    f = rows*cols - a - b cells free: f = m - 1 takes the complements of
+    the box, f = m does not."""
+    rows = draw(st.integers(2, 4))
+    cols = draw(st.integers(2, 4))
+    room = rows * cols
+    side = draw(st.sampled_from((-1, 0)))
+    # b = room - f - m >= m
+    m = draw(st.integers(2, max(2, (room - side) // 3)))
+    f = m + side
+    a, b = m, room - f - m
+    assume(b >= m)
+    if draw(st.booleans()):
+        a, b = b, a
+    gw = draw(st.booleans())
+    ints = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    coeffs = (st.builds(lambda k, u, v: GWElement({k: (u, v)}),
+                        st.integers(-1, 1), ints, st.sampled_from((-1, 1)))
+              if gw else ints)
+
+    def component(w):
+        basis = [lam for lam in enumerate_box_partitions(rows, cols)
+                 if lam.weight() == w]
+        return draw(st.dictionaries(st.sampled_from(basis), coeffs,
+                                    min_size=1, max_size=5))
+
+    return component(a), component(b), rows, cols, gw
+
+
+class TestBoxComplement:
+    # c^nu_{lam,mu} = c^{lam^}_{mu,nu^}: near the top of the box the product
+    # runs through the complements
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_the_top())
+    def test_matches_tableau_oracle(self, case):
+        xs, ys, rows, cols, gw = case
+        want = _oracle_product(xs, ys, rows, cols,
+                               GWElement() if gw else 0)
+        assert _nonzero(lr_multiply(xs, ys, rows, cols)) == want
+        assert _nonzero(lr_multiply(ys, xs, rows, cols)) == want
+
+    def test_zeros_where_the_terms_meet(self):
+        # (s_2 + s_11)(s_2 - s_11) in the 2 x 2 box leaves no cell free: s_22
+        # is reached twice and cancels, and stays as a zero, as a pass
+        # through the strips keeps it
+        xs = {nf((2,)): 1, nf((1, 1)): 1}
+        ys = {nf((2,)): 1, nf((1, 1)): -1}
+        assert lr_multiply(xs, ys, 2, 2) == {nf((2, 2)): 0}
+        assert lr_multiply(ys, xs, 2, 2) == {nf((2, 2)): 0}
 
 
 class TestPieriStraightening:
