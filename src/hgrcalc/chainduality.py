@@ -27,9 +27,12 @@ switch <-1>^{rs} on T^r ^ T^s.
 
 Differentials and forms are `SparseMatrix` values, which store only the
 nonzero entries (5 120 of the 167 960 entries of the Koszul differentials
-at n = 10), and every check is a plain sparse product: d o d, both sides
-of the chain condition, ds + sd, and the relabelling iota of
-`transport_sign`, one constant per column.  A form block with one
+at n = 10), and every check is a sparse product: d o d, both sides of the
+chain condition, ds + sd, and the relabelling iota of `transport_sign`,
+one constant per column.  The Koszul and tensor forms, iota and their
+transposes are signed relabellings, at most one constant +-1 per row, so
+the product applies them by re-indexing, sharing the other factor's
+entries; d o d and ds + sd multiply terms.  A form block with one
 constant per row and column is certified by its inverse; any other block
 by a Bareiss determinant that must be a unit.  `koszul(n)` is built and
 verified once per n and kept in a module table; each call returns a copy

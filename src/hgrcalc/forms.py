@@ -774,8 +774,12 @@ class SpReductionError(FormsError):
 class SympFactor:
     """One elementary symplectic transvection T: x -> x + lam*omega(x,u)*u.
 
-    `apply` computes T in O(n) with `symplectic_pairing`.  T preserves the
-    form exactly when omega(u,u) = 0: for all x and y,
+    The factor records the support of u, the coordinates where u is
+    nonzero, and `apply` pairs x with u and updates x over that support
+    only: omega(x,u) is the sum over k in the support of x_a*u_b for k the
+    b of its pair (a, b) and -x_b*u_a for k the a, taken in the order of
+    `symplectic_pairing`.  T preserves the form exactly when
+    omega(u,u) = 0: for all x and y,
 
         omega(Tx, Ty) = omega(x,y) + lam*omega(x,u)*omega(u,y)
                         + lam*omega(y,u)*omega(x,u)
@@ -784,10 +788,11 @@ class SympFactor:
 
     since omega(u,y) = -omega(y,u).  So E^T J E = J for the matrix E of T
     holds for lam != 0 and u != 0 over a domain if and only if
-    omega(u,u) = 0, and that O(n) identity is checked on construction.
+    omega(u,u) = 0, and that identity is checked on construction with
+    `symplectic_pairing`.
     """
 
-    __slots__ = ("ring", "u", "lam")
+    __slots__ = ("ring", "u", "lam", "_support")
 
     def __init__(self, ring, u, lam, n2):
         self.ring = ring
@@ -798,12 +803,22 @@ class SympFactor:
                              % (len(self.u), n2))
         if symplectic_pairing(self.u, self.u, ring.zero()):
             raise FormsError("internal error: transvection broke the form")
+        # b before a within each pair (a, b), as symplectic_pairing sums
+        self._support = [k ^ 1 for k in range(n2) if self.u[k ^ 1]]
 
     def apply(self, v):
-        c = self.lam * symplectic_pairing(v, self.u, self.ring.zero())
-        if not c:
-            return list(v)
-        return [x + c * a if a else x for x, a in zip(v, self.u)]
+        u = self.u
+        acc = self.ring.zero()
+        for k in self._support:
+            x = v[k ^ 1]
+            if x:
+                acc = acc + x * u[k] if k & 1 else acc - x * u[k]
+        c = self.lam * acc
+        out = list(v)
+        if c:
+            for k in self._support:
+                out[k] = v[k] + c * u[k]
+        return out
 
 
 def sp_reduce_unimodular(v, ring=ZZ):

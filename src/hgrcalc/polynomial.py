@@ -360,11 +360,19 @@ def _exact_coeff_div(a, b):
 
 class SparseMatrix:
     """A matrix of Poly entries of one ring: its column count and one
-    {column: entry} dict per row, zeros never stored.  The product sums
-    c1*c2 at e1+e2 from the entries' terms into one dict per reached entry
-    and builds one Poly for each that does not cancel; `map`, negation
-    included, calls its function once per distinct entry, so entries shared
-    in the matrix stay shared in the image."""
+    {column: entry} dict per row, zeros never stored.
+
+    A product with a signed relabelling, a factor whose rows each hold at
+    most one entry, the constant 1 or -1 with an int coefficient, is a
+    re-indexing: a left relabelling picks and signs rows of the right
+    factor, and a right one whose entries lie in distinct columns moves and
+    signs the entries of each row of the left factor.  Such a product shares
+    the other factor's entries and negates each distinct entry once, with
+    the terms and order the general product gives.  Every other product
+    sums c1*c2 at e1+e2 from the entries' terms into one dict per reached
+    entry and builds one Poly for each that does not cancel.  `map`,
+    negation included, calls its function once per distinct entry, so
+    entries shared in the matrix stay shared in the image."""
 
     __slots__ = ("cols", "rows")
 
@@ -426,6 +434,37 @@ class SparseMatrix:
         if self.cols != len(other.rows):
             raise ValueError("matrix shapes %sx%s and %sx%s do not compose"
                              % (self.shape + other.shape))
+        picks = _relabelling(self.rows, False)
+        moves = None if picks is not None else _relabelling(other.rows, True)
+        if picks is not None or moves is not None:
+            negatives = {}  # id of an entry -> its negative, built once
+
+            def negative(x):
+                y = negatives.get(id(x))
+                if y is None:
+                    y = negatives[id(x)] = -x
+                return y
+
+            out = []
+            if picks is not None:  # row i is sign * row k of other
+                for pick in picks:
+                    if pick is None:
+                        out.append({})
+                    elif pick[1] > 0:
+                        out.append(dict(other.rows[pick[0]]))
+                    else:
+                        out.append({j: negative(y) for j, y
+                                    in other.rows[pick[0]].items()})
+            else:  # entry (i, k) moves to column j of row i, times sign
+                for row in self.rows:
+                    new = {}
+                    for k, x in row.items():
+                        move = moves[k]
+                        if move is not None:
+                            j, sign = move
+                            new[j] = x if sign > 0 else negative(x)
+                    out.append(new)
+            return SparseMatrix(other.cols, out)
         out = []
         for row in self.rows:
             sums = {}  # column -> the term dict of the entry
@@ -474,12 +513,47 @@ class SparseMatrix:
         return self.map(Poly.__neg__)
 
 
+def _relabelling(rows, distinct):
+    """Per row, None for an empty row and (k, sign) for a row whose one
+    entry, in column k, is the constant sign = 1 or -1 with an int
+    coefficient; None if a row holds anything else or, when `distinct` is
+    set, two rows share a column.  An int 1 or -1 times any coefficient c
+    is c or -c, of c's type, so sharing and negating give the general
+    product's terms."""
+    out = []
+    seen = set()
+    unit = None  # the exponents of a constant
+    for row in rows:
+        if len(row) != 1:
+            if row:
+                return None
+            out.append(None)
+            continue
+        ((k, x),) = row.items()
+        if len(x.terms) != 1:
+            return None
+        if unit is None:
+            unit = (0,) * len(x.ring.gens)
+        c = x.terms.get(unit)
+        if type(c) is not int or (c != 1 and c != -1):
+            return None
+        if distinct:
+            if k in seen:
+                return None
+            seen.add(k)
+        out.append((k, c))
+    return out
+
+
 def mat_shape(m):
     return (len(m), len(m[0]) if m else 0)
 
 
 def mat_identity(n, one=1, zero=0):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    m = [[zero] * n for _ in range(n)]
+    for i, row in enumerate(m):
+        row[i] = one
+    return m
 
 
 def mat_zero(rows, cols, zero=0):
@@ -594,13 +668,19 @@ def _entry_exact_div(num, den):
 
 def smith_normal_form(a):
     """(U, D, V) with U*a*V = D for unimodular U and V and a diagonal D
-    with 0 <= d_i | d_{i+1}."""
+    with 0 <= d_i | d_{i+1}.
+
+    Rows above t are finished, d_i e_i, so the column swap changes rows
+    t.. of D only, and once column t is p e_t a column operation changes
+    row t of D only.  V is kept by columns, so a swap moves two lists and
+    an operation changes one, and is transposed once on return."""
     rows, cols = mat_shape(a)
     d = [list(r) for r in a]
     u = mat_identity(rows)
-    v = mat_identity(cols)
+    vt = mat_identity(cols)  # the columns of V
     t = 0
-    while t < min(rows, cols):
+    n = min(rows, cols)
+    while t < n:
         pivot = _least_entry(d, t)
         if pivot is None:
             break
@@ -609,34 +689,45 @@ def smith_normal_form(a):
             d[t], d[i] = d[i], d[t]
             u[t], u[i] = u[i], u[t]
         if j != t:
-            for row in d + v:
+            for i in range(t, rows):
+                row = d[i]
                 row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
         # every entry of the block is at least |p|, so each quotient below
         # is nonzero and leaves a remainder of at most |p| / 2
-        p = d[t][t]
         dt, ut = d[t], u[t]
+        p = dt[t]
         left = False
         for i in range(t + 1, rows):
             x = d[i][t]
             if x:
                 q = (2 * x + p) // (2 * p)  # the integer nearest x / p
-                d[i] = [y - q * z for y, z in zip(d[i], dt)]
+                d[i] = di = [y - q * z for y, z in zip(d[i], dt)]
                 u[i] = [y - q * z for y, z in zip(u[i], ut)]
-                left = left or d[i][t] != 0
+                if di[t]:
+                    left = True
         if left:
             continue  # a remainder is left in column t: re-pick
-        qs = [(j, (2 * x + p) // (2 * p))
-              for j, x in enumerate(dt[t + 1:], t + 1) if x]
-        if qs:
-            for row in d + v:
-                x = row[t]
-                if x:
-                    for j, q in qs:
-                        row[j] -= q * x
+        # column j -= q * column t: row t of D and column j of V
+        vc = None  # the nonzero entries of column t of V
+        for j in range(t + 1, cols):
+            x = dt[j]
+            if x:
+                q = (2 * x + p) // (2 * p)
+                dt[j] = x - q * p
+                if vc is None:
+                    vc = [(i, z) for i, z in enumerate(vt[t]) if z]
+                vj = vt[j]
+                for i, z in vc:
+                    vj[i] -= q * z
         if any(dt[t + 1:]):
             continue  # a remainder is left in row t: re-pick
-        bad = abs(p) > 1 and next((i for i in range(t + 1, rows)
-                                   if any(x % p for x in d[i][t + 1:])), None)
+        bad = None
+        if p != 1 and p != -1:
+            for i in range(t + 1, rows):
+                if any(x % p for x in d[i][t + 1:]):
+                    bad = i
+                    break
         if bad:
             # row_t += row_bad brings an entry p does not divide into row t
             d[t] = [y + z for y, z in zip(dt, d[bad])]
@@ -646,7 +737,7 @@ def smith_normal_form(a):
             d[t] = [-y for y in dt]
             u[t] = [-y for y in ut]
         t += 1
-    return u, d, v
+    return u, d, mat_transpose(vt)
 
 
 def _least_entry(d, t):
@@ -655,11 +746,13 @@ def _least_entry(d, t):
     for i in range(t, len(d)):
         row = d[i]
         for j in range(t, len(row)):
-            x = abs(row[j])
-            if x and (pivot is None or x < least):
-                if x == 1:
+            x = row[j]
+            if x:
+                if x == 1 or x == -1:
                     return i, j
-                least, pivot = x, (i, j)
+                x = abs(x)
+                if pivot is None or x < least:
+                    least, pivot = x, (i, j)
     return pivot
 
 
@@ -670,38 +763,51 @@ def invariant_factors(a):
 
 
 def hermite_column_form(a):
-    """Canonical column Hermite normal form; equal spans give equal forms."""
+    """Canonical column Hermite normal form; equal spans give equal forms.
+
+    The matrix is kept by columns, so a swap moves two lists.  Rows above
+    r are zero from column cur on, so every column operation at row r
+    changes rows r.. only."""
     rows, cols = mat_shape(a)
-    m = [list(r) for r in a]
+    m = [list(col) for col in zip(*a)]  # the columns
     cur = 0
     for r in range(rows):
         # a column at or past cur with a nonzero entry in row r
-        piv = next((j for j in range(cur, cols) if m[r][j]), None)
-        if piv is None:
+        for piv in range(cur, cols):
+            if m[piv][r]:
+                break
+        else:
             continue
-        for row in m:
-            row[cur], row[piv] = row[piv], row[cur]
-        # Euclid on row r between the pivot column and every later column
+        c = m[piv]
+        m[cur], m[piv] = c, m[cur]
+        p = c[r]
+        # Euclid on row r between the pivot column c and every later column
         for j in range(cur + 1, cols):
-            while m[r][j]:
-                if abs(m[r][j]) < abs(m[r][cur]):
-                    for row in m:
-                        row[cur], row[j] = row[j], row[cur]
-                q = m[r][j] // m[r][cur]
-                for row in m:
-                    row[j] -= q * row[cur]
-        if m[r][cur] < 0:
-            for row in m:
-                row[cur] = -row[cur]
+            cj = m[j]
+            x = cj[r]
+            while x:
+                if abs(x) < abs(p):
+                    m[cur], m[j] = cj, c
+                    c, cj, p, x = cj, c, x, p
+                q = x // p
+                for i in range(r, rows):
+                    if c[i]:
+                        cj[i] -= q * c[i]
+                x = cj[r]
+        if p < 0:
+            c[r:] = [-y for y in c[r:]]
+            p = -p
         # reduce earlier columns modulo the pivot
         for j in range(cur):
-            q = m[r][j] // m[r][cur]
+            cj = m[j]
+            q = cj[r] // p
             if q:
-                for row in m:
-                    row[j] -= q * row[cur]
+                for i in range(r, rows):
+                    if c[i]:
+                        cj[i] -= q * c[i]
         cur += 1
         if cur == cols:
             break
     # drop zero columns for a canonical presentation
-    keep = [j for j in range(cols) if any(row[j] for row in m)]
-    return [[row[j] for j in keep] for row in m]
+    keep = [col for col in m if any(col)]
+    return [[col[i] for col in keep] for i in range(rows)]

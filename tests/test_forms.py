@@ -524,6 +524,38 @@ class TestSpReduce:
         j = standard_symplectic_gram(n2, ring)
         assert mat_mul(mat_mul(mat_transpose(e), j, zero), e, zero) == j
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_apply_over_the_support(self, data):
+        # u with one or two nonzero coordinates, as the reduction makes
+        # them, zeros elsewhere: apply is x + lam*omega(x,u)*u with omega
+        # summed over every pair, and leaves x as it was
+        ring = data.draw(st.sampled_from([ZZ, QX]), label="ring")
+        n2 = 2 * data.draw(st.integers(1, 5), label="pairs")
+        if ring is ZZ:
+            elements = st.integers(-9, 9)
+        else:
+            elements = st.lists(st.integers(-3, 3), max_size=3).map(
+                lambda c: QX.from_coeffs(c or [0]))
+        nonzero = elements.filter(bool)
+        zero = ring.zero()
+        support = data.draw(st.lists(st.integers(0, n2 - 1), min_size=1,
+                                     max_size=2, unique=True), label="support")
+        u = [zero] * n2
+        for k in support:
+            u[k] = data.draw(nonzero, label="u_%d" % k)
+        x = data.draw(st.lists(elements, min_size=n2, max_size=n2),
+                      label="x")
+        lam = data.draw(nonzero, label="lam")
+        omega = zero
+        for a in range(0, n2, 2):
+            omega = omega + x[a] * u[a + 1] - x[a + 1] * u[a]
+        want = [xi + lam * omega * ui for xi, ui in zip(x, u)]
+        before = list(x)
+        got = SympFactor(ring, u, lam, n2).apply(x)
+        assert got == want
+        assert x == before and got is not x
+
     def test_factor_length_must_match(self):
         with pytest.raises(FormsError):
             SympFactor(ZZ, [1, 0, 0, 0], 1, 6)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -11,10 +12,10 @@ from hgrcalc.chainduality import koszul, koszul_tensor_isometry
 from hgrcalc.coeffs import GWElement, GW_EPS, GW_H, GW_ONE
 from hgrcalc.forms import FiniteField, sp_reduce_unimodular
 from hgrcalc.forms import QX as QX_RING
-from hgrcalc.polynomial import (Combination, Poly, PolyRing, bareiss_det,
-                                hermite_column_form, invariant_factors,
-                                mat_identity, mat_mul, mat_transpose,
-                                smith_normal_form)
+from hgrcalc.polynomial import (Combination, Poly, PolyRing, SparseMatrix,
+                                bareiss_det, hermite_column_form,
+                                invariant_factors, mat_identity, mat_mul,
+                                mat_transpose, smith_normal_form)
 
 
 R2 = PolyRing(("x", "y"))
@@ -380,6 +381,132 @@ class TestMatMulCost:
         assert (nonzero == 0) == (case == "d2-d3")
 
 
+def term_loop_product(a, b):
+    """The SparseMatrix a * b entry by entry and term by term, in the order
+    of the row dicts and the term dicts: per row, the (column, terms) pairs
+    of the entries that do not cancel, each term with its coefficient's
+    type."""
+    out = []
+    for row in a.rows:
+        sums = {}
+        for k, x in row.items():
+            for j, y in b.rows[k].items():
+                d = sums.setdefault(j, {})
+                for e2, c2 in y.terms.items():
+                    for e1, c1 in x.terms.items():
+                        e = tuple(s + t for s, t in zip(e1, e2))
+                        d[e] = d[e] + c1 * c2 if e in d else c1 * c2
+        out.append([(j, [(e, type(c), c) for e, c in d.items() if c])
+                    for j, d in sums.items() if any(d.values())])
+    return out
+
+
+def listed(m):
+    return [[(j, [(e, type(c), c) for e, c in x.terms.items()])
+             for j, x in row.items()] for row in m.rows]
+
+
+F5 = FiniteField(5)
+QF = PolyRing(("t",))
+
+# ring -> a nonzero entry for each nonzero int k: Laurent polynomials with
+# two terms, F_5 constants and F_5 multiples of t, Fraction polynomials
+RELABEL_ENTRIES = {
+    "laurent": (LAURENT, laurent_entry),
+    "f5": (QF, lambda k: Poly(QF, {(k % 2,): F5.coerce(k)})),
+    "fraction": (QX, lambda k: QX.gen(0, abs(k) % 3, Fraction(k, 2))),
+}
+
+
+@st.composite
+def relabelling_products(draw):
+    """(a, b): one factor with at most one constant per row, in distinct
+    columns or not, the other any sparse matrix.  The constant is an int 1
+    or -1, or at times an F_5 or Fraction 1 or -1, which the general loop
+    multiplies."""
+    ring, make = RELABEL_ENTRIES[draw(st.sampled_from(sorted(
+        RELABEL_ENTRIES)))]
+    rows, inner, cols = (draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+                         draw(st.integers(0, 4)))
+    left = draw(st.booleans())
+    # the relabelling is rows x inner on the left, inner x cols on the right
+    r, c = (rows, inner) if left else (inner, cols)
+    targets = list(range(c))
+    distinct = draw(st.booleans()) and r <= c
+    if distinct:
+        targets = draw(st.permutations(targets)) if c else []
+    one = draw(st.sampled_from([1, 1, 1, F5.one() if ring is QF
+                                else Fraction(1)]))
+    constants = [ring.const(one), ring.const(-one)]
+    relabel = []
+    for i in range(r):
+        if not c or draw(st.integers(0, 4)) == 0:
+            relabel.append({})  # an empty row
+            continue
+        j = targets[i] if distinct else draw(st.integers(0, c - 1))
+        relabel.append({j: draw(st.sampled_from(constants))})
+    ints = st.sampled_from([0, 0, 1, -1, 2, 3])
+    r, c = (inner, cols) if left else (rows, inner)
+    other = []
+    for _ in range(r):
+        row = {}
+        for j, k in enumerate(draw(st.lists(ints, min_size=c, max_size=c))):
+            if k:
+                row[j] = make(k)
+        other.append(row)
+    a, b = SparseMatrix(inner, relabel), SparseMatrix(cols, other)
+    if not left:
+        a, b = SparseMatrix(inner, other), SparseMatrix(cols, relabel)
+    return a, b
+
+
+class TestRelabellingProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(relabelling_products())
+    def test_matches_the_term_loop(self, case):
+        a, b = case
+        before = [[dict(row) for row in m.rows] for m in (a, b)]
+        got = a * b
+        assert got.shape == (len(a.rows), b.cols)
+        assert listed(got) == term_loop_product(a, b)
+        # the result's rows are its own: editing them leaves both inputs
+        for row in got.rows:
+            row.clear()
+            row[0] = QX.one()
+        assert [[dict(row) for row in m.rows] for m in (a, b)] == before
+
+    def test_column_reached_twice_sums(self):
+        # rows 0 and 1 of the right factor both move to column 0, so the
+        # entries of a row of the left factor add there
+        u, v = LAURENT.gen(0), LAURENT.gen(1, -1)
+        one = LAURENT.one()
+        a = SparseMatrix(2, [{0: u, 1: v}, {1: -v}])
+        b = SparseMatrix(2, [{0: one}, {0: one}])
+        got = a * b
+        assert got.rows == [{0: u + v}, {0: -v}]
+        assert listed(got) == term_loop_product(a, b)
+        cancel = SparseMatrix(2, [{0: one}, {0: -one}])
+        assert (SparseMatrix(2, [{0: u, 1: u}]) * cancel).rows == [{}]
+
+    def test_entries_are_shared_and_negated_once(self):
+        u = LAURENT.gen(0)
+        w = laurent_entry(3)
+        one = LAURENT.one()
+        m = SparseMatrix(2, [{0: u, 1: w}, {1: u}])
+        # left: rows 0 and 2 are row 0 of m, negated; row 1 is row 1
+        picks = SparseMatrix(2, [{0: -one}, {1: one}, {0: -one}, {}])
+        got = picks * m
+        assert got.rows[1][1] is u
+        assert got.rows[0][0] is got.rows[2][0] and got.rows[0][0] == -u
+        assert got.rows[0][1] is got.rows[2][1] and got.rows[0][1] == -w
+        assert got.rows[3] == {}
+        # right: column 0 of m moves to 1, column 1 to 0, negated
+        moves = SparseMatrix(2, [{1: one}, {0: -one}])
+        got = m * moves
+        assert got.rows == [{1: u, 0: -w}, {0: -u}]
+        assert got.rows[0][1] is u
+
+
 @st.composite
 def integer_matrices(draw):
     """Shapes up to 8x8, entries in [-20, 20]."""
@@ -453,3 +580,39 @@ class TestHermiteColumnForm:
                    for col in mat_transpose(a))
         assert all(oracles.solve_integer(a, col) is not None
                    for col in mat_transpose(h))
+
+
+def normal_form_cases():
+    """400 seeded integer matrices, 1 x 1 to 8 x 8 with entries in
+    [-20, 20], sparse and dense, about a third with a zero row and a third
+    with a zero column."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(400):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        density = rng.choice((0.25, 0.5, 1.0))
+        a = [[rng.randint(-20, 20) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.35:
+            a[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.35:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        cases.append(a)
+    return cases
+
+
+def test_normal_forms_are_pinned():
+    # every entry of U, D and V and of the Hermite form, by value and in
+    # order: the invariant forms of geomverify read V, so any change to
+    # the moves shows here
+    digest = hashlib.sha256()
+    for a in normal_form_cases():
+        u, d, v = smith_normal_form(a)
+        assert mat_mul(mat_mul(u, a), v) == d
+        digest.update(repr((u, d, v, hermite_column_form(a))).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "4389cf4f5e0983ecc1dcc7bba392e50c"
+        "9c0786b77d6d879707ac993ec1d49306")
